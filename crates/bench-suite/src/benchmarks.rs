@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use dynamite_core::Example;
-use dynamite_datalog::{evaluate, Program};
+use dynamite_datalog::{Evaluator, Program};
 use dynamite_instance::{from_facts, to_facts, Instance};
 use dynamite_schema::{DbKind, Schema};
 
@@ -87,7 +87,8 @@ impl Benchmark {
     /// instance.
     pub fn expected_output(&self, input: &Instance) -> Instance {
         let facts = to_facts(input);
-        let out = evaluate(&self.golden, &facts)
+        let out = Evaluator::new(facts)
+            .eval(&self.golden)
             .unwrap_or_else(|e| panic!("golden program for {} fails to evaluate: {e}", self.name));
         from_facts(&out, self.target.clone())
             .unwrap_or_else(|e| panic!("golden output for {} does not rebuild: {e}", self.name))

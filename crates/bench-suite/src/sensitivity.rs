@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use dynamite_core::{synthesize, CandidateLimits, SynthesisConfig};
-use dynamite_datalog::evaluate;
+use dynamite_datalog::Evaluator;
 use dynamite_instance::{from_facts, to_facts, Instance};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -180,7 +180,7 @@ pub fn correct_on(
     validation: &Instance,
 ) -> bool {
     let facts = to_facts(validation);
-    let Ok(out) = evaluate(program, &facts) else {
+    let Ok(out) = Evaluator::new(facts).eval(program) else {
         return false;
     };
     let Ok(inst) = from_facts(&out, b.target().clone()) else {

@@ -25,8 +25,7 @@
 //!
 //! `--case` restricts the run to a single workload (an unknown name
 //! lists the available ones); the JSON then contains only that
-//! workload's section and omits the cross-PR `history` block, which
-//! needs the full run's headline numbers.
+//! workload's section plus the constant cross-PR `history` block.
 //!
 //! With `BENCH_ASSERT=1` in the environment the run additionally asserts
 //! that the filter kernel's dense and two-constant cases are at least at
@@ -48,8 +47,7 @@ use dynamite_datalog::{
     legacy, pool, reorder_default, DurableEvaluator, DurableOptions, Evaluator, Governor,
     IncrementalEvaluator, Program, ResourceLimits, RuleCacheHandle, ServedEvaluator, WorkerPool,
 };
-use dynamite_instance::hash::FxHashMap;
-use dynamite_instance::{to_facts, ColumnIndex, Database, TupleStore, Value};
+use dynamite_instance::{to_facts, Database, TupleStore, Value};
 
 struct EvalCase {
     name: String,
@@ -83,7 +81,7 @@ fn time_reps(reps: usize, mut f: impl FnMut()) -> f64 {
 /// One golden-program evaluation case: `reps` evaluations of the same
 /// program against the same EDB through both engines.
 fn eval_case(name: &str, program: &Program, facts: &Database, reps: usize) -> EvalCase {
-    let ctx = Evaluator::from_database(facts);
+    let ctx = Evaluator::new(facts.clone());
     let facts_out = ctx.eval(program).expect("evaluates").num_facts();
     let context_secs = time_reps(reps, || {
         ctx.eval(program).expect("evaluates");
@@ -121,7 +119,7 @@ impl GovernanceCase {
 /// 1024 tuples plus per-round and per-unique-insert counter bumps, so
 /// the ratio should sit within run-to-run noise.
 fn governance_case(program: &Program, facts: &Database, reps: usize) -> GovernanceCase {
-    let ctx = Evaluator::from_database(facts);
+    let ctx = Evaluator::new(facts.clone());
     let limits = ResourceLimits::none()
         .with_timeout(Duration::from_secs(3600))
         .with_fact_budget(u64::MAX / 2)
@@ -223,7 +221,7 @@ struct RepeatedCase {
 /// per-round index builds); the context path prepares once.
 fn repeated_candidates(facts: &Database, programs: &[Program]) -> RepeatedCase {
     // Warm-up both paths once.
-    let warm = Evaluator::from_database(facts);
+    let warm = Evaluator::new(facts.clone());
     for p in programs {
         warm.eval(p).expect("candidate evaluates");
         legacy::evaluate(p, facts).expect("candidate evaluates");
@@ -233,7 +231,7 @@ fn repeated_candidates(facts: &Database, programs: &[Program]) -> RepeatedCase {
     // the pool several times so the measurement is stable.
     const SWEEPS: usize = 10;
     let start = Instant::now();
-    let ctx = Evaluator::from_database(facts); // part of the measured cost
+    let ctx = Evaluator::new(facts.clone()); // part of the measured cost
     for _ in 0..SWEEPS {
         for p in programs {
             ctx.eval(p).expect("candidate evaluates");
@@ -255,62 +253,6 @@ fn repeated_candidates(facts: &Database, programs: &[Program]) -> RepeatedCase {
         legacy_secs,
         context_secs,
     }
-}
-
-struct IndexBuildCase {
-    rows: usize,
-    key_cols: Vec<usize>,
-    reps: usize,
-    row_secs: f64,
-    columnar_secs: f64,
-}
-
-impl IndexBuildCase {
-    fn speedup(&self) -> f64 {
-        self.row_secs / self.columnar_secs.max(1e-12)
-    }
-}
-
-/// Index-build microbenchmark: the columnar `ColumnIndex::build` sweep
-/// over `TupleStore` column slices vs the former row-oriented layout
-/// (`Arc<[Value]>` tuples, one pointer chase per tuple per key column).
-fn index_build_case(store: &TupleStore, key_cols: &[usize], reps: usize) -> IndexBuildCase {
-    // Materialize the old representation once, outside the timed region.
-    let row_tuples: Vec<Arc<[Value]>> = store.iter().map(|r| Arc::from(r.to_vec())).collect();
-
-    let columnar_secs = time_reps(reps, || {
-        std::hint::black_box(ColumnIndex::build(store, key_cols));
-    });
-    let row_secs = time_reps(reps, || {
-        // The pre-columnar build: iterate shared tuples, chase each
-        // pointer, gather the key per tuple.
-        let mut map: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
-        for (i, t) in row_tuples.iter().enumerate() {
-            let key: Vec<Value> = key_cols.iter().map(|&c| t[c]).collect();
-            map.entry(key).or_default().push(i);
-        }
-        std::hint::black_box(map);
-    });
-    IndexBuildCase {
-        rows: store.len(),
-        key_cols: key_cols.to_vec(),
-        reps,
-        row_secs,
-        columnar_secs,
-    }
-}
-
-/// A join-shaped relation for the index-build microbenchmark, loaded
-/// through the bulk columnar path.
-fn index_build_store(rows: usize) -> TupleStore {
-    let strings = ["chemical", "electric", "mixed", "unknown"];
-    let cols: Vec<Vec<Value>> = vec![
-        (0..rows).map(|i| Value::Int((i % 97) as i64)).collect(),
-        (0..rows).map(|i| Value::str(strings[i % 4])).collect(),
-        (0..rows).map(|i| Value::Id((i % 53) as u64)).collect(),
-        (0..rows).map(|i| Value::Int(i as i64)).collect(),
-    ];
-    TupleStore::from_columns(cols)
 }
 
 struct ScalingCase {
@@ -428,19 +370,47 @@ fn scalar_prescan(store: &TupleStore, consts: &[(usize, Value)]) -> Vec<u32> {
     ids
 }
 
-/// A filter-shaped relation with *shuffled* column contents. The cyclic
-/// `i % k` columns of `index_build_store` would let the branch predictor
-/// learn the scalar pre-scan's append branch perfectly, which real
-/// (unordered) data never does — the unpredictability is exactly what the
-/// batched kernel's branch-free dense path is for.
-fn filter_store(rows: usize) -> TupleStore {
-    let mut state = 0x2545_f491_4f6c_dd1du64;
-    let mut rnd = move || {
+/// A deterministic xorshift64 stream — workloads must not depend on
+/// ambient randomness.
+fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
         state
-    };
+    }
+}
+
+/// The transitive closure every recursive workload evaluates.
+fn closure_program() -> Program {
+    Program::parse(
+        "Path(x, y) :- Edge(x, y).
+         Path(x, z) :- Path(x, y), Edge(y, z).",
+    )
+    .expect("parses")
+}
+
+/// `chains` disjoint `Edge` chains of `len` edges each.
+fn chain_edges(chains: i64, len: i64) -> Database {
+    let mut db = Database::new();
+    db.extend_rows(
+        "Edge",
+        2,
+        (0..chains).flat_map(|c| {
+            let base = c * (len + 1);
+            (0..len).map(move |i| vec![(base + i).into(), (base + i + 1).into()])
+        }),
+    );
+    db
+}
+
+/// A filter-shaped relation with *shuffled* column contents. Cyclic
+/// `i % k` columns would let the branch predictor learn the scalar
+/// pre-scan's append branch perfectly, which real (unordered) data never
+/// does — the unpredictability is exactly what the batched kernel's
+/// branch-free dense path is for.
+fn filter_store(rows: usize) -> TupleStore {
+    let mut rnd = xorshift(0x2545_f491_4f6c_dd1d);
     let strings = ["chemical", "electric", "mixed", "unknown"];
     TupleStore::from_columns(vec![
         (0..rows).map(|_| Value::Int((rnd() % 97) as i64)).collect(),
@@ -536,31 +506,13 @@ fn update_stream_case() -> UpdateStreamCase {
     const BATCHES: usize = 8;
     const INS: usize = 32;
     const DELS: usize = 32;
-    let program = Program::parse(
-        "Path(x, y) :- Edge(x, y).
-         Path(x, z) :- Path(x, y), Edge(y, z).",
-    )
-    .expect("parses");
-    let mut db = Database::new();
-    db.extend_rows(
-        "Edge",
-        2,
-        (0..CHAINS as i64).flat_map(|c| {
-            let base = c * (LEN as i64 + 1);
-            (0..LEN as i64).map(move |i| vec![(base + i).into(), (base + i + 1).into()])
-        }),
-    );
+    let program = closure_program();
+    let db = chain_edges(CHAINS as i64, LEN as i64);
     let edges = db.num_facts();
     let mut inc = IncrementalEvaluator::new(program.clone(), db.clone()).expect("maintainer");
     let mut shadow = db;
 
-    let mut state = 0x2545_f491_4f6c_dd1du64;
-    let mut rnd = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut rnd = xorshift(0x2545_f491_4f6c_dd1d);
 
     let (mut maintain, mut full) = (0.0f64, 0.0f64);
     let mut output_facts = 0usize;
@@ -591,8 +543,9 @@ fn update_stream_case() -> UpdateStreamCase {
         maintain += t.elapsed().as_secs_f64();
 
         apply_shadow(&mut shadow, &ins, &dels);
+        let snapshot = shadow.clone();
         let t = Instant::now();
-        let scratch = Evaluator::eval_once(&program, &shadow).expect("evaluates");
+        let scratch = Evaluator::new(snapshot).eval(&program).expect("evaluates");
         full += t.elapsed().as_secs_f64();
 
         let maintained = inc.output();
@@ -667,22 +620,10 @@ fn point_query_case() -> PointQueryCase {
     const CHAINS: i64 = 200;
     const LEN: i64 = 30;
     const QUERIES: usize = 10;
-    let program = Program::parse(
-        "Path(x, y) :- Edge(x, y).
-         Path(x, z) :- Path(x, y), Edge(y, z).",
-    )
-    .expect("parses");
-    let mut db = Database::new();
-    db.extend_rows(
-        "Edge",
-        2,
-        (0..CHAINS).flat_map(|c| {
-            let base = c * (LEN + 1);
-            (0..LEN).map(move |i| vec![(base + i).into(), (base + i + 1).into()])
-        }),
-    );
+    let program = closure_program();
+    let db = chain_edges(CHAINS, LEN);
     let edges = db.num_facts();
-    let ctx = Evaluator::from_database(&db);
+    let ctx = Evaluator::new(db.clone());
     let full_out = ctx.eval(&program).expect("evaluates");
     let closure_facts = full_out.num_facts();
 
@@ -809,20 +750,8 @@ fn durability_case() -> DurabilityCase {
     const BATCHES: usize = 8;
     const INS: usize = 32;
     const DELS: usize = 32;
-    let program = Program::parse(
-        "Path(x, y) :- Edge(x, y).
-         Path(x, z) :- Path(x, y), Edge(y, z).",
-    )
-    .expect("parses");
-    let mut db = Database::new();
-    db.extend_rows(
-        "Edge",
-        2,
-        (0..CHAINS as i64).flat_map(|c| {
-            let base = c * (LEN as i64 + 1);
-            (0..LEN as i64).map(move |i| vec![(base + i).into(), (base + i + 1).into()])
-        }),
-    );
+    let program = closure_program();
+    let db = chain_edges(CHAINS as i64, LEN as i64);
     let edges = db.num_facts();
     let dir =
         std::env::temp_dir().join(format!("dynamite-bench-durability-{}", std::process::id()));
@@ -842,13 +771,7 @@ fn durability_case() -> DurabilityCase {
     )
     .expect("durable maintainer");
 
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut rnd = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut rnd = xorshift(0x9e37_79b9_7f4a_7c15);
 
     let (mut memory, mut durable) = (0.0f64, 0.0f64);
     for _ in 0..BATCHES {
@@ -947,7 +870,12 @@ fn parallel_scaling(
     let mut out = Vec::new();
     for &threads in thread_counts {
         let pool = Arc::new(WorkerPool::new(threads));
-        let ctx = Evaluator::with_pool(edges.clone(), pool.clone());
+        let ctx = Evaluator::with_config(
+            edges.clone(),
+            pool.clone(),
+            RuleCacheHandle::default(),
+            reorder_default(),
+        );
         let secs = time_reps(5, || {
             ctx.eval(closure).expect("evaluates");
         });
@@ -956,7 +884,12 @@ fn parallel_scaling(
             threads,
             secs,
         });
-        let ctx = Evaluator::with_pool(facts.clone(), pool);
+        let ctx = Evaluator::with_config(
+            facts.clone(),
+            pool,
+            RuleCacheHandle::default(),
+            reorder_default(),
+        );
         let secs = time_reps(5, || {
             for p in programs {
                 ctx.eval(p).expect("candidate evaluates");
@@ -996,6 +929,24 @@ fn synth_case(name: &str) -> SynthCase {
     }
 }
 
+/// The perf trajectory: each PR's headline numbers exactly as the
+/// `BENCH_eval.json` that PR committed recorded them. PR 9 committed
+/// none, so its fields read "not separately measured". Constant, so every
+/// run writes it verbatim; a PR that moves a headline number appends its
+/// own entry, copied from its committed run.
+const HISTORY: &str = r#"  "history": [
+    {"pr": 1, "storage": "row (Arc<[Value]>)", "repeated_candidates_context_secs": 0.003963, "repeated_candidates_speedup": 3.90},
+    {"pr": 2, "storage": "columnar (TupleStore)", "repeated_candidates_context_secs": 0.002964, "repeated_candidates_speedup": 3.91},
+    {"pr": 3, "storage": "columnar + worker pool", "repeated_candidates_context_secs": 0.002893, "repeated_candidates_speedup": 3.83},
+    {"pr": 4, "storage": "columnar + planner + batched prescan", "repeated_candidates_context_secs": 0.002764, "repeated_candidates_speedup": 4.49, "join_ordering_speedup": 20.23},
+    {"pr": 5, "storage": "SoA tag/payload streams + SIMD bitmask kernel", "repeated_candidates_context_secs": 0.003042, "repeated_candidates_speedup": 4.15, "join_ordering_speedup": 11.42, "batch_filter_dense_100k_secs": 0.000043844},
+    {"pr": 6, "storage": "SoA + resource governor (cooperative checks)", "repeated_candidates_context_secs": 0.002831, "repeated_candidates_speedup": 4.65, "join_ordering_speedup": 19.51, "governance_overhead": 1.025},
+    {"pr": 7, "storage": "SoA + incremental maintenance (DRed + warm semi-naive deltas)", "repeated_candidates_context_secs": 0.003292, "repeated_candidates_speedup": 4.14, "join_ordering_speedup": 21.12, "update_stream_speedup": 5.85, "update_stream_maintain_secs_per_batch": 0.274658},
+    {"pr": 8, "storage": "SoA + durable checkpoint/WAL (crash recovery)", "repeated_candidates_context_secs": 0.002795, "repeated_candidates_speedup": 4.38, "join_ordering_speedup": 18.59, "update_stream_speedup": 6.57, "durability_wal_overhead": 0.851},
+    {"pr": 9, "storage": "SoA + crash harness, scrubber, drift audit, group commit", "repeated_candidates_context_secs": "not separately measured", "repeated_candidates_speedup": "not separately measured", "join_ordering_speedup": "not separately measured", "update_stream_speedup": "not separately measured", "durability_wal_overhead": "not separately measured", "durability_scrub_secs": "not separately measured", "durability_audit_secs": "not separately measured"},
+    {"pr": 10, "storage": "SoA + demand-driven query serving (magic sets + subsumptive cache)", "repeated_candidates_context_secs": 0.003123, "repeated_candidates_speedup": 4.39, "join_ordering_speedup": 18.80, "update_stream_speedup": 6.23, "point_query_magic_speedup": 685.60, "point_query_cached_speedup": 216168.76}
+  ]"#;
+
 /// Workload names `--case` accepts, in run order.
 const CASE_NAMES: &[&str] = &[
     "golden",
@@ -1008,7 +959,6 @@ const CASE_NAMES: &[&str] = &[
     "point_query",
     "durability",
     "parallel_scaling",
-    "index_build",
     "synthesis",
 ];
 
@@ -1051,11 +1001,7 @@ fn main() {
     }
 
     // --- recursive closure (exercises semi-naive delta indexes).
-    let closure = Program::parse(
-        "Path(x, y) :- Edge(x, y).
-         Path(x, z) :- Path(x, y), Edge(y, z).",
-    )
-    .expect("parses");
+    let closure = closure_program();
     let mut edges = Database::new();
     edges.extend_rows(
         "Edge",
@@ -1322,25 +1268,6 @@ fn main() {
         Vec::new()
     };
 
-    // --- index builds: columnar sweep vs the former row-oriented chase.
-    let index_cases: Vec<IndexBuildCase> = if run("index_build") {
-        let store = index_build_store(50_000);
-        [vec![0usize], vec![0, 2], vec![1, 2, 3]]
-            .into_iter()
-            .map(|cols| {
-                let c = index_build_case(&store, &cols, 40);
-                eprintln!(
-                    "index_build cols {:?}: {:.2}x columnar speedup",
-                    c.key_cols,
-                    c.speedup()
-                );
-                c
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     // --- synthesis end-to-end (the consumer of all of the above).
     let synth_cases: Vec<SynthCase> = if run("synthesis") {
         ["Tencent-1", "Bike-3", "MLB-1"]
@@ -1395,26 +1322,6 @@ fn main() {
             r.context_secs,
             r.legacy_secs / r.context_secs.max(1e-12),
         ));
-    }
-    if !index_cases.is_empty() {
-        let mut s = String::from("  \"index_build\": [\n");
-        for (i, c) in index_cases.iter().enumerate() {
-            let cols: Vec<String> = c.key_cols.iter().map(usize::to_string).collect();
-            s.push_str(&format!(
-                "    {{\"rows\": {}, \"key_cols\": [{}], \"reps\": {}, \
-                 \"row_secs_per_build\": {:.6}, \"columnar_secs_per_build\": {:.6}, \
-                 \"speedup\": {:.2}}}{}\n",
-                c.rows,
-                cols.join(", "),
-                c.reps,
-                c.row_secs,
-                c.columnar_secs,
-                c.speedup(),
-                if i + 1 < index_cases.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]");
-        sections.push(s);
     }
     if let Some(o) = &ordering {
         sections.push(format!(
@@ -1535,117 +1442,7 @@ fn main() {
         s.push_str("  ]}");
         sections.push(s);
     }
-    // Perf trajectory: earlier PRs' headline numbers kept verbatim (so a
-    // fresh run still records where the engine came from), plus this PR's
-    // measured headline. Needs the full run's numbers, so filtered runs
-    // skip it.
-    if case_filter.is_none() {
-        let repeated = repeated.as_ref().expect("full run");
-        let ordering = ordering.as_ref().expect("full run");
-        let governance = governance.as_ref().expect("full run");
-        let update = update.as_ref().expect("full run");
-        let durability = durability.as_ref().expect("full run");
-        let mut s = String::from(
-            "  \"history\": [\n    {\"pr\": 1, \"storage\": \"row (Arc<[Value]>)\", \
-             \"repeated_candidates_context_secs\": 0.003963, \
-             \"repeated_candidates_speedup\": 3.90},\n    {\"pr\": 2, \
-             \"storage\": \"columnar (TupleStore)\", \
-             \"repeated_candidates_context_secs\": 0.002964, \
-             \"repeated_candidates_speedup\": 3.91},\n    {\"pr\": 3, \
-             \"storage\": \"columnar + worker pool\", \
-             \"repeated_candidates_context_secs\": 0.002893, \
-             \"repeated_candidates_speedup\": 3.83},\n    {\"pr\": 4, \
-             \"storage\": \"columnar + planner + batched prescan\", \
-             \"repeated_candidates_context_secs\": 0.002764, \
-             \"repeated_candidates_speedup\": 4.49, \
-             \"join_ordering_speedup\": 20.23},\n",
-        );
-        let dense_100k = batch_cases
-            .iter()
-            .find(|c| c.regime == "dense" && c.rows == 100_000);
-        s.push_str(&format!(
-            "    {{\"pr\": 5, \"storage\": \"SoA tag/payload streams + SIMD bitmask kernel\", \
-             \"repeated_candidates_context_secs\": {:.6}, \
-             \"repeated_candidates_speedup\": {:.2}, \
-             \"join_ordering_speedup\": {:.2}, \
-             \"batch_filter_dense_100k_secs\": {:.9}}},\n",
-            repeated.context_secs,
-            repeated.legacy_secs / repeated.context_secs.max(1e-12),
-            ordering.speedup(),
-            dense_100k.map_or(0.0, |c| c.batched_secs),
-        ));
-        s.push_str(&format!(
-            "    {{\"pr\": 6, \"storage\": \"SoA + resource governor (cooperative checks)\", \
-             \"repeated_candidates_context_secs\": {:.6}, \
-             \"repeated_candidates_speedup\": {:.2}, \
-             \"join_ordering_speedup\": {:.2}, \
-             \"governance_overhead\": {:.3}}},\n",
-            repeated.context_secs,
-            repeated.legacy_secs / repeated.context_secs.max(1e-12),
-            ordering.speedup(),
-            governance.overhead(),
-        ));
-        s.push_str(&format!(
-            "    {{\"pr\": 7, \"storage\": \"SoA + incremental maintenance (DRed + warm \
-             semi-naive deltas)\", \"repeated_candidates_context_secs\": {:.6}, \
-             \"repeated_candidates_speedup\": {:.2}, \
-             \"join_ordering_speedup\": {:.2}, \
-             \"update_stream_speedup\": {:.2}, \
-             \"update_stream_maintain_secs_per_batch\": {:.6}}},\n",
-            repeated.context_secs,
-            repeated.legacy_secs / repeated.context_secs.max(1e-12),
-            ordering.speedup(),
-            update.speedup(),
-            update.maintain_secs,
-        ));
-        s.push_str(&format!(
-            "    {{\"pr\": 8, \"storage\": \"SoA + durable checkpoint/WAL (crash recovery)\", \
-             \"repeated_candidates_context_secs\": {:.6}, \
-             \"repeated_candidates_speedup\": {:.2}, \
-             \"join_ordering_speedup\": {:.2}, \
-             \"update_stream_speedup\": {:.2}, \
-             \"durability_wal_overhead\": {:.3}}},\n",
-            repeated.context_secs,
-            repeated.legacy_secs / repeated.context_secs.max(1e-12),
-            ordering.speedup(),
-            update.speedup(),
-            durability.overhead(),
-        ));
-        s.push_str(&format!(
-            "    {{\"pr\": 9, \"storage\": \"SoA + crash harness, scrubber, drift audit, \
-             group commit\", \"repeated_candidates_context_secs\": {:.6}, \
-             \"repeated_candidates_speedup\": {:.2}, \
-             \"join_ordering_speedup\": {:.2}, \
-             \"update_stream_speedup\": {:.2}, \
-             \"durability_wal_overhead\": {:.3}, \
-             \"durability_scrub_secs\": {:.6}, \
-             \"durability_audit_secs\": {:.6}}},\n",
-            repeated.context_secs,
-            repeated.legacy_secs / repeated.context_secs.max(1e-12),
-            ordering.speedup(),
-            update.speedup(),
-            durability.overhead(),
-            durability.scrub_secs,
-            durability.audit_secs,
-        ));
-        let point = point.as_ref().expect("full run");
-        s.push_str(&format!(
-            "    {{\"pr\": 10, \"storage\": \"SoA + demand-driven query serving (magic sets \
-             + subsumptive cache)\", \"repeated_candidates_context_secs\": {:.6}, \
-             \"repeated_candidates_speedup\": {:.2}, \
-             \"join_ordering_speedup\": {:.2}, \
-             \"update_stream_speedup\": {:.2}, \
-             \"point_query_magic_speedup\": {:.2}, \
-             \"point_query_cached_speedup\": {:.2}}}\n  ]",
-            repeated.context_secs,
-            repeated.legacy_secs / repeated.context_secs.max(1e-12),
-            ordering.speedup(),
-            update.speedup(),
-            point.magic_speedup(),
-            point.cached_speedup(),
-        ));
-        sections.push(s);
-    }
+    sections.push(HISTORY.to_string());
     if !synth_cases.is_empty() {
         let mut s = String::from("  \"synthesis\": [\n");
         for (i, c) in synth_cases.iter().enumerate() {

@@ -17,9 +17,7 @@
 
 use std::sync::Arc;
 
-use dynamite_datalog::{
-    evaluate, pool, resolve_reorder, Evaluator, Governor, Program, RuleCacheHandle,
-};
+use dynamite_datalog::{pool, resolve_reorder, Evaluator, Governor, Program, RuleCacheHandle};
 use dynamite_instance::{from_facts, to_facts, Instance, Record};
 use dynamite_schema::Schema;
 
@@ -48,8 +46,9 @@ impl GoldenOracle {
 
 impl Oracle for GoldenOracle {
     fn answer(&mut self, input: &Instance) -> Instance {
-        let facts = to_facts(input);
-        let out = evaluate(&self.program, &facts).expect("golden program evaluates");
+        let out = Evaluator::new(to_facts(input))
+            .eval(&self.program)
+            .expect("golden program evaluates");
         from_facts(&out, self.target.clone()).expect("golden output rebuilds")
     }
 }

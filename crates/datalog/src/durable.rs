@@ -151,7 +151,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dynamite_instance::binio::{self, BinError, Reader};
-use dynamite_instance::Database;
+use dynamite_instance::{Database, Relation, Value};
 
 use crate::ast::Program;
 use crate::engine::reorder_default;
@@ -765,16 +765,27 @@ impl DurableEvaluator {
     }
 
     /// The maintained program, as recovered from (or written to) the
-    /// durable directory — what a demand-driven query server rewrites.
+    /// durable directory.
     pub fn program(&self) -> &Program {
         self.inner.program()
     }
 
-    /// The maintainer behind this durable evaluator (for the query layer,
-    /// which inherits its pool and planner mode when building a server
-    /// off recovered state).
-    pub(crate) fn inner(&self) -> &IncrementalEvaluator {
-        &self.inner
+    /// Answers the point query `relation(bindings)` straight from the
+    /// maintained overlay — no fixpoint, no EDB clone, unless the overlay
+    /// is poisoned (then it is rebuilt first, as [`output`] documents).
+    /// The answer contract is [`Evaluator::query`]'s: a typed
+    /// [`EvalError::InputArity`] on an arity mismatch, an empty answer for
+    /// relations the program does not derive, and rows set-identical to
+    /// full-evaluate-then-filter (in overlay order). Touches no file.
+    ///
+    /// [`output`]: DurableEvaluator::output
+    /// [`Evaluator::query`]: crate::Evaluator::query
+    pub fn query(
+        &mut self,
+        relation: &str,
+        bindings: &[Option<Value>],
+    ) -> Result<Relation, EvalError> {
+        self.inner.query(relation, bindings)
     }
 
     /// Whether the in-memory overlay is degraded (next batch pays a full

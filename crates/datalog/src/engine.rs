@@ -55,11 +55,6 @@
 //! for every thread count, including the sequential `threads == 1`
 //! fallback.
 //!
-//! One-shot callers go through [`Evaluator::eval_once`], which borrows the
-//! EDB (no snapshot clone) and swaps the shared `RwLock` index cache for a
-//! single-use local cache — the wrapper `evaluate()` can never amortize a
-//! shared cache, so it should not pay for one.
-//!
 //! # Invariants worth knowing before editing
 //!
 //! - **Determinism**: the output `Database` — contents *and* row
@@ -84,7 +79,6 @@
 //!   drops the mutated relation's indexes wholesale (they rebuild
 //!   lazily), never patches them in place.
 
-use std::cell::RefCell;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use dynamite_instance::hash::FxHashMap;
@@ -183,9 +177,9 @@ fn env_no_reorder() -> Option<bool> {
     })
 }
 
-/// Whether ambient contexts ([`Evaluator::new`], [`Evaluator::eval_once`])
-/// run the cost-based join planner: on unless `DYNAMITE_NO_REORDER`
-/// disables it.
+/// Whether ambient contexts ([`Evaluator::new`] and the other stateful
+/// types' `new`) run the cost-based join planner: on unless
+/// `DYNAMITE_NO_REORDER` disables it.
 pub fn reorder_default() -> bool {
     resolve_reorder(None)
 }
@@ -208,37 +202,23 @@ impl Evaluator {
     /// global pool is instantiated lazily, on the first round that
     /// actually fans out.
     pub fn new(edb: Database) -> Evaluator {
-        Evaluator {
-            ctx: Arc::new(EdbContext {
-                edb,
-                indexes: RwLock::new(FxHashMap::default()),
-                rules: RuleCacheHandle::default(),
-                plans: RwLock::new(FxHashMap::default()),
-                pool: ContextPool::Global,
-                reorder: reorder_default(),
-            }),
-        }
+        Evaluator::build(
+            edb,
+            ContextPool::Global,
+            RuleCacheHandle::default(),
+            reorder_default(),
+        )
     }
 
-    /// Builds a context that evaluates on an explicit worker pool. A pool
-    /// of 1 thread runs every fixpoint round inline, sequentially.
-    pub fn with_pool(edb: Database, pool: Arc<WorkerPool>) -> Evaluator {
-        Evaluator::with_shared(edb, pool, RuleCacheHandle::default())
-    }
-
-    /// Builds a context that additionally shares a compiled-rule memo
-    /// with other contexts — the synthesizer hands one handle to every
-    /// example's context, so a candidate compiled for example 1 is a
-    /// cache hit on examples 2..N. (Sharing stays sound under the
-    /// cost-based planner because each plan's join orders are part of its
-    /// memo key.)
-    pub fn with_shared(edb: Database, pool: Arc<WorkerPool>, rules: RuleCacheHandle) -> Evaluator {
-        Evaluator::with_config(edb, pool, rules, reorder_default())
-    }
-
-    /// [`Evaluator::with_shared`] with an explicit join-planner switch:
-    /// `reorder = false` pins body-order plans (the pre-planner
-    /// behaviour). Unlike the ambient constructors this is **not**
+    /// Builds a context on an explicit worker pool (a pool of 1 thread
+    /// runs every fixpoint round inline), sharing the compiled-rule memo
+    /// `rules` with other contexts, with an explicit join-planner switch.
+    ///
+    /// The synthesizer hands one memo to every example's context, so a
+    /// candidate compiled for example 1 is a cache hit on examples 2..N
+    /// (sound under the cost-based planner because each plan's join
+    /// orders are part of its memo key). `reorder = false` pins
+    /// body-order plans. Unlike [`Evaluator::new`] this is **not**
     /// overridden by `DYNAMITE_NO_REORDER` — like an explicit
     /// [`WorkerPool`] size, an explicit choice here is deliberate
     /// (benchmarks compare the two modes side by side).
@@ -248,22 +228,20 @@ impl Evaluator {
         rules: RuleCacheHandle,
         reorder: bool,
     ) -> Evaluator {
+        Evaluator::build(edb, ContextPool::Ready(pool), rules, reorder)
+    }
+
+    fn build(edb: Database, pool: ContextPool, rules: RuleCacheHandle, reorder: bool) -> Evaluator {
         Evaluator {
             ctx: Arc::new(EdbContext {
                 edb,
                 indexes: RwLock::new(FxHashMap::default()),
                 rules,
                 plans: RwLock::new(FxHashMap::default()),
-                pool: ContextPool::Ready(pool),
+                pool,
                 reorder,
             }),
         }
-    }
-
-    /// Builds a context from a borrowed database (clones it once; every
-    /// subsequent evaluation shares the snapshot).
-    pub fn from_database(db: &Database) -> Evaluator {
-        Evaluator::new(db.clone())
     }
 
     /// The extensional snapshot this context evaluates against.
@@ -315,23 +293,6 @@ impl Evaluator {
         self.run().explain(program)
     }
 
-    /// Builds a stateful [`IncrementalEvaluator`](crate::incremental::IncrementalEvaluator)
-    /// for `program`, seeded
-    /// from this context's EDB snapshot and inheriting its worker pool
-    /// and planner mode. The maintained state is independent of this
-    /// context afterwards — mutating it never affects the snapshot.
-    pub fn incremental(
-        &self,
-        program: &Program,
-    ) -> Result<crate::incremental::IncrementalEvaluator, EvalError> {
-        crate::incremental::IncrementalEvaluator::with_config(
-            program.clone(),
-            self.ctx.edb.clone(),
-            self.pool().clone(),
-            self.ctx.reorder,
-        )
-    }
-
     /// Whether this context plans join orders (`true`) or follows body
     /// order. The query rewriter aligns its sideways-information-passing
     /// order with this flag so adornment and join order agree.
@@ -362,7 +323,7 @@ impl Evaluator {
     fn run(&self) -> EvalRun<'_> {
         EvalRun {
             edb: &self.ctx.edb,
-            indexes: IndexSource::Shared(&self.ctx.indexes),
+            indexes: &self.ctx.indexes,
             rules: Some(&self.ctx.rules.inner),
             plans: Some(&self.ctx.plans),
             pool: match &self.ctx.pool {
@@ -374,53 +335,9 @@ impl Evaluator {
             demand: None,
         }
     }
-
-    /// Evaluates `program` on a borrowed `edb` without building a shared
-    /// context: no snapshot clone, no `RwLock` around the index cache, no
-    /// cross-evaluation rule memo.
-    ///
-    /// This is the single-use path behind the classic `evaluate` wrapper —
-    /// a one-shot call can never amortize the shared caches, so it should
-    /// not pay the setup and synchronization cost. EDB indexes are still
-    /// cached *within* the call (a recursive fixpoint reuses them every
-    /// round); the cache is simply dropped on return.
-    pub fn eval_once(program: &Program, edb: &Database) -> Result<Database, EvalError> {
-        Self::one_shot_run(edb, None).eval(program)
-    }
-
-    /// The governed single-use path: [`Evaluator::eval_once`] under a
-    /// [`Governor`] (see [`Evaluator::eval_governed`] for the contract).
-    pub fn eval_once_governed(
-        program: &Program,
-        edb: &Database,
-        gov: &Governor,
-    ) -> Result<Database, EvalError> {
-        Self::one_shot_run(edb, Some(gov)).eval(program)
-    }
-
-    fn one_shot_run<'e>(edb: &'e Database, gov: Option<&'e Governor>) -> EvalRun<'e> {
-        EvalRun {
-            edb,
-            indexes: IndexSource::Local(RefCell::new(FxHashMap::default())),
-            rules: None,
-            plans: None,
-            pool: PoolSource::Lazy,
-            reorder: reorder_default(),
-            gov,
-            demand: None,
-        }
-    }
 }
 
-/// Where one evaluation's EDB-side indexes live.
-pub(crate) enum IndexSource<'e> {
-    /// The context's persistent cache, shared across evaluations.
-    Shared(&'e RwLock<IndexCache>),
-    /// A single-use cache owned by this evaluation (no lock).
-    Local(RefCell<IndexCache>),
-}
-
-/// One evaluation of one program: a borrowed EDB, an index source, an
+/// One evaluation of one program: a borrowed EDB, its index cache, an
 /// optional cross-evaluation rule memo, and the pool to fan rounds out on.
 ///
 /// The incremental-maintenance module assembles these directly (from its
@@ -429,10 +346,10 @@ pub(crate) enum IndexSource<'e> {
 /// points are crate-visible.
 pub(crate) struct EvalRun<'e> {
     pub(crate) edb: &'e Database,
-    pub(crate) indexes: IndexSource<'e>,
+    pub(crate) indexes: &'e RwLock<IndexCache>,
     pub(crate) rules: Option<&'e RwLock<RuleCache>>,
     /// The owning context's per-context plan cache (fast path), absent
-    /// for one-shot runs.
+    /// for maintenance runs.
     pub(crate) plans: Option<&'e RwLock<FxHashMap<RuleKey, Arc<CompiledRule>>>>,
     pub(crate) pool: PoolSource<'e>,
     /// Whether join orders come from the cost-based planner (`true`) or
@@ -449,7 +366,7 @@ pub(crate) struct EvalRun<'e> {
     pub(crate) demand: Option<&'e std::collections::HashSet<String>>,
 }
 
-/// The pool an evaluation fans out on. One-shot evaluations resolve the
+/// The pool an evaluation fans out on. Ambient contexts resolve the
 /// process-global pool *lazily* — only when a round actually fans out —
 /// so a small `evaluate()` call never spawns worker threads.
 pub(crate) enum PoolSource<'e> {
@@ -845,49 +762,24 @@ impl EvalRun<'_> {
     /// `rel` on `cols`; `None` when the snapshot has no such relation.
     pub(crate) fn edb_index(&self, rel: &str, cols: &[usize]) -> Option<Arc<ColumnIndex>> {
         let relation = self.edb.relation(rel)?;
-        match &self.indexes {
-            IndexSource::Shared(lock) => {
-                if let Some(idx) = lock
-                    .read()
-                    .expect("index cache poisoned")
-                    .get(rel)
-                    .and_then(|by_cols| by_cols.get(cols))
-                {
-                    return Some(idx.clone());
-                }
-                let built = Arc::new(ColumnIndex::build(relation, cols));
-                let mut w = lock.write().expect("index cache poisoned");
-                Some(
-                    w.entry(rel.to_string())
-                        .or_default()
-                        .entry(cols.to_vec())
-                        .or_insert(built)
-                        .clone(),
-                )
-            }
-            IndexSource::Local(cache) => {
-                // Same borrowed-key hit path as the shared arm: a cache
-                // hit must not allocate the owned `String`/`Vec` keys the
-                // entry API would demand.
-                if let Some(idx) = cache
-                    .borrow()
-                    .get(rel)
-                    .and_then(|by_cols| by_cols.get(cols))
-                {
-                    return Some(idx.clone());
-                }
-                let built = Arc::new(ColumnIndex::build(relation, cols));
-                Some(
-                    cache
-                        .borrow_mut()
-                        .entry(rel.to_string())
-                        .or_default()
-                        .entry(cols.to_vec())
-                        .or_insert(built)
-                        .clone(),
-                )
-            }
+        if let Some(idx) = self
+            .indexes
+            .read()
+            .expect("index cache poisoned")
+            .get(rel)
+            .and_then(|by_cols| by_cols.get(cols))
+        {
+            return Some(idx.clone());
         }
+        let built = Arc::new(ColumnIndex::build(relation, cols));
+        let mut w = self.indexes.write().expect("index cache poisoned");
+        Some(
+            w.entry(rel.to_string())
+                .or_default()
+                .entry(cols.to_vec())
+                .or_insert(built)
+                .clone(),
+        )
     }
 }
 
@@ -2429,12 +2321,12 @@ mod tests {
         assert_eq!(plan_a, "Out :- S[scan], R[index [1]]");
         assert_eq!(plan_b, "Out :- R[scan], S[index [0]]");
 
-        // And both still compute the right answer (against eval_once,
-        // which never uses the shared memo).
+        // And both still compute the right answer (against a fresh
+        // context, which never uses the shared memo).
         for (ctx, db) in [(&ctx_a, &a), (&ctx_b, &b)] {
             assert_eq!(
                 ctx.eval(&p).expect("evaluates"),
-                Evaluator::eval_once(&p, db).expect("evaluates")
+                Evaluator::new(db.clone()).eval(&p).expect("evaluates")
             );
         }
         // Re-explaining is stable (second lookup is the memo hit path).

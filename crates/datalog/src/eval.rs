@@ -14,8 +14,8 @@
 //!
 //! This module holds the error type, the pieces shared by every engine
 //! (arity validation and stratification), and the classic
-//! [`evaluate`] entry point, which is now a thin wrapper constructing a
-//! one-shot [`Evaluator`](crate::Evaluator). Callers that evaluate many
+//! [`evaluate`] entry point, which is a thin wrapper constructing a
+//! single-use [`Evaluator`](crate::Evaluator). Callers that evaluate many
 //! programs against the same database should construct the context once
 //! instead.
 
@@ -158,15 +158,51 @@ impl From<WellFormedError> for EvalError {
 ///
 /// Extensional relations missing from `input` are treated as empty.
 ///
-/// This is the compatibility entry point: it runs the engine's
-/// lightweight single-use path ([`Evaluator::eval_once`]), which borrows
-/// `input` (no snapshot clone) and keeps its index cache local to the
-/// call (no `RwLock`) — a one-shot evaluation can never amortize shared
-/// context setup. Workloads that evaluate many candidate programs against
-/// one database (the synthesis loop) should build the context once and
-/// call [`Evaluator::eval`](crate::Evaluator::eval) repeatedly.
+/// This is the compatibility entry point for borrowed inputs: it clones
+/// `input` into a fresh [`Evaluator`] and evaluates once. Callers that own
+/// their facts should move them into [`Evaluator::new`] instead (no
+/// clone), and workloads that evaluate many candidate programs against one
+/// database (the synthesis loop) should build the context once and call
+/// [`Evaluator::eval`] repeatedly.
 pub fn evaluate(program: &Program, input: &Database) -> Result<Database, EvalError> {
-    Evaluator::eval_once(program, input)
+    Evaluator::new(input.clone()).eval(program)
+}
+
+/// Validates one extensional update batch before anything is applied —
+/// the check every `apply_delta` shares, so a bad batch is a typed error
+/// that changes nothing. Relations `program` derives are rejected
+/// ([`EvalError::IntensionalDelta`]); a non-empty relation whose arity
+/// differs from the program's usage or from the live `edb`'s is an
+/// [`EvalError::InputArity`]. Empty relations pass regardless of arity,
+/// mirroring `check_arities`.
+pub(crate) fn check_delta(
+    program: &Program,
+    edb: &Database,
+    inserts: &Database,
+    deletes: &Database,
+) -> Result<(), EvalError> {
+    let idb = program.intensional();
+    for batch in [inserts, deletes] {
+        if let Some(name) = batch.names().find(|n| idb.contains(n)) {
+            return Err(EvalError::IntensionalDelta {
+                relation: name.to_string(),
+            });
+        }
+        check_arities(program, batch)?;
+        for (name, rel) in batch.iter() {
+            match edb.relation(name) {
+                Some(cur) if !rel.is_empty() && cur.arity() != rel.arity() => {
+                    return Err(EvalError::InputArity {
+                        relation: name.to_string(),
+                        expected: cur.arity(),
+                        got: rel.arity(),
+                    });
+                }
+                _ => {}
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Relation arities as used by `program`, validated against `input`.
@@ -467,7 +503,7 @@ mod tests {
             ("S", &[10, 100]),
             ("S", &[20, 200]),
         ]);
-        let ctx = Evaluator::from_database(&input);
+        let ctx = Evaluator::new(input.clone());
         for src in [
             "Q(x, z) :- R(x, y), S(y, z).",
             "Q(x) :- R(x, _).",
@@ -478,39 +514,6 @@ mod tests {
             assert_eq!(
                 ctx.eval(&p).unwrap(),
                 evaluate(&p, &input).unwrap(),
-                "{src}"
-            );
-        }
-    }
-
-    #[test]
-    fn eval_once_matches_shared_context() {
-        // The single-use path (borrowed EDB, local index cache, no
-        // RwLock) must agree with the shared-context path on programs
-        // exercising joins, recursion, and negation.
-        let mut input = db(&[
-            ("Edge", &[1, 2]),
-            ("Edge", &[2, 3]),
-            ("Edge", &[3, 1]),
-            ("Node", &[1]),
-            ("Node", &[2]),
-            ("Node", &[3]),
-            ("Node", &[4]),
-        ]);
-        input.insert("Start", vec![Value::Int(1)]);
-        let ctx = Evaluator::from_database(&input);
-        for src in [
-            "Q(x, z) :- Edge(x, y), Edge(y, z).",
-            "Path(x, y) :- Edge(x, y).
-             Path(x, z) :- Path(x, y), Edge(y, z).",
-            "Reach(x) :- Start(x).
-             Reach(y) :- Reach(x), Edge(x, y).
-             Unreach(x) :- Node(x), !Reach(x).",
-        ] {
-            let p = Program::parse(src).unwrap();
-            assert_eq!(
-                Evaluator::eval_once(&p, &input).unwrap(),
-                ctx.eval(&p).unwrap(),
                 "{src}"
             );
         }

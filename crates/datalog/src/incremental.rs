@@ -74,12 +74,13 @@ use dynamite_instance::{ColumnIndex, Database, Relation, Value};
 use crate::ast::Program;
 use crate::engine::{
     rederive_plans, try_tuple, Access, CompiledRule, CostModel, EvalRun, HeadTerm, IdbState,
-    IndexCache, IndexSource, LitPlan, PlanOrders, PoolSource, RederivePlan, Slot, Spec,
+    IndexCache, LitPlan, PlanOrders, PoolSource, RederivePlan, Slot, Spec,
 };
-use crate::eval::{check_arities, stratify, EvalError};
+use crate::eval::{check_arities, check_delta, stratify, EvalError};
 use crate::fault;
-use crate::governor::{Governor, ResourceLimits};
+use crate::governor::Governor;
 use crate::pool::{self, WorkerPool};
+use crate::query::{filter_rows, query_shape};
 
 /// The net change to the derived (intensional) relations produced by one
 /// [`IncrementalEvaluator::apply_delta`] batch.
@@ -234,7 +235,7 @@ fn make_run<'e>(
 ) -> EvalRun<'e> {
     EvalRun {
         edb,
-        indexes: IndexSource::Shared(indexes),
+        indexes,
         rules: None,
         plans: None,
         pool: PoolSource::Ready(pool),
@@ -248,8 +249,8 @@ impl IncrementalEvaluator {
     /// Evaluates `program` over `edb` and keeps the result maintained.
     ///
     /// Uses the `DYNAMITE_THREADS` / `DYNAMITE_NO_REORDER` environment
-    /// defaults; [`Evaluator::incremental`](crate::Evaluator::incremental)
-    /// inherits an existing context's configuration instead.
+    /// defaults; [`with_config`](IncrementalEvaluator::with_config) takes
+    /// them explicitly.
     pub fn new(program: Program, edb: Database) -> Result<IncrementalEvaluator, EvalError> {
         IncrementalEvaluator::with_config(
             program,
@@ -439,20 +440,9 @@ impl IncrementalEvaluator {
             .collect();
     }
 
-    /// The maintained program (the durability layer serializes its text;
-    /// the query layer rewrites it for demand-driven serving).
+    /// The maintained program (the durability layer serializes its text).
     pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// The worker pool this maintainer fans rounds out on.
-    pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
-    }
-
-    /// Whether this maintainer plans join orders.
-    pub(crate) fn reorder(&self) -> bool {
-        self.reorder
     }
 
     /// The maintained extensional database (post all applied batches).
@@ -488,6 +478,35 @@ impl IncrementalEvaluator {
         self.idb.to_database()
     }
 
+    /// Answers the point query `relation(bindings)` from the maintained
+    /// overlay: its rows matching every bound position, with
+    /// [`Evaluator::query`](crate::Evaluator::query)'s answer contract
+    /// (typed arity error, empty answer for relations the program does not
+    /// derive). Set-identical to full-evaluate-then-filter; rows come in
+    /// overlay order. Runs no fixpoint unless the overlay is poisoned, in
+    /// which case it is rebuilt first, as [`output`] documents.
+    ///
+    /// [`output`]: IncrementalEvaluator::output
+    pub(crate) fn query(
+        &mut self,
+        relation: &str,
+        bindings: &[Option<Value>],
+    ) -> Result<Relation, EvalError> {
+        let arity = self.arities.get(relation).copied();
+        if !query_shape(
+            relation,
+            bindings,
+            arity,
+            self.strata.contains_key(relation),
+        )? {
+            return Ok(Relation::new_untracked(bindings.len()));
+        }
+        if self.poisoned {
+            self.refresh(None)?;
+        }
+        Ok(filter_rows(self.idb.relation(relation), bindings))
+    }
+
     /// Applies one batch of extensional updates and returns the net
     /// change to the derived relations.
     ///
@@ -517,37 +536,6 @@ impl IncrementalEvaluator {
         self.apply(inserts, deletes, Some(gov))
     }
 
-    /// [`apply_delta_governed`](IncrementalEvaluator::apply_delta_governed)
-    /// with bounded retries — the maintenance
-    /// counterpart of the synthesizer's candidate-retry policy (one
-    /// initial attempt plus up to `retries` re-attempts, each under a
-    /// **fresh** [`Governor`] built from `limits()`).
-    ///
-    /// `limits` is called once per attempt, so deadline-style limits
-    /// re-anchor to "now" instead of a retry inheriting an already-spent
-    /// clock. Only *resource* trips ([`EvalError::is_resource_limit`])
-    /// are retried — a transient trip (deadline race, injected fault)
-    /// should not condemn the batch, while validation errors are
-    /// deterministic and re-attempting them is pure waste. After a failed
-    /// attempt the maintainer is poisoned, so each retry transparently
-    /// pays the overlay rebuild first, exactly as any next batch would.
-    pub fn apply_delta_with_retry(
-        &mut self,
-        inserts: &Database,
-        deletes: &Database,
-        retries: u32,
-        mut limits: impl FnMut() -> ResourceLimits,
-    ) -> Result<OutputDelta, EvalError> {
-        let mut attempt = 0;
-        loop {
-            let gov = Governor::new(limits());
-            match self.apply(inserts, deletes, Some(&gov)) {
-                Err(e) if e.is_resource_limit() && attempt < retries => attempt += 1,
-                result => return result,
-            }
-        }
-    }
-
     /// Verifies the maintained overlay against a from-scratch
     /// re-evaluation of the current EDB, **without modifying anything**
     /// (a poisoned overlay is rebuilt first — it is *known* stale, and
@@ -557,21 +545,10 @@ impl IncrementalEvaluator {
     /// no checksum on the persistence path can catch, because the
     /// persistence path faithfully records whatever the overlay claims.
     pub fn audit(&mut self) -> Result<(), EvalError> {
-        self.audit_inner(None)
-    }
-
-    /// [`audit`](IncrementalEvaluator::audit) under cooperative resource
-    /// limits (the re-evaluation is a full fixpoint — on large states,
-    /// govern it like any other full evaluation).
-    pub fn audit_governed(&mut self, gov: &Governor) -> Result<(), EvalError> {
-        self.audit_inner(Some(gov))
-    }
-
-    fn audit_inner(&mut self, gov: Option<&Governor>) -> Result<(), EvalError> {
         if self.poisoned {
-            self.refresh(gov)?;
+            self.refresh(None)?;
         }
-        let scratch = self.full_eval_database(gov)?;
+        let scratch = self.full_eval_database(None)?;
         match drift_between(&self.idb.to_database(), &scratch) {
             None => Ok(()),
             Some(drift) => Err(EvalError::Drift(drift)),
@@ -625,8 +602,7 @@ impl IncrementalEvaluator {
         if let Some(gov) = gov {
             gov.check()?;
         }
-        self.validate(inserts)?;
-        self.validate(deletes)?;
+        check_delta(&self.program, &self.edb, inserts, deletes)?;
         if self.poisoned {
             // A previous governed batch tripped mid-maintenance: its EDB
             // mutations were rolled back, but the overlay may hold
@@ -650,41 +626,6 @@ impl IncrementalEvaluator {
             }
         }
         result
-    }
-
-    /// Rejects intensional relation names and arity mismatches (against
-    /// both the program's usage and the live database). Empty relations
-    /// pass regardless of declared arity, mirroring `check_arities`.
-    fn validate(&self, batch: &Database) -> Result<(), EvalError> {
-        for (name, rel) in batch.iter() {
-            if self.strata.contains_key(name) {
-                return Err(EvalError::IntensionalDelta {
-                    relation: name.to_string(),
-                });
-            }
-            if rel.is_empty() {
-                continue;
-            }
-            if let Some(&expected) = self.arities.get(name) {
-                if rel.arity() != expected {
-                    return Err(EvalError::InputArity {
-                        relation: name.to_string(),
-                        expected,
-                        got: rel.arity(),
-                    });
-                }
-            }
-            if let Some(cur) = self.edb.relation(name) {
-                if cur.arity() != rel.arity() {
-                    return Err(EvalError::InputArity {
-                        relation: name.to_string(),
-                        expected: cur.arity(),
-                        got: rel.arity(),
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Rebuilds the overlay by full evaluation of the current EDB.

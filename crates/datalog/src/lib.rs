@@ -5,14 +5,18 @@
 //! [stratified semi-naive evaluator](evaluate) over the tuple stores of
 //! [`dynamite_instance`].
 //!
-//! The one-shot [`evaluate`] below is the compatibility entry point;
-//! the synthesis loop uses the reusable [`Evaluator`] context (cached
-//! join indexes, cost-based join planning, a cross-candidate
-//! compiled-rule memo, and a parallel fixpoint on [`WorkerPool`]). The
-//! engine's invariants — deterministic output at any thread count,
-//! memo-key soundness, delta-first variants — are documented on
-//! [`Evaluator`]'s module source (`engine.rs`); the workspace-level
-//! picture lives in `ARCHITECTURE.md` at the repository root.
+//! The [`evaluate`] below is the compatibility entry point for borrowed
+//! inputs (a single-use [`Evaluator`] over a clone); everything else —
+//! the synthesis loop first — uses the reusable [`Evaluator`] context
+//! (cached join indexes, cost-based join planning, a cross-candidate
+//! compiled-rule memo, and a parallel fixpoint on [`WorkerPool`]).
+//! Maintained output lives one layer up: [`IncrementalEvaluator`] in
+//! memory, [`DurableEvaluator`] on disk, [`ServedEvaluator`] for
+//! demand-driven point queries. The engine's invariants — deterministic
+//! output at any thread count, memo-key soundness, delta-first variants
+//! — are documented on [`Evaluator`]'s module source (`engine.rs`); the
+//! workspace-level picture lives in `ARCHITECTURE.md` at the repository
+//! root.
 //!
 //! ```
 //! use dynamite_datalog::{evaluate, Program};

@@ -60,9 +60,8 @@ use std::sync::{Arc, Mutex};
 use dynamite_instance::{Database, Relation, Value};
 
 use crate::ast::{Atom, Literal, Program, Rule, Term};
-use crate::durable::DurableEvaluator;
 use crate::engine::{CostModel, Evaluator, RuleCacheHandle};
-use crate::eval::{check_arities, EvalError};
+use crate::eval::{check_arities, check_delta, EvalError};
 use crate::governor::Governor;
 use crate::pool::WorkerPool;
 
@@ -394,8 +393,9 @@ fn rewrite_with(
 // -------------------------------------------------------------- filter --
 
 /// Rows of `rel` matching `bindings` at every bound position, in `rel`'s
-/// row order (the subsumption filter and the final answer filter).
-fn filter_rows(rel: Option<&Relation>, bindings: &[Option<Value>]) -> Relation {
+/// row order (the subsumption filter, the final answer filter, and the
+/// maintained-overlay answer).
+pub(crate) fn filter_rows(rel: Option<&Relation>, bindings: &[Option<Value>]) -> Relation {
     let mut out = Relation::new_untracked(bindings.len());
     if let Some(r) = rel {
         for row in r.iter() {
@@ -409,6 +409,29 @@ fn filter_rows(rel: Option<&Relation>, bindings: &[Option<Value>]) -> Relation {
         }
     }
     out
+}
+
+/// The answer-shape half of the point-query contract every entry point
+/// shares: [`EvalError::InputArity`] when the program uses `relation`
+/// (at `used_arity`) with another arity than `bindings` has, otherwise
+/// whether the program derives `relation` at all. Unknown and
+/// extensional relations answer empty — full-evaluate-then-filter, the
+/// oracle, has neither in its output.
+pub(crate) fn query_shape(
+    relation: &str,
+    bindings: &[Option<Value>],
+    used_arity: Option<usize>,
+    derived: bool,
+) -> Result<bool, EvalError> {
+    match used_arity {
+        Some(arity) if arity != bindings.len() => Err(EvalError::InputArity {
+            relation: relation.to_string(),
+            expected: arity,
+            got: bindings.len(),
+        }),
+        Some(_) => Ok(derived),
+        None => Ok(false),
+    }
 }
 
 // ----------------------------------------------------------- one-shot --
@@ -436,21 +459,8 @@ fn query_once(
     gov: Option<&Governor>,
 ) -> Result<(Relation, Route), EvalError> {
     let arities = check_arities(program, ev.database())?;
-    match arities.get(relation) {
-        Some(&arity) if arity != bindings.len() => {
-            return Err(EvalError::InputArity {
-                relation: relation.to_string(),
-                expected: arity,
-                got: bindings.len(),
-            });
-        }
-        Some(_) => {}
-        // Unknown relation: full evaluation would not derive it either.
-        None => return Ok((Relation::new_untracked(bindings.len()), Route::Empty)),
-    }
-    if !program.intensional().contains(relation) {
-        // Extensional relations are inputs, not answers: the oracle
-        // semantics `filter(eval(program)[relation])` yields nothing.
+    let derived = program.intensional().contains(relation);
+    if !query_shape(relation, bindings, arities.get(relation).copied(), derived)? {
         return Ok((Relation::new_untracked(bindings.len()), Route::Empty));
     }
 
@@ -629,19 +639,6 @@ impl ServedEvaluator {
         })
     }
 
-    /// Builds a server straight off a recovered [`DurableEvaluator`]:
-    /// same program, a clone of the recovered EDB, and the evaluator's
-    /// pool and planner mode. Point lookups are then served without ever
-    /// materializing the recovered instance's full output.
-    pub fn from_durable(dur: &DurableEvaluator) -> Result<ServedEvaluator, EvalError> {
-        ServedEvaluator::with_config(
-            dur.program().clone(),
-            dur.edb().clone(),
-            dur.inner().pool().clone(),
-            dur.inner().reorder(),
-        )
-    }
-
     /// The served program.
     pub fn program(&self) -> &Program {
         &self.program
@@ -743,18 +740,14 @@ impl ServedEvaluator {
     /// slice against the new snapshot (demand-driven serving needs no
     /// DRed pass; the *next query* is the recomputation).
     ///
-    /// Deltas may only touch extensional relations
-    /// ([`EvalError::IntensionalDelta`] otherwise), mirroring
-    /// [`IncrementalEvaluator::apply_delta`](crate::IncrementalEvaluator::apply_delta).
+    /// Batches are validated exactly as
+    /// [`IncrementalEvaluator::apply_delta`](crate::IncrementalEvaluator::apply_delta)
+    /// validates them: an intensional relation
+    /// ([`EvalError::IntensionalDelta`]) or an arity mismatch
+    /// ([`EvalError::InputArity`]) rejects the whole batch and changes
+    /// nothing.
     pub fn apply_delta(&mut self, inserts: &Database, deletes: &Database) -> Result<(), EvalError> {
-        let idb = self.program.intensional();
-        for db in [inserts, deletes] {
-            if let Some(rel) = db.names().find(|&n| idb.contains(n)) {
-                return Err(EvalError::IntensionalDelta {
-                    relation: rel.to_string(),
-                });
-            }
-        }
+        check_delta(&self.program, self.ev.database(), inserts, deletes)?;
         let mut edb = self.ev.database().clone();
         for (name, rel) in deletes.iter() {
             let Some(arity) = edb.relation(name).map(Relation::arity) else {
@@ -763,7 +756,13 @@ impl ServedEvaluator {
             edb.relation_mut(name, arity)
                 .remove_rows(rel.iter().map(|r| r.to_vec()));
         }
-        edb.merge(inserts);
+        // Empty relations carry no rows and may have any arity.
+        for (name, rel) in inserts.iter().filter(|(_, r)| !r.is_empty()) {
+            let dst = edb.relation_mut(name, rel.arity());
+            for row in rel.iter() {
+                dst.insert_row(row);
+            }
+        }
         self.ev = Evaluator::with_config(
             edb,
             self.ev.pool().clone(),

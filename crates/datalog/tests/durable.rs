@@ -9,8 +9,6 @@
 //! Every test arms process-global fault points (or must not observe
 //! someone else's), so each takes `fault::test_lock()`.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dynamite_datalog::durable::{DurableError, DurableEvaluator, DurableOptions};
@@ -19,44 +17,8 @@ use dynamite_datalog::pool::WorkerPool;
 use dynamite_datalog::{Governor, IncrementalEvaluator, Program, ResourceLimits};
 use dynamite_instance::{Database, Value};
 
-/// A scratch directory removed on drop (pass/fail alike).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "dynamite-durable-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
-        let _ = std::fs::remove_dir_all(&path);
-        TempDir(path)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Deterministic LCG — streams must not depend on ambient randomness.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
+mod common;
+use common::{edge, ordered_rows, Lcg, TempDir};
 
 fn program() -> Program {
     Program::parse(
@@ -65,10 +27,6 @@ fn program() -> Program {
          Reach(y) :- Source(x), Path(x, y).",
     )
     .unwrap()
-}
-
-fn edge(a: u64, b: u64) -> Vec<Value> {
-    vec![Value::Int(a as i64), Value::Int(b as i64)]
 }
 
 /// The seed EDB: a few chains plus labeled sources, with string data so
@@ -102,18 +60,6 @@ fn batches(n: usize, seed: u64) -> Vec<(Database, Database)> {
                 dels.insert("Edge", edge(rng.next() % 200, rng.next() % 200));
             }
             (ins, dels)
-        })
-        .collect()
-}
-
-/// Bit-identity projection: relation contents *in row order*.
-fn ordered_rows(db: &Database) -> Vec<(String, Vec<Vec<Value>>)> {
-    db.iter()
-        .map(|(name, rel)| {
-            (
-                name.to_string(),
-                rel.iter().map(|r| r.iter().collect()).collect(),
-            )
         })
         .collect()
 }

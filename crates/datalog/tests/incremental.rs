@@ -7,27 +7,13 @@ use std::sync::Arc;
 
 use dynamite_datalog::pool::WorkerPool;
 use dynamite_datalog::{
-    EvalError, Evaluator, Governor, IncrementalEvaluator, Program, ResourceLimits,
+    evaluate, EvalError, Evaluator, Governor, IncrementalEvaluator, Program, ResourceLimits,
+    RuleCacheHandle,
 };
 use dynamite_instance::{Database, Value};
 
-/// Deterministic xorshift-free LCG — the stream must not depend on
-/// ambient randomness.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
-
-fn edge(a: u64, b: u64) -> Vec<Value> {
-    vec![Value::Int(a as i64), Value::Int(b as i64)]
-}
+mod common;
+use common::{apply_to_shadow, edge, Lcg};
 
 fn recursive_program() -> Program {
     Program::parse(
@@ -36,19 +22,6 @@ fn recursive_program() -> Program {
          Reach(y) :- Source(x), Path(x, y).",
     )
     .unwrap()
-}
-
-/// Applies `ins`/`dels` to a plain database the way the maintainer
-/// documents its semantics: deletions first, then insertions.
-fn apply_to_shadow(shadow: &mut Database, ins: &Database, dels: &Database) {
-    for (name, rel) in dels.iter() {
-        if shadow.relation(name).is_none() {
-            continue;
-        }
-        let rows: Vec<Vec<Value>> = rel.iter().map(|r| r.iter().collect()).collect();
-        shadow.relation_mut(name, rel.arity()).remove_rows(&rows);
-    }
-    shadow.merge(ins);
 }
 
 /// Checks one batch's `OutputDelta` against the before/after outputs:
@@ -108,7 +81,7 @@ fn run_stream(threads: usize, reorder: bool) {
     let mut shadow = edb;
     assert_eq!(
         inc.output(),
-        Evaluator::eval_once(&program, &shadow).unwrap(),
+        evaluate(&program, &shadow).unwrap(),
         "initial state diverged"
     );
 
@@ -139,7 +112,7 @@ fn run_stream(threads: usize, reorder: bool) {
         apply_to_shadow(&mut shadow, &ins, &dels);
 
         let maintained = inc.output();
-        let scratch = Evaluator::eval_once(&program, &shadow).unwrap();
+        let scratch = evaluate(&program, &shadow).unwrap();
         let context = format!("batch {batch}, threads {threads}, reorder {reorder}");
         assert_eq!(
             maintained, scratch,
@@ -251,7 +224,7 @@ fn negation_falls_back_to_full_reeval() {
         let delta = inc.apply_delta(&ins, &dels).unwrap();
         apply_to_shadow(&mut shadow, &ins, &dels);
         let maintained = inc.output();
-        let scratch = Evaluator::eval_once(&program, &shadow).unwrap();
+        let scratch = evaluate(&program, &shadow).unwrap();
         let context = format!("negation batch {batch}");
         assert_eq!(maintained, scratch, "fallback diverged ({context})");
         check_delta(&old, &maintained, &delta, &context);
@@ -320,10 +293,7 @@ fn governed_trip_is_atomic_and_recoverable() {
     assert!(!delta.is_empty());
     let mut shadow = edb;
     apply_to_shadow(&mut shadow, &Database::new(), &dels);
-    assert_eq!(
-        inc.output(),
-        Evaluator::eval_once(&program, &shadow).unwrap()
-    );
+    assert_eq!(inc.output(), evaluate(&program, &shadow).unwrap());
     assert_eq!(inc.edb(), &shadow);
 }
 
@@ -345,16 +315,17 @@ fn output_after_governed_trip_rebuilds() {
         .is_err());
     // `output` on a poisoned maintainer rebuilds from the (rolled-back)
     // EDB rather than serving the inconsistent overlay.
-    assert_eq!(inc.output(), Evaluator::eval_once(&program, &edb).unwrap());
+    assert_eq!(inc.output(), evaluate(&program, &edb).unwrap());
 }
 
 #[test]
-fn evaluator_context_spawns_incremental() {
+fn explicit_config_maintainer_matches_context() {
     let program = recursive_program();
     let mut edb = Database::new();
     edb.insert("Edge", edge(1, 2));
     edb.insert("Source", vec![Value::Int(1)]);
-    let ev = Evaluator::new(edb);
-    let mut inc = ev.incremental(&program).unwrap();
+    let pool = Arc::new(WorkerPool::new(1));
+    let ev = Evaluator::with_config(edb.clone(), pool.clone(), RuleCacheHandle::default(), false);
+    let mut inc = IncrementalEvaluator::with_config(program.clone(), edb, pool, false).unwrap();
     assert_eq!(inc.output(), ev.eval(&program).unwrap());
 }

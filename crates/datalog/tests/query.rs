@@ -2,7 +2,10 @@
 //! stratified programs and random binding patterns, `query(rel,
 //! bindings)` must be set-identical to full evaluation followed by a
 //! filter — at thread counts 1 and 4, with and without the cost-based
-//! join planner (mirroring the incremental suite's matrix). Negation
+//! join planner (mirroring the incremental suite's matrix). Three
+//! answerers are pinned: the cached server, the one-shot
+//! `Evaluator::query`, and a durable session's maintained overlay, the
+//! last two before and after a random update batch. Negation
 //! programs must take the full-evaluation fallback (and answer
 //! identically); recursive closure queries exercise magic-set
 //! propagation through both argument positions; all-free bindings must
@@ -12,28 +15,16 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use dynamite_datalog::pool::WorkerPool;
-use dynamite_datalog::{EvalError, Evaluator, Program, RuleCacheHandle, ServedEvaluator};
+use dynamite_datalog::{
+    DurableEvaluator, DurableOptions, EvalError, Evaluator, Program, RuleCacheHandle,
+    ServedEvaluator,
+};
 use dynamite_instance::{Database, Relation, Value};
 
-/// Deterministic LCG — the random programs and queries must not depend
-/// on ambient randomness.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
+mod common;
+use common::{apply_to_shadow, int, oracle, row_set, Lcg, TempDir};
 
 const DOMAIN: u64 = 8;
-
-fn int(v: u64) -> Value {
-    Value::Int(v as i64)
-}
 
 /// A small EDB over `Edge(2)`, `Label(2)`, `Node(1)`, `Source(1)`.
 fn random_edb(rng: &mut Lcg) -> Database {
@@ -139,27 +130,6 @@ fn random_program(rng: &mut Lcg, n_idb: usize, with_negation: bool) -> Program {
     Program::parse(&text).expect("generated program must parse")
 }
 
-fn row_set(rel: &Relation) -> HashSet<Vec<Value>> {
-    rel.iter().map(|r| r.to_vec()).collect()
-}
-
-/// Full-evaluate-then-filter: the oracle every query is pinned against.
-fn oracle(out: &Database, relation: &str, bindings: &[Option<Value>]) -> HashSet<Vec<Value>> {
-    out.relation(relation)
-        .map(|rel| {
-            rel.iter()
-                .map(|r| r.to_vec())
-                .filter(|row| {
-                    bindings
-                        .iter()
-                        .enumerate()
-                        .all(|(i, b)| b.is_none_or(|v| row[i] == v))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
 /// A random binding pattern for an `arity`-column relation: each
 /// position bound with probability ~1/2, values mostly in-domain with
 /// an occasional guaranteed miss.
@@ -180,9 +150,37 @@ fn random_bindings(rng: &mut Lcg, arity: usize) -> Vec<Option<Value>> {
         .collect()
 }
 
+/// A random update batch against `shadow`: a few fresh rows per EDB
+/// relation and deletions of live `Edge`/`Label` rows (plus one miss).
+fn random_delta(rng: &mut Lcg, shadow: &Database) -> (Database, Database) {
+    let fresh = random_edb(rng);
+    let mut ins = Database::new();
+    for (name, rel) in fresh.iter() {
+        for row in rel.iter().take(3) {
+            ins.insert(name, row.to_vec());
+        }
+    }
+    let mut dels = Database::new();
+    for name in ["Edge", "Label"] {
+        let live: Vec<Vec<Value>> = shadow
+            .relation(name)
+            .map(|r| r.iter().map(|row| row.to_vec()).collect())
+            .unwrap_or_default();
+        for _ in 0..3 {
+            if !live.is_empty() {
+                dels.insert(name, live[(rng.next() as usize) % live.len()].clone());
+            }
+        }
+    }
+    dels.insert("Edge", vec![int(99), int(99)]);
+    (ins, dels)
+}
+
 /// The core differential: seeded-random programs × random binding
-/// patterns, query answers pinned set-identical to the oracle, through
-/// both the cached server and the one-shot `Evaluator::query`.
+/// patterns, query answers pinned set-identical to the oracle through
+/// the cached server, the one-shot `Evaluator::query`, and a durable
+/// session's maintained overlay — first on the initial EDB, then again
+/// after one random update batch applied to every stateful answerer.
 fn run_matrix(threads: usize, reorder: bool, with_negation: bool) {
     let mut rng = Lcg(0x9a61_c0de
         ^ ((threads as u64) << 40)
@@ -190,40 +188,63 @@ fn run_matrix(threads: usize, reorder: bool, with_negation: bool) {
         ^ ((with_negation as u64) << 8));
     for round in 0..5 {
         let program = random_program(&mut rng, 1 + (round % 3), with_negation);
-        let edb = random_edb(&mut rng);
+        let mut shadow = random_edb(&mut rng);
         let pool = Arc::new(WorkerPool::new(threads));
-        let ev = Evaluator::with_config(
-            edb.clone(),
+        let mut served =
+            ServedEvaluator::with_config(program.clone(), shadow.clone(), pool.clone(), reorder)
+                .expect("server");
+        let dir = TempDir::new("query-diff");
+        let mut durable = DurableEvaluator::create_with_config(
+            dir.path(),
+            program.clone(),
+            shadow.clone(),
+            DurableOptions::default(),
             pool.clone(),
-            RuleCacheHandle::default(),
             reorder,
-        );
-        let full = ev.eval(&program).expect("full evaluation");
-        let served =
-            ServedEvaluator::with_config(program.clone(), edb, pool, reorder).expect("server");
+        )
+        .expect("durable session");
 
         let idb: Vec<String> = program
             .intensional()
             .iter()
             .map(|s| s.to_string())
             .collect();
-        for q in 0..8 {
-            let rel = &idb[(rng.next() as usize) % idb.len()];
-            let arity = full
-                .relation(rel)
-                .map(Relation::arity)
-                .unwrap_or_else(|| 1 + (rng.next() % 2) as usize);
-            let bindings = random_bindings(&mut rng, arity);
-            let want = oracle(&full, rel, &bindings);
-            let ctx = format!(
-                "threads {threads}, reorder {reorder}, neg {with_negation}, round {round}, query {q}: {rel}({bindings:?})"
+        for phase in ["initial", "after delta"] {
+            if phase == "after delta" {
+                let (ins, dels) = random_delta(&mut rng, &shadow);
+                served.apply_delta(&ins, &dels).expect("served delta");
+                durable.apply_delta(&ins, &dels).expect("durable delta");
+                apply_to_shadow(&mut shadow, &ins, &dels);
+            }
+            let ev = Evaluator::with_config(
+                shadow.clone(),
+                pool.clone(),
+                RuleCacheHandle::default(),
+                reorder,
             );
+            let full = ev.eval(&program).expect("full evaluation");
+            for q in 0..8 {
+                let rel = &idb[(rng.next() as usize) % idb.len()];
+                let arity = full
+                    .relation(rel)
+                    .map(Relation::arity)
+                    .unwrap_or_else(|| 1 + (rng.next() % 2) as usize);
+                let bindings = random_bindings(&mut rng, arity);
+                let want = oracle(&full, rel, &bindings);
+                let ctx = format!(
+                    "threads {threads}, reorder {reorder}, neg {with_negation}, round {round}, \
+                     {phase}, query {q}: {rel}({bindings:?})"
+                );
 
-            let got_served = served.query(rel, &bindings).expect(&ctx);
-            assert_eq!(row_set(&got_served), want, "served diverged ({ctx})");
+                let got_served = served.query(rel, &bindings).expect(&ctx);
+                assert_eq!(row_set(&got_served), want, "served diverged ({ctx})");
 
-            let got_once = ev.query(&program, rel, &bindings).expect(&ctx);
-            assert_eq!(row_set(&got_once), want, "one-shot diverged ({ctx})");
+                let got_once = ev.query(&program, rel, &bindings).expect(&ctx);
+                assert_eq!(row_set(&got_once), want, "one-shot diverged ({ctx})");
+
+                let got_durable = durable.query(rel, &bindings).expect(&ctx);
+                assert_eq!(row_set(&got_durable), want, "durable diverged ({ctx})");
+            }
         }
         if with_negation {
             // Every non-all-free query over a negation-reachable slice
@@ -282,7 +303,7 @@ fn negation_fallback_fires_and_matches() {
     .unwrap();
     let mut rng = Lcg(0xfa11_bacc);
     let edb = random_edb(&mut rng);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let served = ServedEvaluator::new(program, edb).unwrap();
 
@@ -322,7 +343,7 @@ fn recursive_closure_point_queries() {
         edb.insert("Edge", vec![int(n + 10), int(n + 11)]);
     }
     edb.insert("Edge", vec![int(5), int(10)]);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let served = ServedEvaluator::new(program.clone(), edb).unwrap();
 
@@ -350,7 +371,7 @@ fn all_free_bindings_are_bit_identical_to_full_eval() {
     let mut rng = Lcg(0x0a11_f4ee);
     let program = random_program(&mut rng, 3, false);
     let edb = random_edb(&mut rng);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let served = ServedEvaluator::new(program.clone(), edb).unwrap();
 
@@ -384,7 +405,7 @@ fn query_edge_cases() {
     let program = Program::parse("Path(x, y) :- Edge(x, y).").unwrap();
     let mut edb = Database::new();
     edb.insert("Edge", vec![int(1), int(2)]);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
 
     match ev.query(&program, "Path", &[Some(int(1))]) {
         Err(EvalError::InputArity {
@@ -403,6 +424,25 @@ fn query_edge_cases() {
     // Unknown relation: nothing derives it.
     let got = ev.query(&program, "Nope", &[None]).unwrap();
     assert!(got.is_empty());
+
+    // A durable session's overlay answers under the same contract.
+    let dir = TempDir::new("query-edge");
+    let mut durable = DurableEvaluator::create(dir.path(), program, edb).unwrap();
+    assert!(matches!(
+        durable.query("Path", &[Some(int(1))]),
+        Err(EvalError::InputArity {
+            expected: 2,
+            got: 1,
+            ..
+        })
+    ));
+    assert!(durable
+        .query("Edge", &[Some(int(1)), None])
+        .unwrap()
+        .is_empty());
+    assert!(durable.query("Nope", &[None]).unwrap().is_empty());
+    let got = durable.query("Path", &[Some(int(1)), None]).unwrap();
+    assert_eq!(row_set(&got), HashSet::from([vec![int(1), int(2)]]));
 }
 
 /// A user program that already uses `magic_*`/`goal_*` names must not
@@ -421,7 +461,7 @@ fn generated_names_escape_user_collisions() {
         edb.insert("Edge", vec![int(n), int(n + 1)]);
     }
     edb.insert("Edge", vec![int(2), int(2)]);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
 
     for rel in ["Path", "magic_Path_bf", "goal_Path_bf"] {
@@ -446,7 +486,7 @@ fn multi_head_rules_are_split_for_rewrite() {
     for n in 0..5u64 {
         edb.insert("Edge", vec![int(n), int(n + 1)]);
     }
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
 
     for (rel, bindings) in [

@@ -4,32 +4,18 @@
 //! server's probe counters); `apply_delta` must invalidate every cached
 //! answer; a governed trip mid-query must leave the cache unpoisoned.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use dynamite_datalog::pool::WorkerPool;
 use dynamite_datalog::{
-    fault, EvalError, Evaluator, Governor, Program, ResourceLimits, ServedEvaluator,
+    evaluate, fault, EvalError, Evaluator, Governor, Program, ResourceLimits, ServedEvaluator,
 };
-use dynamite_instance::{Database, Relation, Value};
+use dynamite_instance::{Database, Value};
 
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
+mod common;
+use common::{int, oracle, row_set, Lcg};
 
 const DOMAIN: u64 = 10;
-
-fn int(v: u64) -> Value {
-    Value::Int(v as i64)
-}
 
 fn path_program() -> Program {
     Program::parse(
@@ -48,26 +34,6 @@ fn random_edges(rng: &mut Lcg, n: usize) -> Database {
         );
     }
     edb
-}
-
-fn row_set(rel: &Relation) -> HashSet<Vec<Value>> {
-    rel.iter().map(|r| r.to_vec()).collect()
-}
-
-fn oracle(out: &Database, relation: &str, bindings: &[Option<Value>]) -> HashSet<Vec<Value>> {
-    out.relation(relation)
-        .map(|rel| {
-            rel.iter()
-                .map(|r| r.to_vec())
-                .filter(|row| {
-                    bindings
-                        .iter()
-                        .enumerate()
-                        .all(|(i, b)| b.is_none_or(|v| row[i] == v))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
 }
 
 /// Interleaved random query streams with deliberate repeats: every warm
@@ -121,7 +87,7 @@ fn subsumed_query_never_reruns_fixpoint() {
     let mut rng = Lcg(0x5ab5_0000 ^ 0xbeef);
     let program = path_program();
     let edb = random_edges(&mut rng, 45);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let served = ServedEvaluator::new(program, edb).unwrap();
 
@@ -155,7 +121,7 @@ fn all_free_subsumes_every_pattern() {
     let mut rng = Lcg(0xa11_f4ee);
     let program = path_program();
     let edb = random_edges(&mut rng, 45);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let served = ServedEvaluator::new(program, edb).unwrap();
 
@@ -218,7 +184,7 @@ fn apply_delta_invalidates_cached_answers() {
     for round in 0..6 {
         let bindings = vec![Some(int(rng.next() % DOMAIN)), None];
         let got = served.query("Path", &bindings).unwrap();
-        let full = Evaluator::eval_once(&program, &shadow).unwrap();
+        let full = evaluate(&program, &shadow).unwrap();
         assert_eq!(
             row_set(&got),
             oracle(&full, "Path", &bindings),
@@ -272,6 +238,47 @@ fn intensional_delta_is_rejected_and_harmless() {
     assert_eq!(row_set(&before), row_set(&after));
 }
 
+/// A batch whose arity disagrees with the live EDB or with the program's
+/// usage is rejected with a typed error before anything changes — no
+/// panic inside the snapshot merge, and the server keeps answering.
+#[test]
+fn arity_mismatched_delta_is_rejected_and_harmless() {
+    let mut rng = Lcg(0x0a21_7e55);
+    let program = Program::parse(
+        "Path(x, y) :- Edge(x, y).
+         Path(x, z) :- Path(x, y), Edge(y, z).
+         Hub(x) :- Path(x, _), Seed(x).",
+    )
+    .unwrap();
+    let edb = random_edges(&mut rng, 20);
+    let mut served = ServedEvaluator::new(program, edb).unwrap();
+    let before = served.query("Path", &[Some(int(1)), None]).unwrap();
+
+    // Wider than the live `Edge` relation.
+    let mut wide = Database::new();
+    wide.insert("Edge", vec![int(1), int(2), int(3)]);
+    // `Seed` is absent from the EDB, but the program reads it as unary.
+    let mut seed = Database::new();
+    seed.insert("Seed", vec![int(1), int(2)]);
+    for (ins, dels) in [
+        (&wide, &Database::new()),
+        (&Database::new(), &wide),
+        (&seed, &Database::new()),
+    ] {
+        match served.apply_delta(ins, dels) {
+            Err(EvalError::InputArity { relation, got, .. }) => {
+                assert!(relation == "Edge" || relation == "Seed");
+                assert_eq!(got, if relation == "Edge" { 3 } else { 2 });
+            }
+            other => panic!("expected InputArity, got {other:?}"),
+        }
+    }
+    assert!(served.edb().relation("Seed").is_none(), "nothing applied");
+    let after = served.query("Path", &[Some(int(1)), None]).unwrap();
+    assert_eq!(row_set(&before), row_set(&after));
+    assert!(served.query("Hub", &[None]).is_ok());
+}
+
 /// A governed trip mid-query surfaces the error but must not poison the
 /// cache: nothing partial is cached, and the next (ungoverned) query
 /// recomputes and succeeds.
@@ -288,7 +295,7 @@ fn governed_trip_leaves_cache_unpoisoned() {
     for n in 0..12u64 {
         edb.insert("Edge", vec![int(n), int(n + 1)]);
     }
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let served = ServedEvaluator::new(program, edb).unwrap();
 
@@ -326,7 +333,7 @@ fn cache_eviction_preserves_correctness() {
     let program = path_program();
     let mut rng = Lcg(0xcab_ca11);
     let edb = random_edges(&mut rng, 40);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let pool = Arc::new(WorkerPool::new(1));
     let served = ServedEvaluator::with_config(path_program(), edb, pool, true).unwrap();

@@ -14,50 +14,14 @@
 //! Every test takes `fault::test_lock()` — the durable I/O hook sites
 //! consult the process-global fault registry on every write.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
 use dynamite_datalog::durable::{DurableEvaluator, DurableOptions};
 use dynamite_datalog::{evaluate, fault, EvalError, IncrementalEvaluator, Program};
 use dynamite_instance::{Database, Value};
 
-/// A scratch directory removed on drop (pass/fail alike).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "dynamite-scrub-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
-        let _ = std::fs::remove_dir_all(&path);
-        TempDir(path)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
+mod common;
+use common::{edge, ordered_rows, Lcg, TempDir};
 
 fn program() -> Program {
     Program::parse(
@@ -66,10 +30,6 @@ fn program() -> Program {
          Reach(y) :- Source(x), Path(x, y).",
     )
     .unwrap()
-}
-
-fn edge(a: u64, b: u64) -> Vec<Value> {
-    vec![Value::Int(a as i64), Value::Int(b as i64)]
 }
 
 fn seed_edb() -> Database {
@@ -100,17 +60,6 @@ fn batches(n: usize, seed: u64) -> Vec<(Database, Database)> {
                 dels.insert("Edge", edge(rng.next() % 100, rng.next() % 100));
             }
             (ins, dels)
-        })
-        .collect()
-}
-
-fn ordered_rows(db: &Database) -> Vec<(String, Vec<Vec<Value>>)> {
-    db.iter()
-        .map(|(name, rel)| {
-            (
-                name.to_string(),
-                rel.iter().map(|r| r.iter().collect()).collect(),
-            )
         })
         .collect()
 }

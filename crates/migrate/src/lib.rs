@@ -37,11 +37,11 @@ use std::path::Path;
 
 use dynamite_core::{synthesize, Example, Synthesis, SynthesisConfig, SynthesisError};
 use dynamite_datalog::{
-    evaluate, pool, reorder_default, DriftError, DurableError, DurableEvaluator, DurableOptions,
-    EvalError, Evaluator, Governor, IncrementalEvaluator, OutputDelta, Program, QueryStats,
-    RecoveryReport, ResourceLimits, ScrubReport, ServedEvaluator,
+    pool, reorder_default, DriftError, DurableError, DurableEvaluator, DurableOptions, EvalError,
+    Evaluator, Governor, OutputDelta, Program, QueryStats, RecoveryReport, ScrubReport,
+    ServedEvaluator,
 };
-use dynamite_instance::{from_facts, to_facts, Database, FactsError, Instance};
+use dynamite_instance::{from_facts, to_facts, Database, FactsError, Instance, Relation, Value};
 use dynamite_schema::Schema;
 
 pub mod writers;
@@ -128,8 +128,7 @@ impl MigrationReport {
 }
 
 /// Counters for the periodic overlay audit
-/// ([`MaintainedMigration::set_audit_every`] /
-/// [`DurableMigration::set_audit_every`]).
+/// ([`DurableMigration::set_audit_every`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuditStats {
     /// Audits run (each is a full re-evaluation compared set-wise
@@ -183,9 +182,10 @@ fn migrate_inner(
     report.facts_in = facts.num_facts();
 
     let t1 = Instant::now();
+    let ev = Evaluator::new(facts);
     let derived = match gov {
-        Some(gov) => Evaluator::eval_once_governed(program, &facts, gov)?,
-        None => evaluate(program, &facts)?,
+        Some(gov) => ev.eval_governed(program, gov)?,
+        None => ev.eval(program)?,
     };
     report.eval_time = t1.elapsed();
     report.facts_out = derived.num_facts();
@@ -198,184 +198,22 @@ fn migrate_inner(
     Ok((instance, report))
 }
 
-/// A migration kept incrementally up to date as the source facts change.
+/// A migration kept incrementally up to date as the source facts change,
+/// surviving process death.
 ///
 /// Where [`migrate`] re-evaluates the whole program for every source
-/// version, `MaintainedMigration` evaluates once at construction and then
+/// version, `DurableMigration` evaluates once at creation and then
 /// maintains the derived facts through
-/// [`apply_delta`](MaintainedMigration::apply_delta) batches — insertions
+/// [`apply_delta`](DurableMigration::apply_delta) batches — insertions
 /// via warm semi-naive delta rounds, deletions via DRed retraction (see
-/// `dynamite_datalog::incremental`). The current target instance is
-/// rebuilt on demand from the maintained facts.
-///
-/// ```
-/// use dynamite_core::test_fixtures::motivating;
-/// use dynamite_datalog::Program;
-/// use dynamite_instance::Database;
-/// use dynamite_migrate::MaintainedMigration;
-///
-/// let (_, target, ex) = motivating();
-/// let program = Program::parse(
-///     "Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num), Univ(id2, ug, _).",
-/// )
-/// .unwrap();
-/// let mut live = MaintainedMigration::new(&program, &ex.input, target).unwrap();
-/// assert!(live.target().unwrap().canon_eq(&ex.output));
-///
-/// // Retract one Admit fact: the target shrinks without re-evaluation.
-/// let row = live.facts().relation("Admit").unwrap().iter().next().unwrap();
-/// let row: Vec<_> = row.iter().collect();
-/// let mut dels = Database::new();
-/// dels.insert("Admit", row);
-/// let delta = live.apply_delta(&Database::new(), &dels).unwrap();
-/// assert_eq!(delta.deleted.num_facts(), 1);
-/// ```
-pub struct MaintainedMigration {
-    inc: IncrementalEvaluator,
-    target_schema: Arc<Schema>,
-    audit_every: Option<u64>,
-    batches_since_audit: u64,
-    audit_stats: AuditStats,
-}
-
-impl MaintainedMigration {
-    /// Translates `source` to facts, evaluates `program`, and keeps the
-    /// result maintained.
-    pub fn new(
-        program: &Program,
-        source: &Instance,
-        target_schema: Arc<Schema>,
-    ) -> Result<MaintainedMigration, MigrateError> {
-        let facts = to_facts(source);
-        let inc = IncrementalEvaluator::new(program.clone(), facts)?;
-        Ok(MaintainedMigration {
-            inc,
-            target_schema,
-            audit_every: None,
-            batches_since_audit: 0,
-            audit_stats: AuditStats::default(),
-        })
-    }
-
-    /// Applies one batch of extensional fact updates (deletions first,
-    /// then insertions) and returns the net change to the derived facts.
-    pub fn apply_delta(
-        &mut self,
-        inserts: &Database,
-        deletes: &Database,
-    ) -> Result<OutputDelta, MigrateError> {
-        let delta = self.inc.apply_delta(inserts, deletes)?;
-        self.maybe_audit()?;
-        Ok(delta)
-    }
-
-    /// [`apply_delta`](MaintainedMigration::apply_delta) under resource
-    /// limits; a tripped batch is rolled back (see
-    /// `IncrementalEvaluator::apply_delta_governed`).
-    pub fn apply_delta_governed(
-        &mut self,
-        inserts: &Database,
-        deletes: &Database,
-        gov: &Governor,
-    ) -> Result<OutputDelta, MigrateError> {
-        let delta = self.inc.apply_delta_governed(inserts, deletes, gov)?;
-        self.maybe_audit()?;
-        Ok(delta)
-    }
-
-    /// [`apply_delta_governed`](MaintainedMigration::apply_delta_governed)
-    /// with bounded retries under a fresh governor per attempt — see
-    /// `IncrementalEvaluator::apply_delta_with_retry`.
-    pub fn apply_delta_with_retry(
-        &mut self,
-        inserts: &Database,
-        deletes: &Database,
-        retries: u32,
-        limits: impl FnMut() -> ResourceLimits,
-    ) -> Result<OutputDelta, MigrateError> {
-        let delta = self
-            .inc
-            .apply_delta_with_retry(inserts, deletes, retries, limits)?;
-        self.maybe_audit()?;
-        Ok(delta)
-    }
-
-    /// Audit the maintained overlay every `n` successfully applied
-    /// batches. Each audit re-evaluates from scratch and compares
-    /// set-wise; drift is repaired automatically and recorded in
-    /// [`audit_stats`](MaintainedMigration::audit_stats). `None` (and
-    /// `Some(0)`) disables periodic auditing.
-    pub fn set_audit_every(&mut self, every: Option<u64>) {
-        self.audit_every = every.filter(|&n| n > 0);
-        self.batches_since_audit = 0;
-    }
-
-    /// Counters for the periodic audit (see
-    /// [`set_audit_every`](MaintainedMigration::set_audit_every)).
-    pub fn audit_stats(&self) -> AuditStats {
-        self.audit_stats
-    }
-
-    /// Verifies the maintained overlay against a from-scratch
-    /// re-evaluation without modifying anything. Drift surfaces as
-    /// [`MigrateError::Eval`]`(`[`EvalError::Drift`]`)`;
-    /// [`repair`](MaintainedMigration::repair) is the remedy.
-    pub fn audit(&mut self) -> Result<(), MigrateError> {
-        Ok(self.inc.audit()?)
-    }
-
-    /// Rebuilds the maintained overlay from scratch, returning the drift
-    /// the rebuild corrected (if any).
-    pub fn repair(&mut self) -> Result<Option<DriftError>, MigrateError> {
-        Ok(self.inc.repair()?)
-    }
-
-    fn maybe_audit(&mut self) -> Result<(), MigrateError> {
-        let Some(n) = self.audit_every else {
-            return Ok(());
-        };
-        self.batches_since_audit += 1;
-        if self.batches_since_audit < n {
-            return Ok(());
-        }
-        self.batches_since_audit = 0;
-        self.audit_stats.audits += 1;
-        match self.inc.audit() {
-            Ok(()) => Ok(()),
-            Err(EvalError::Drift(_)) => {
-                self.audit_stats.drifts_detected += 1;
-                self.inc.repair()?;
-                self.audit_stats.repairs += 1;
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Whether the maintained state is degraded (the next batch pays a
-    /// full rebuild) — see `IncrementalEvaluator::is_poisoned`.
-    pub fn is_poisoned(&self) -> bool {
-        self.inc.is_poisoned()
-    }
-
-    /// The maintained extensional facts (post all applied batches).
-    pub fn facts(&self) -> &Database {
-        self.inc.edb()
-    }
-
-    /// Rebuilds the current target instance from the maintained derived
-    /// facts.
-    pub fn target(&mut self) -> Result<Instance, MigrateError> {
-        Ok(from_facts(&self.inc.output(), self.target_schema.clone())?)
-    }
-}
-
-/// A [`MaintainedMigration`] whose maintained state survives process
-/// death: every applied batch is durably logged before it is
+/// `dynamite_datalog::incremental`, which also serves in-memory-only
+/// maintenance). Every applied batch is durably logged before it is
 /// acknowledged, and [`DurableMigration::open`] recovers the maintained
 /// facts from disk with bounded replay instead of re-running the
-/// migration. See `dynamite_datalog::durable` for the on-disk formats
-/// and the crash-consistency guarantees.
+/// migration (see `dynamite_datalog::durable` for the on-disk formats and
+/// the crash-consistency guarantees). The current target instance is
+/// rebuilt on demand, and [`query`](DurableMigration::query) answers point
+/// lookups straight from the maintained facts.
 ///
 /// ```
 /// use dynamite_core::test_fixtures::motivating;
@@ -601,6 +439,17 @@ impl DurableMigration {
         &self.dur
     }
 
+    /// Answers `relation(bindings)` from the maintained derived facts:
+    /// the rows matching the bound positions (`None` = free), with no
+    /// fixpoint run — see `DurableEvaluator::query` for the contract.
+    pub fn query(
+        &mut self,
+        relation: &str,
+        bindings: &[Option<Value>],
+    ) -> Result<Relation, MigrateError> {
+        Ok(self.dur.query(relation, bindings)?)
+    }
+
     /// Rebuilds the current target instance from the maintained derived
     /// facts.
     pub fn target(&mut self) -> Result<Instance, MigrateError> {
@@ -617,7 +466,8 @@ impl DurableMigration {
 /// actually demand, and a subsumption-aware cache answers repeat and
 /// narrower queries without re-running any fixpoint at all (see
 /// `dynamite_datalog::query`). Use it when consumers read a small,
-/// query-driven slice of a large target.
+/// query-driven slice of a large target; a [`DurableMigration`], which
+/// keeps the whole target materialized, answers the same lookups itself.
 ///
 /// ```
 /// use dynamite_core::test_fixtures::motivating;
@@ -658,31 +508,14 @@ impl ServedMigration {
         })
     }
 
-    /// Serves point queries off a recovered [`DurableMigration`]: the
-    /// program and facts come from the durable state (newest checkpoint
-    /// plus WAL replay), and the server shares its worker pool and
-    /// planner configuration. The server holds a *snapshot* — batches
-    /// applied to `dur` afterwards are not visible until a new server
-    /// is built.
-    pub fn from_durable(
-        dur: &DurableMigration,
-        target_schema: Arc<Schema>,
-    ) -> Result<ServedMigration, MigrateError> {
-        let served = ServedEvaluator::from_durable(dur.evaluator())?;
-        Ok(ServedMigration {
-            served,
-            target_schema,
-        })
-    }
-
     /// Answers `relation(bindings)`: the rows of the target relation
     /// matching the bound positions (`None` = free). See
     /// `ServedEvaluator::query` for the routing and caching contract.
     pub fn query(
         &self,
         relation: &str,
-        bindings: &[Option<dynamite_instance::Value>],
-    ) -> Result<dynamite_instance::Relation, MigrateError> {
+        bindings: &[Option<Value>],
+    ) -> Result<Relation, MigrateError> {
         Ok(self.served.query(relation, bindings)?)
     }
 
@@ -692,9 +525,9 @@ impl ServedMigration {
     pub fn query_governed(
         &self,
         relation: &str,
-        bindings: &[Option<dynamite_instance::Value>],
+        bindings: &[Option<Value>],
         gov: &Governor,
-    ) -> Result<dynamite_instance::Relation, MigrateError> {
+    ) -> Result<Relation, MigrateError> {
         Ok(self.served.query_governed(relation, bindings, gov)?)
     }
 
@@ -791,15 +624,29 @@ pub fn synthesize_and_migrate(
 mod tests {
     use super::*;
     use dynamite_core::test_fixtures::motivating;
+    use dynamite_datalog::{evaluate, fault};
+    use std::collections::HashSet;
+    use std::path::PathBuf;
+
+    /// The motivating example's golden program.
+    fn admission() -> Program {
+        Program::parse(
+            "Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num), Univ(id2, ug, _).",
+        )
+        .unwrap()
+    }
+
+    /// A fresh, empty per-process state directory for a durable test.
+    fn state_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dynamite-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
 
     #[test]
     fn migrate_runs_the_golden_program() {
         let (_, target, ex) = motivating();
-        let program = Program::parse(
-            "Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num), Univ(id2, ug, _).",
-        )
-        .unwrap();
-        let (out, report) = migrate(&program, &ex.input, target).unwrap();
+        let (out, report) = migrate(&admission(), &ex.input, target).unwrap();
         assert!(out.canon_eq(&ex.output));
         assert_eq!(report.records_in, 6);
         assert_eq!(report.records_out, 4);
@@ -825,14 +672,11 @@ mod tests {
 
     #[test]
     fn governed_migration_matches_ungoverned_and_trips_cleanly() {
-        use dynamite_datalog::{fault, ResourceLimits};
+        use dynamite_datalog::ResourceLimits;
         let _guard = fault::test_lock();
         fault::reset();
         let (_, target, ex) = motivating();
-        let program = Program::parse(
-            "Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num), Univ(id2, ug, _).",
-        )
-        .unwrap();
+        let program = admission();
         let (plain, _) = migrate(&program, &ex.input, target.clone()).unwrap();
         // Generous limits: identical result.
         let gov = Governor::new(ResourceLimits::none().with_fact_budget(10_000));
@@ -847,45 +691,6 @@ mod tests {
             err,
             MigrateError::Eval(EvalError::FactBudgetExceeded { budget: 1 })
         ));
-    }
-
-    #[test]
-    fn maintained_migration_tracks_source_changes() {
-        let (_, target, ex) = motivating();
-        let program = Program::parse(
-            "Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num), Univ(id2, ug, _).",
-        )
-        .unwrap();
-        let mut live = MaintainedMigration::new(&program, &ex.input, target.clone()).unwrap();
-        assert!(live.target().unwrap().canon_eq(&ex.output));
-
-        // Retract one Admit fact and check against a from-scratch
-        // migration over the mutated fact set.
-        let row: Vec<_> = live
-            .facts()
-            .relation("Admit")
-            .unwrap()
-            .iter()
-            .next()
-            .unwrap()
-            .iter()
-            .collect();
-        let mut dels = dynamite_instance::Database::new();
-        dels.insert("Admit", row.clone());
-        let delta = live.apply_delta(&Database::new(), &dels).unwrap();
-        assert_eq!(delta.deleted.num_facts(), 1);
-        assert!(delta.inserted.num_facts() == 0);
-
-        let scratch_out = evaluate(&program, live.facts()).unwrap();
-        let scratch = from_facts(&scratch_out, target.clone()).unwrap();
-        assert!(live.target().unwrap().canon_eq(&scratch));
-
-        // Reinsert it: back to the original target.
-        let mut ins = Database::new();
-        ins.insert("Admit", row);
-        let delta = live.apply_delta(&ins, &Database::new()).unwrap();
-        assert_eq!(delta.inserted.num_facts(), 1);
-        assert!(live.target().unwrap().canon_eq(&ex.output));
     }
 
     #[test]
@@ -929,81 +734,17 @@ mod tests {
     }
 
     #[test]
-    fn maintained_migration_exposes_poisoned_state_and_retries() {
-        use dynamite_datalog::fault;
-        let _guard = fault::test_lock();
-        fault::reset();
-        let (_, target, ex) = motivating();
-        let program = Program::parse(
-            "Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num), Univ(id2, ug, _).",
-        )
-        .unwrap();
-        let mut live = MaintainedMigration::new(&program, &ex.input, target).unwrap();
-        assert!(!live.is_poisoned(), "fresh maintainer starts healthy");
-
-        let row: Vec<_> = live
-            .facts()
-            .relation("Admit")
-            .unwrap()
-            .iter()
-            .next()
-            .unwrap()
-            .iter()
-            .collect();
-        let mut ins = Database::new();
-        ins.insert("Admit", row.clone());
-        let mut dels = Database::new();
-        dels.insert("Admit", row);
-
-        // A batch that trips every attempt exhausts the retries and
-        // leaves the maintainer observably poisoned…
-        let err = live
-            .apply_delta_with_retry(&Database::new(), &dels, 2, || {
-                ResourceLimits::none().with_round_cap(0)
-            })
-            .unwrap_err();
-        assert!(matches!(err, MigrateError::Eval(e) if e.is_resource_limit()));
-        assert!(live.is_poisoned(), "exhausted retries leave degraded state");
-
-        // …while generous limits let the retry helper succeed (paying
-        // the rebuild transparently) and clear the state.
-        let delta = live
-            .apply_delta_with_retry(&Database::new(), &dels, 2, ResourceLimits::none)
-            .unwrap();
-        assert_eq!(delta.deleted.num_facts(), 1);
-        assert!(!live.is_poisoned());
-        live.apply_delta(&ins, &Database::new()).unwrap();
-    }
-
-    #[test]
     fn durable_migration_survives_reopen() {
-        use dynamite_datalog::fault;
         let _guard = fault::test_lock();
         fault::reset();
-        let dir =
-            std::env::temp_dir().join(format!("dynamite-durable-migrate-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
+        let dir = state_dir("durable-migrate");
         let (_, target, ex) = motivating();
-        let program = Program::parse(
-            "Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num), Univ(id2, ug, _).",
-        )
-        .unwrap();
-        let mut live = DurableMigration::create(&dir, &program, &ex.input, target.clone()).unwrap();
+        let mut live =
+            DurableMigration::create(&dir, &admission(), &ex.input, target.clone()).unwrap();
         assert!(live.target().unwrap().canon_eq(&ex.output));
 
         // Retract one Admit fact durably, then "crash".
-        let row: Vec<_> = live
-            .facts()
-            .relation("Admit")
-            .unwrap()
-            .iter()
-            .next()
-            .unwrap()
-            .iter()
-            .collect();
-        let mut dels = Database::new();
-        dels.insert("Admit", row);
+        let (_, dels) = admit_churn(live.facts());
         let delta = live.apply_delta(&Database::new(), &dels).unwrap();
         assert_eq!(delta.deleted.num_facts(), 1);
         let shrunk = live.target().unwrap();
@@ -1026,12 +767,8 @@ mod tests {
 
     #[test]
     fn served_migration_answers_point_queries_and_tracks_deltas() {
-        use dynamite_instance::Value;
         let (_, target, ex) = motivating();
-        let program = Program::parse(
-            "Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num), Univ(id2, ug, _).",
-        )
-        .unwrap();
+        let program = admission();
         let mut served = ServedMigration::new(&program, &ex.input, target).unwrap();
 
         // Oracle: the fully materialized migration, filtered.
@@ -1065,49 +802,40 @@ mod tests {
     }
 
     #[test]
-    fn served_migration_from_durable_serves_recovered_state() {
-        use dynamite_datalog::fault;
-        use dynamite_instance::Value;
+    fn durable_migration_query_serves_recovered_state() {
         let _guard = fault::test_lock();
         fault::reset();
-        let dir =
-            std::env::temp_dir().join(format!("dynamite-served-durable-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
+        let dir = state_dir("durable-query");
         let (_, target, ex) = motivating();
-        let program = Program::parse(
-            "Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num), Univ(id2, ug, _).",
-        )
-        .unwrap();
+        let program = admission();
         let mut live = DurableMigration::create(&dir, &program, &ex.input, target.clone()).unwrap();
         // Retract one Admit fact durably, then "crash".
         let (_, dels) = admit_churn(live.facts());
         live.apply_delta(&Database::new(), &dels).unwrap();
         drop(live);
 
-        // Recover and serve point queries off the recovered facts.
-        let back = DurableMigration::open(&dir, target.clone()).unwrap();
-        let served = ServedMigration::from_durable(&back, target).unwrap();
-        assert_eq!(served.facts(), back.facts(), "snapshot of recovered EDB");
+        // Recover and answer point queries off the maintained facts.
+        let mut back = DurableMigration::open(&dir, target).unwrap();
         let full = evaluate(&program, back.facts()).unwrap();
-        let want = full.relation("Admission").unwrap().len();
-        assert!(want > 0, "recovered migration still has admissions");
-        let mut nums: Vec<Value> = full
-            .relation("Admission")
-            .unwrap()
-            .iter()
-            .map(|r| r.at(2))
-            .collect();
-        nums.sort();
-        nums.dedup();
-        let mut got = 0;
-        for num in nums {
-            got += served
-                .query("Admission", &[None, None, Some(num)])
-                .unwrap()
-                .len();
+        let admissions = full.relation("Admission").unwrap();
+        assert!(!admissions.is_empty(), "recovered migration has admissions");
+        let rows_with = |rel: &Relation, num: Value| -> HashSet<Vec<Value>> {
+            rel.iter()
+                .filter(|r| r.at(2) == num)
+                .map(|r| r.to_vec())
+                .collect()
+        };
+        for row in admissions.iter() {
+            let num = row.at(2);
+            let hits = back.query("Admission", &[None, None, Some(num)]).unwrap();
+            assert_eq!(rows_with(&hits, num), rows_with(admissions, num));
         }
-        assert_eq!(got, want, "point queries cover the recovered target");
+        // The contract's edges: arity errors are typed, inputs answer empty.
+        assert!(matches!(
+            back.query("Admission", &[None]),
+            Err(MigrateError::Eval(EvalError::InputArity { .. }))
+        ));
+        assert!(back.query("Admit", &[None, None, None]).unwrap().is_empty());
 
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1140,57 +868,12 @@ mod tests {
     }
 
     #[test]
-    fn periodic_audit_catches_and_repairs_injected_drift() {
-        use dynamite_datalog::fault;
-        let _guard = fault::test_lock();
-        fault::reset();
-        let (_, target, ex) = motivating();
-        let program = Program::parse(
-            "Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num), Univ(id2, ug, _).",
-        )
-        .unwrap();
-        let mut live = MaintainedMigration::new(&program, &ex.input, target.clone()).unwrap();
-        live.set_audit_every(Some(1));
-        let (ins, dels) = admit_churn(live.facts());
-
-        // A clean batch audits without incident.
-        live.apply_delta(&Database::new(), &dels).unwrap();
-        assert_eq!(
-            live.audit_stats(),
-            AuditStats {
-                audits: 1,
-                drifts_detected: 0,
-                repairs: 0
-            }
-        );
-
-        // The next batch silently corrupts the overlay; the scheduled
-        // audit catches it and repairs transparently.
-        fault::arm(fault::DRIFT, 1);
-        live.apply_delta(&ins, &Database::new()).unwrap();
-        assert_eq!(
-            live.audit_stats(),
-            AuditStats {
-                audits: 2,
-                drifts_detected: 1,
-                repairs: 1
-            }
-        );
-        assert!(live.target().unwrap().canon_eq(&ex.output));
-        live.audit().unwrap();
-    }
-
-    #[test]
     fn manual_audit_reports_drift_and_repair_returns_it() {
-        use dynamite_datalog::fault;
         let _guard = fault::test_lock();
         fault::reset();
+        let dir = state_dir("manual-audit");
         let (_, target, ex) = motivating();
-        let program = Program::parse(
-            "Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num), Univ(id2, ug, _).",
-        )
-        .unwrap();
-        let mut live = MaintainedMigration::new(&program, &ex.input, target.clone()).unwrap();
+        let mut live = DurableMigration::create(&dir, &admission(), &ex.input, target).unwrap();
         let (ins, dels) = admit_churn(live.facts());
 
         // No periodic audit armed: the injected drift goes unnoticed…
@@ -1205,27 +888,31 @@ mod tests {
         live.apply_delta(&ins, &Database::new()).unwrap();
         assert!(live.target().unwrap().canon_eq(&ex.output));
         assert_eq!(live.audit_stats(), AuditStats::default());
+        drop(live);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn durable_repair_checkpoints_and_survives_reopen() {
-        use dynamite_datalog::fault;
         let _guard = fault::test_lock();
         fault::reset();
-        let dir =
-            std::env::temp_dir().join(format!("dynamite-durable-repair-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
+        let dir = state_dir("durable-repair");
         let (_, target, ex) = motivating();
-        let program = Program::parse(
-            "Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num), Univ(id2, ug, _).",
-        )
-        .unwrap();
-        let mut live = DurableMigration::create(&dir, &program, &ex.input, target.clone()).unwrap();
+        let mut live =
+            DurableMigration::create(&dir, &admission(), &ex.input, target.clone()).unwrap();
         live.set_audit_every(Some(1));
         let (ins, dels) = admit_churn(live.facts());
 
+        // A clean batch audits without incident.
         live.apply_delta(&Database::new(), &dels).unwrap();
+        assert_eq!(
+            live.audit_stats(),
+            AuditStats {
+                audits: 1,
+                drifts_detected: 0,
+                repairs: 0
+            }
+        );
         let gen_before = live.evaluator().generation();
 
         // Injected drift: the periodic audit repairs it AND rolls a
@@ -1258,23 +945,20 @@ mod tests {
 
     #[test]
     fn durable_options_and_scrub_surface_through_migrate() {
-        use dynamite_datalog::fault;
         use std::time::Duration;
         let _guard = fault::test_lock();
         fault::reset();
-        let dir =
-            std::env::temp_dir().join(format!("dynamite-migrate-scrub-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
+        let dir = state_dir("migrate-scrub");
         let (_, target, ex) = motivating();
-        let program = Program::parse(
-            "Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num), Univ(id2, ug, _).",
+        let opts = DurableOptions::default().group_commit(8, Duration::from_secs(3600));
+        let mut live = DurableMigration::create_with_options(
+            &dir,
+            &admission(),
+            &ex.input,
+            target.clone(),
+            opts,
         )
         .unwrap();
-        let opts = DurableOptions::default().group_commit(8, Duration::from_secs(3600));
-        let mut live =
-            DurableMigration::create_with_options(&dir, &program, &ex.input, target.clone(), opts)
-                .unwrap();
         let (_ins, dels) = admit_churn(live.facts());
         live.apply_delta(&Database::new(), &dels).unwrap();
         let expected = live.target().unwrap();

@@ -9,7 +9,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dynamite::datalog::{evaluate, legacy, Evaluator, Program, RuleCacheHandle, WorkerPool};
+use dynamite::datalog::{
+    evaluate, legacy, reorder_default, Evaluator, Program, RuleCacheHandle, WorkerPool,
+};
 use dynamite::instance::{from_facts, to_facts, Database, Instance, Record, TupleStore, Value};
 use dynamite::schema::Schema;
 use dynamite::smt::{FdLit, FdSolver, Lit, SatSolver};
@@ -602,6 +604,16 @@ fn random_edb(rng: &mut StdRng) -> Database {
     db
 }
 
+/// An ambient-planner context over `edb` on an explicit pool.
+fn on_pool(edb: &Database, pool: &Arc<WorkerPool>) -> Evaluator {
+    Evaluator::with_config(
+        edb.clone(),
+        pool.clone(),
+        RuleCacheHandle::default(),
+        reorder_default(),
+    )
+}
+
 /// The reusable-context engine, the compatibility `evaluate` wrapper, and
 /// the legacy one-shot interpreter agree on a corpus of random stratified
 /// programs — semantics must not drift under interning and index reuse.
@@ -611,7 +623,7 @@ fn differential_context_vs_legacy_evaluation() {
         let mut rng = StdRng::seed_from_u64(5000 + seed);
         let program = random_stratified_program(&mut rng);
         let edb = random_edb(&mut rng);
-        let ctx = Evaluator::from_database(&edb);
+        let ctx = Evaluator::new(edb.clone());
 
         let via_legacy = legacy::evaluate(&program, &edb).expect("legacy evaluates");
         let via_wrapper = evaluate(&program, &edb).expect("wrapper evaluates");
@@ -656,11 +668,11 @@ fn parallel_eval_is_deterministic() {
         let mut rng = StdRng::seed_from_u64(8000 + seed);
         let program = random_stratified_program(&mut rng);
         let edb = random_edb(&mut rng);
-        let base = Evaluator::with_pool(edb.clone(), pools[0].clone())
+        let base = on_pool(&edb, &pools[0])
             .eval(&program)
             .expect("sequential evaluates");
         for pool in &pools[1..] {
-            let out = Evaluator::with_pool(edb.clone(), pool.clone())
+            let out = on_pool(&edb, pool)
                 .eval(&program)
                 .expect("parallel evaluates");
             assert_identical_row_order(
@@ -692,12 +704,12 @@ fn parallel_eval_deterministic_on_large_closure() {
             edb.insert("Edge", vec![i.into(), ((i + 37) % 500).into()]);
         }
     }
-    let base = Evaluator::with_pool(edb.clone(), Arc::new(WorkerPool::new(1)))
+    let base = on_pool(&edb, &Arc::new(WorkerPool::new(1)))
         .eval(&closure)
         .expect("sequential evaluates");
     assert!(base.relation("Path").expect("path").len() > 100_000);
     for threads in [2usize, 4] {
-        let out = Evaluator::with_pool(edb.clone(), Arc::new(WorkerPool::new(threads)))
+        let out = on_pool(&edb, &Arc::new(WorkerPool::new(threads)))
             .eval(&closure)
             .expect("parallel evaluates");
         assert_identical_row_order(&base, &out, &format!("{threads} threads"));
@@ -715,7 +727,7 @@ fn differential_parallel_vs_legacy_evaluation() {
         let program = random_stratified_program(&mut rng);
         let edb = random_edb(&mut rng);
         let via_legacy = legacy::evaluate(&program, &edb).expect("legacy evaluates");
-        let via_parallel = Evaluator::with_pool(edb.clone(), pool.clone())
+        let via_parallel = on_pool(&edb, &pool)
             .eval(&program)
             .expect("parallel evaluates");
         assert_eq!(
@@ -784,7 +796,7 @@ fn differential_context_reuse_many_candidates() {
     for seed in 0..20u64 {
         let mut rng = StdRng::seed_from_u64(6000 + seed);
         let edb = random_edb(&mut rng);
-        let ctx = Evaluator::from_database(&edb);
+        let ctx = Evaluator::new(edb.clone());
         for k in 0..10 {
             let program = random_stratified_program(&mut rng);
             let via_context = ctx.eval(&program).expect("context evaluates");
