@@ -11,7 +11,6 @@
 
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,11 +31,6 @@ use crate::simplify::simplify_rule;
 use crate::sketch::{
     generate_sketch, BodySlot, DomainElem, HoleKind, RuleSketch, Sketch, SketchOptions,
 };
-
-/// Below this many total example-input facts a candidate check runs the
-/// plain sequential sweep (with its first-failure early exit) — the
-/// per-candidate fan-out dispatch would cost more than the evals.
-const PAR_CHECK_MIN_FACTS: usize = 512;
 
 /// Sketch-completion strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -316,14 +310,9 @@ pub struct Synthesizer {
     /// snapshotted once and its join indexes are shared by every candidate
     /// program evaluated against it (the CEGIS loop's hot path).
     input_contexts: Vec<Evaluator>,
-    /// The worker pool shared by every context (and by the parallel
-    /// candidate check), sized by `SynthesisConfig::threads`.
+    /// The worker pool shared by every context, sized by
+    /// `SynthesisConfig::threads`.
     pool: Arc<WorkerPool>,
-    /// Whether candidate checks fan examples out to the pool. Mirrors
-    /// the engine's own fan-out gate: parallel dispatch per rejected
-    /// candidate only pays off with multiple workers, multiple examples,
-    /// and enough facts per check to amortize it.
-    parallel_check: bool,
     expected_flats: Vec<Flattened>,
     psi: AttrMapping,
     sketch: Sketch,
@@ -365,12 +354,6 @@ impl Synthesizer {
                 Evaluator::with_config(to_facts(&e.input), pool.clone(), rules.clone(), reorder)
             })
             .collect();
-        let total_facts: usize = input_contexts
-            .iter()
-            .map(|c| c.database().num_facts())
-            .sum();
-        let parallel_check =
-            pool.threads() > 1 && input_contexts.len() > 1 && total_facts >= PAR_CHECK_MIN_FACTS;
         let expected_flats = examples.iter().map(|e| e.output.flatten()).collect();
         Ok(Synthesizer {
             source,
@@ -378,7 +361,6 @@ impl Synthesizer {
             examples,
             input_contexts,
             pool,
-            parallel_check,
             expected_flats,
             psi,
             sketch,
@@ -729,13 +711,9 @@ impl<'a> RuleSolver<'a> {
         }
     }
 
-    /// Evaluates a candidate on every example — concurrently when the
-    /// pool has workers, one job per example, with early cancellation:
-    /// a failing example publishes its index and jobs for higher-indexed
-    /// examples skip. The reported counterexample is always the one the
-    /// sequential sweep would find (the lowest failing index — every
-    /// lower-indexed example ran to completion and passed), so MDP
-    /// blocking sees identical failures at any thread count.
+    /// Evaluates a candidate on every example in order, stopping at the
+    /// first failure — the lowest failing index is the counterexample,
+    /// so MDP blocking sees identical failures at any thread count.
     ///
     /// On failure the expected flattening is handed back as a borrow of
     /// the synthesizer's precomputed `expected_flats` — the CEGIS loop
@@ -753,48 +731,14 @@ impl<'a> RuleSolver<'a> {
         // budgets behave identically at any thread count).
         let limits = self.synth.config.candidate_limits.resolve(self.deadline);
 
-        let outcomes: Vec<ExampleCheck> = if !self.synth.parallel_check {
-            // Sequential sweep, stopping at the first failure.
-            let mut out = Vec::with_capacity(contexts.len());
-            for ctx in contexts {
-                let i = out.len();
-                let o = check_example(ctx, &prog, target, record_types, &expected[i], limits);
-                let failed = !matches!(o, ExampleCheck::Pass);
-                out.push(o);
-                if failed {
-                    break;
-                }
-            }
-            out
-        } else {
-            let first_fail = AtomicUsize::new(usize::MAX);
-            self.synth
-                .pool
-                .run(contexts.iter().enumerate().map(|(i, ctx)| {
-                    let prog = &prog;
-                    let first_fail = &first_fail;
-                    move || {
-                        if first_fail.load(Ordering::Relaxed) < i {
-                            return ExampleCheck::Skipped;
-                        }
-                        let o =
-                            check_example(ctx, prog, target, record_types, &expected[i], limits);
-                        if !matches!(o, ExampleCheck::Pass) {
-                            first_fail.fetch_min(i, Ordering::Relaxed);
-                        }
-                        o
-                    }
-                }))
-        };
-
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                ExampleCheck::Pass | ExampleCheck::Skipped => {}
+        for (ctx, expected) in contexts.iter().zip(expected) {
+            match check_example(ctx, &prog, target, record_types, expected, limits) {
+                ExampleCheck::Pass => {}
                 ExampleCheck::Error => return CheckResult::Failed { actual: None },
                 ExampleCheck::Exhausted(trip) => return CheckResult::Exhausted(trip),
                 ExampleCheck::Mismatch(actual) => {
                     return CheckResult::Failed {
-                        actual: Some((actual, &expected[i])),
+                        actual: Some((actual, expected)),
                     }
                 }
             }
@@ -898,11 +842,9 @@ enum ExampleCheck {
     Exhausted(ResourceTrip),
     /// The candidate's output differs from the expected flattening.
     Mismatch(Flattened),
-    /// Cancelled: a lower-indexed example had already failed.
-    Skipped,
 }
 
-/// Checks one candidate against one example (runs on a pool worker).
+/// Checks one candidate against one example.
 fn check_example(
     ctx: &Evaluator,
     prog: &Program,

@@ -538,11 +538,7 @@ impl DurableEvaluator {
             .into_iter()
             .filter(|&g| g >= ckpt_gen)
             .collect();
-        let mut stop = false;
         for &gen in &wal_gens {
-            if stop {
-                break;
-            }
             if gen > ckpt_gen {
                 // A segment beyond the chosen checkpoint's exists only
                 // because a later checkpoint verified and rotated — at
@@ -553,7 +549,28 @@ impl DurableEvaluator {
                 inner.replan();
             }
             let path = dir.join(format!("wal-{gen}"));
-            stop = replay_wal(&path, gen, &mut inner, &mut next_seq, &mut report)?;
+            let torn = walk_segment(&path, gen, |seq, inserts, deletes| {
+                if seq > next_seq {
+                    // A gap cannot arise from any crash of the write
+                    // path; treat the rest of the chain as unusable.
+                    return Ok(false);
+                }
+                // Frames below `next_seq` are pre-rotation overlap the
+                // chosen checkpoint already covers.
+                if seq == next_seq {
+                    inner
+                        .apply_delta(&inserts, &deletes)
+                        .map_err(|e| DurableError::corrupt(&path, format!("replay failed: {e}")))?;
+                    next_seq += 1;
+                    report.frames_replayed += 1;
+                }
+                Ok(true)
+            })?;
+            if let Some(bytes) = torn {
+                // Later segments cannot be contiguous with a torn chain.
+                report.torn_tail_bytes += bytes;
+                break;
+            }
         }
 
         // Continue appending to the newest segment present (create the
@@ -934,44 +951,30 @@ impl DurableEvaluator {
         let mut segs: Vec<(u64, Option<(u64, u64)>)> = Vec::new();
         for gen in list_generations(dir, "wal-")? {
             let path = dir.join(format!("wal-{gen}"));
-            let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-            let mut bytes = Vec::new();
-            file.read_to_end(&mut bytes)?;
-            let header_ok = bytes.len() >= WAL_HEADER_LEN as usize
-                && &bytes[..8] == WAL_MAGIC
-                && u64::from_le_bytes(bytes[8..16].try_into().unwrap()) == gen;
-            if !header_ok {
-                drop(file);
-                quarantine(&path)?;
-                report.wal_quarantined.push(gen);
-                changed = true;
-                continue;
-            }
-            let mut offset = WAL_HEADER_LEN as usize;
             let mut span: Option<(u64, u64)> = None;
-            let truncate_at = loop {
-                if offset == bytes.len() {
-                    break None;
+            let walked = walk_segment(&path, gen, |seq, _, _| {
+                // Sequence numbers are contiguous within a segment.
+                if span.is_some_and(|(_, last)| seq != last + 1) {
+                    return Ok(false);
                 }
-                match decode_frame_at(&bytes, offset, span.map(|(_, last)| last + 1)) {
-                    Some((seq, end)) => {
-                        span = Some(match span {
-                            None => (seq, seq),
-                            Some((first, _)) => (first, seq),
-                        });
-                        report.wal_frames_ok += 1;
-                        offset = end;
-                    }
-                    None => break Some(offset),
+                span = Some((span.map_or(seq, |(first, _)| first), seq));
+                report.wal_frames_ok += 1;
+                Ok(true)
+            });
+            match walked {
+                // Only the header check reports corruption here.
+                Err(DurableError::Corrupt { .. }) => {
+                    quarantine(&path)?;
+                    report.wal_quarantined.push(gen);
+                    changed = true;
+                    continue;
                 }
-            };
-            if let Some(at) = truncate_at {
-                report
-                    .wal_tails_truncated
-                    .push((gen, (bytes.len() - at) as u64));
-                file.set_len(at as u64)?;
-                file.sync_data()?;
-                changed = true;
+                Ok(Some(bytes)) => {
+                    report.wal_tails_truncated.push((gen, bytes));
+                    changed = true;
+                }
+                Err(e) => return Err(e),
+                Ok(None) => {}
             }
             segs.push((gen, span));
         }
@@ -1245,35 +1248,65 @@ fn quarantine(path: &Path) -> std::io::Result<()> {
     fs::rename(path, dest)
 }
 
-/// Validates the frame at `offset` without applying it: length header in
-/// bounds, CRC match, full fail-closed payload decode, and (when
-/// `expect_seq` is set) intra-segment sequence contiguity. Returns the
-/// frame's sequence number and end offset, or `None` on any damage.
-fn decode_frame_at(bytes: &[u8], offset: usize, expect_seq: Option<u64>) -> Option<(u64, usize)> {
-    if bytes.len() - offset < 8 {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-    let stored = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-    let end = (offset + 8).checked_add(len)?;
-    if end > bytes.len() {
-        return None;
-    }
-    let payload = &bytes[offset + 8..end];
+/// Decodes the frame at the start of `bytes` — [`encode_frame`]'s
+/// inverse: length header in bounds, CRC match, then a fail-closed decode
+/// of the sequence number and both batches with no trailing bytes.
+/// Returns `(seq, inserts, deletes, encoded length)`, or `None` on any
+/// damage.
+fn decode_frame(bytes: &[u8]) -> Option<(u64, Database, Database, usize)> {
+    let mut header = Reader::new(bytes);
+    let len = header.read_u32().ok()? as usize;
+    let stored = header.read_u32().ok()?;
+    let end = 8usize.checked_add(len)?;
+    let payload = bytes.get(8..end)?;
     if binio::crc32(payload) != stored {
         return None;
     }
     let mut r = Reader::new(payload);
     let seq = r.read_u64().ok()?;
-    if expect_seq.is_some_and(|e| seq != e) {
-        return None;
+    let inserts = binio::read_database(&mut r).ok()?;
+    let deletes = binio::read_database(&mut r).ok()?;
+    r.is_empty().then_some((seq, inserts, deletes, end))
+}
+
+/// Walks WAL segment `gen` at `path`, handing each decoded frame's
+/// `(seq, inserts, deletes)` to `accept` in order — the segment reader
+/// recovery and scrub share, so they always agree on where a tail is
+/// torn. The first frame that fails to decode, or that `accept` refuses
+/// with `Ok(false)`, starts the damaged tail: the file is truncated there
+/// and synced, and the truncated byte count returned (`None` when every
+/// frame was accepted). A bad header is [`DurableError::Corrupt`], and an
+/// `Err` from `accept` aborts the walk; both leave the file untouched.
+fn walk_segment(
+    path: &Path,
+    gen: u64,
+    mut accept: impl FnMut(u64, Database, Database) -> Result<bool, DurableError>,
+) -> Result<Option<u64>, DurableError> {
+    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    let header_ok = bytes.len() >= WAL_HEADER_LEN as usize
+        && &bytes[..8] == WAL_MAGIC
+        && u64::from_le_bytes(bytes[8..16].try_into().unwrap()) == gen;
+    if !header_ok {
+        return Err(DurableError::corrupt(path, "bad segment header"));
     }
-    binio::read_database(&mut r).ok()?;
-    binio::read_database(&mut r).ok()?;
-    if !r.is_empty() {
-        return None;
+    let mut offset = WAL_HEADER_LEN as usize;
+    while offset < bytes.len() {
+        let accepted = match decode_frame(&bytes[offset..]) {
+            Some((seq, inserts, deletes, len)) => accept(seq, inserts, deletes)?.then_some(len),
+            None => None,
+        };
+        match accepted {
+            Some(len) => offset += len,
+            None => {
+                file.set_len(offset as u64)?;
+                file.sync_data()?;
+                return Ok(Some((bytes.len() - offset) as u64));
+            }
+        }
     }
-    Some((seq, end))
+    Ok(None)
 }
 
 /// The generations present in `dir` with filename prefix `prefix`
@@ -1349,85 +1382,4 @@ fn load_checkpoint(path: &Path, expect_gen: u64) -> Result<Checkpoint, DurableEr
         overlay,
         file_len: bytes.len() as u64,
     })
-}
-
-/// Replays the WAL segment at `path` into `inner`, truncating a torn or
-/// corrupt tail at the last valid frame boundary. Returns `true` when a
-/// tail was truncated (replay of *later* segments must stop: their
-/// frames cannot be contiguous with a torn chain).
-fn replay_wal(
-    path: &Path,
-    gen: u64,
-    inner: &mut IncrementalEvaluator,
-    next_seq: &mut u64,
-    report: &mut RecoveryReport,
-) -> Result<bool, DurableError> {
-    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    let header_ok = bytes.len() >= WAL_HEADER_LEN as usize
-        && &bytes[..8] == WAL_MAGIC
-        && u64::from_le_bytes(bytes[8..16].try_into().unwrap()) == gen;
-    if !header_ok {
-        return Err(DurableError::corrupt(path, "bad segment header"));
-    }
-
-    let mut offset = WAL_HEADER_LEN as usize;
-    let truncate_at = loop {
-        if offset == bytes.len() {
-            break None; // clean end
-        }
-        if bytes.len() - offset < 8 {
-            break Some(offset); // torn frame header
-        }
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        let stored = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-        let Some(end) = (offset + 8).checked_add(len) else {
-            break Some(offset);
-        };
-        if end > bytes.len() {
-            break Some(offset); // torn payload
-        }
-        let payload = &bytes[offset + 8..end];
-        if binio::crc32(payload) != stored {
-            break Some(offset); // bit rot / torn-then-overwritten tail
-        }
-        let mut r = Reader::new(payload);
-        let Ok(seq) = r.read_u64() else {
-            break Some(offset);
-        };
-        if seq >= *next_seq {
-            if seq > *next_seq {
-                // A gap cannot arise from any crash of the write path;
-                // treat the rest of the chain as unusable.
-                break Some(offset);
-            }
-            let (Ok(inserts), Ok(deletes)) =
-                (binio::read_database(&mut r), binio::read_database(&mut r))
-            else {
-                break Some(offset);
-            };
-            if !r.is_empty() {
-                break Some(offset);
-            }
-            inner
-                .apply_delta(&inserts, &deletes)
-                .map_err(|e| DurableError::corrupt(path, format!("replay failed: {e}")))?;
-            *next_seq += 1;
-            report.frames_replayed += 1;
-        }
-        // Frames below `next_seq` are pre-rotation overlap the chosen
-        // checkpoint already covers: skip without decoding the body.
-        offset = end;
-    };
-
-    match truncate_at {
-        None => Ok(false),
-        Some(at) => {
-            report.torn_tail_bytes += (bytes.len() - at) as u64;
-            file.set_len(at as u64)?;
-            file.sync_data()?;
-            Ok(true)
-        }
-    }
 }

@@ -85,7 +85,7 @@ use dynamite_instance::hash::FxHashMap;
 use dynamite_instance::{ColumnIndex, Database, Relation, RowRef, Value};
 
 use crate::ast::{Atom, Literal, Program, Rule, Term};
-use crate::eval::{check_arities, rule_stratum, stratify, EvalError};
+use crate::eval::{check_arities, rule_stratum, stratify, EdbEdit, EvalError};
 use crate::fault;
 use crate::governor::Governor;
 use crate::pool::{self, WorkerPool};
@@ -291,6 +291,21 @@ impl Evaluator {
     /// compile path (and rule memo) as [`Evaluator::eval`].
     pub fn explain(&self, program: &Program) -> Result<Vec<String>, EvalError> {
         self.run().explain(program)
+    }
+
+    /// This context with a validated batch applied to its snapshot by
+    /// [`EdbEdit::apply`], which drops the changed relations' indexes. The
+    /// pool, rule memo, planner mode and every other index carry over; the
+    /// plan cache restarts, since statistics moved. The snapshot is moved,
+    /// never copied, so this handle must be the context's sole owner.
+    pub(crate) fn apply_delta(self, inserts: &Database, deletes: &Database) -> Evaluator {
+        let Ok(mut ctx) = Arc::try_unwrap(self.ctx) else {
+            panic!("an edited evaluation context must have one owner");
+        };
+        let indexes = ctx.indexes.get_mut().expect("index cache poisoned");
+        EdbEdit::apply(&mut ctx.edb, indexes, inserts, deletes);
+        ctx.plans.get_mut().expect("plan cache poisoned").clear();
+        Evaluator { ctx: Arc::new(ctx) }
     }
 
     /// Whether this context plans join orders (`true`) or follows body

@@ -22,10 +22,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use dynamite_instance::Database;
+use dynamite_instance::{Database, Relation};
 
 use crate::ast::{Program, Rule, WellFormedError};
-use crate::engine::Evaluator;
+use crate::engine::{Evaluator, IndexCache};
 
 /// Errors raised by the evaluator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,6 +203,75 @@ pub(crate) fn check_delta(
         }
     }
     Ok(())
+}
+
+/// The rows of `deletes` present in `edb`: what deleting them removes.
+pub(crate) fn present_rows(edb: &Database, deletes: &Database) -> Database {
+    Database::from_relations(deletes.iter().filter_map(|(name, rel)| {
+        let cur = edb.relation(name)?;
+        let mut rows = Relation::new_untracked(rel.arity());
+        for row in rel.iter().filter(|&row| cur.contains_row(row)) {
+            rows.insert_row(row);
+        }
+        (!rows.is_empty()).then(|| (name.to_string(), rows))
+    }))
+}
+
+/// The rows one validated update batch changed in a live EDB: the
+/// deleted rows that were present and the inserted rows that were
+/// absent. DRed seeds its insertion rounds from `added`, and
+/// [`undo`](EdbEdit::undo) reverses exactly these rows.
+pub(crate) struct EdbEdit {
+    removed: Database,
+    pub(crate) added: Database,
+}
+
+impl EdbEdit {
+    /// Applies a validated batch to `edb`, the one place a batch mutates
+    /// an EDB. Deletions go first, so a fact in both batches ends up
+    /// present. Every changed relation's cached EDB indexes are dropped:
+    /// removal compacts row ids, and an index built before an insert
+    /// misses the new rows.
+    pub(crate) fn apply(
+        edb: &mut Database,
+        indexes: &mut IndexCache,
+        inserts: &Database,
+        deletes: &Database,
+    ) -> EdbEdit {
+        let removed = present_rows(edb, deletes);
+        for (name, rows) in removed.iter() {
+            edb.relation_mut(name, rows.arity())
+                .remove_rows(rows.iter().map(|row| row.to_vec()));
+            indexes.remove(name);
+        }
+        let mut added = Vec::new();
+        // Empty relations carry no rows and may have any arity.
+        for (name, rel) in inserts.iter().filter(|(_, rel)| !rel.is_empty()) {
+            let cur = edb.relation_mut(name, rel.arity());
+            let mut rows = Relation::new_untracked(rel.arity());
+            for row in rel.iter() {
+                if cur.insert_row(row) {
+                    rows.insert_row(row);
+                }
+            }
+            if !rows.is_empty() {
+                indexes.remove(name);
+                added.push((name.to_string(), rows));
+            }
+        }
+        EdbEdit {
+            removed,
+            added: Database::from_relations(added),
+        }
+    }
+
+    /// Reverts the edit by applying its inverse: the added rows go first,
+    /// then the removed rows return, appended at the end of their
+    /// relations. (Restoring first would lose a fact the batch deleted
+    /// and re-inserted.)
+    pub(crate) fn undo(&self, edb: &mut Database, indexes: &mut IndexCache) {
+        EdbEdit::apply(edb, indexes, &self.removed, &self.added);
+    }
 }
 
 /// Relation arities as used by `program`, validated against `input`.

@@ -76,7 +76,7 @@ use crate::engine::{
     rederive_plans, try_tuple, Access, CompiledRule, CostModel, EvalRun, HeadTerm, IdbState,
     IndexCache, LitPlan, PlanOrders, PoolSource, RederivePlan, Slot, Spec,
 };
-use crate::eval::{check_arities, check_delta, stratify, EvalError};
+use crate::eval::{check_arities, check_delta, present_rows, stratify, EdbEdit, EvalError};
 use crate::fault;
 use crate::governor::Governor;
 use crate::pool::{self, WorkerPool};
@@ -245,6 +245,25 @@ fn make_run<'e>(
     }
 }
 
+/// Compiles `program`'s maintenance variants, planned against `edb`'s
+/// current statistics when `reorder` is on.
+fn compile_maintenance(
+    program: &Program,
+    strata: &HashMap<String, usize>,
+    edb: &Database,
+    reorder: bool,
+) -> Vec<CompiledRule> {
+    let model = reorder.then_some(CostModel { edb, demand: None });
+    program
+        .rules
+        .iter()
+        .map(|r| {
+            let orders = PlanOrders::of_maintenance(r, strata, model.as_ref());
+            CompiledRule::compile_maintenance(r, strata, &orders)
+        })
+        .collect()
+}
+
 impl IncrementalEvaluator {
     /// Evaluates `program` over `edb` and keeps the result maintained.
     ///
@@ -302,18 +321,7 @@ impl IncrementalEvaluator {
         // Plan against the initial statistics. The snapshot's stats drift
         // as batches land (like any warm context's would); plans stay
         // valid — only their cost estimates age.
-        let model = reorder.then_some(CostModel {
-            edb: &edb,
-            demand: None,
-        });
-        let compiled: Vec<CompiledRule> = program
-            .rules
-            .iter()
-            .map(|r| {
-                let orders = PlanOrders::of_maintenance(r, &strata, model.as_ref());
-                CompiledRule::compile_maintenance(r, &strata, &orders)
-            })
-            .collect();
+        let compiled = compile_maintenance(&program, &strata, &edb, reorder);
 
         let (rederive, rederive_by_rel) = if has_negation {
             (Vec::new(), FxHashMap::default())
@@ -425,19 +433,7 @@ impl IncrementalEvaluator {
     /// recovery from that checkpoint would compute — the root of the
     /// bit-identical-recovery guarantee under the cost-based planner.
     pub(crate) fn replan(&mut self) {
-        let model = self.reorder.then_some(CostModel {
-            edb: &self.edb,
-            demand: None,
-        });
-        self.compiled = self
-            .program
-            .rules
-            .iter()
-            .map(|r| {
-                let orders = PlanOrders::of_maintenance(r, &self.strata, model.as_ref());
-                CompiledRule::compile_maintenance(r, &self.strata, &orders)
-            })
-            .collect();
+        self.compiled = compile_maintenance(&self.program, &self.strata, &self.edb, self.reorder);
     }
 
     /// The maintained program (the durability layer serializes its text).
@@ -630,9 +626,7 @@ impl IncrementalEvaluator {
 
     /// Rebuilds the overlay by full evaluation of the current EDB.
     fn refresh(&mut self, gov: Option<&Governor>) -> Result<(), EvalError> {
-        let run = make_run(&self.edb, &self.indexes, &self.pool, self.reorder, gov);
-        let out = run.eval(&self.program)?;
-        self.idb = IdbState::from_database(out);
+        self.idb = IdbState::from_database(self.full_eval_database(gov)?);
         self.poisoned = false;
         Ok(())
     }
@@ -646,54 +640,31 @@ impl IncrementalEvaluator {
         gov: Option<&Governor>,
     ) -> Result<OutputDelta, EvalError> {
         // Seed: the deleted extensional facts actually present.
-        let mut edb_dels: FxHashMap<String, Relation> = FxHashMap::default();
-        for (name, rel) in deletes.iter() {
-            let Some(cur) = self.edb.relation(name) else {
-                continue;
-            };
-            if rel.is_empty() {
-                continue;
-            }
-            let mut seed = Relation::new_untracked(rel.arity());
-            for row in rel.iter() {
-                if cur.contains_row(row) {
-                    seed.insert_row(row);
-                }
-            }
-            if !seed.is_empty() {
-                edb_dels.insert(name.to_string(), seed);
-            }
-        }
+        let seeds = present_rows(&self.edb, deletes);
 
         // Phase 1 (read-only): over-delete derived consequences against
         // the pre-deletion database.
-        let mut over = if edb_dels.is_empty() {
+        let mut over = if seeds.num_facts() == 0 {
             FxHashMap::default()
         } else {
-            self.dred_overdelete(&edb_dels, gov)?
+            self.dred_overdelete(&seeds, gov)?
         };
 
-        // Phase 2 (infallible): physical removal. Mutated relations'
-        // cached EDB indexes are dropped (compaction shifts row ids).
-        for (name, dels) in &edb_dels {
-            let rows: Vec<Vec<Value>> = dels.iter().map(|r| r.iter().collect()).collect();
-            self.edb.relation_mut(name, dels.arity()).remove_rows(&rows);
-            self.indexes
-                .write()
-                .expect("index cache poisoned")
-                .remove(name);
-        }
+        // Phase 2 (infallible): physical removal.
+        let indexes = self.indexes.get_mut().expect("index cache poisoned");
+        let mut edit = EdbEdit::apply(&mut self.edb, indexes, &Database::new(), &seeds);
         for (name, dels) in &over {
-            let rows: Vec<Vec<Value>> = dels.iter().map(|r| r.iter().collect()).collect();
-            self.idb.remove_rows(name, &rows);
+            self.idb
+                .remove_rows(name, dels.iter().map(|row| row.to_vec()));
         }
 
         // Phases 3–5, with the EDB rolled back on error so a failed
         // governed batch never leaves a half-applied database.
-        let mut applied_ins: FxHashMap<String, Relation> = FxHashMap::default();
-        let tail = self
-            .dred_rederive(&mut over, gov)
-            .and_then(|()| self.dred_insert(inserts, &mut over, &mut applied_ins, gov));
+        let tail = self.dred_rederive(&mut over, gov).and_then(|()| {
+            let indexes = self.indexes.get_mut().expect("index cache poisoned");
+            edit.added = EdbEdit::apply(&mut self.edb, indexes, inserts, &Database::new()).added;
+            self.dred_insert(&edit.added, &mut over, gov)
+        });
         match tail {
             Ok(added) => {
                 let inserted =
@@ -703,20 +674,10 @@ impl IncrementalEvaluator {
                 Ok(OutputDelta { inserted, deleted })
             }
             Err(e) => {
-                for (name, rows) in &edb_dels {
-                    let rel = self.edb.relation_mut(name, rows.arity());
-                    for row in rows.iter() {
-                        rel.insert_row(row);
-                    }
-                }
-                for (name, rows) in &applied_ins {
-                    let dead: Vec<Vec<Value>> = rows.iter().map(|r| r.iter().collect()).collect();
-                    self.edb.relation_mut(name, rows.arity()).remove_rows(&dead);
-                }
-                let mut cache = self.indexes.write().expect("index cache poisoned");
-                for name in edb_dels.keys().chain(applied_ins.keys()) {
-                    cache.remove(name);
-                }
+                edit.undo(
+                    &mut self.edb,
+                    self.indexes.get_mut().expect("index cache poisoned"),
+                );
                 Err(e)
             }
         }
@@ -728,7 +689,7 @@ impl IncrementalEvaluator {
     /// currently in the output cannot be retracted).
     fn dred_overdelete(
         &mut self,
-        edb_dels: &FxHashMap<String, Relation>,
+        edb_dels: &Database,
         gov: Option<&Governor>,
     ) -> Result<FxHashMap<String, Relation>, EvalError> {
         let mut over: FxHashMap<String, Relation> = FxHashMap::default();
@@ -739,23 +700,12 @@ impl IncrementalEvaluator {
             // rounds propagate only the previous round's fresh ones.
             let mut fresh: Option<FxHashMap<String, Relation>> = None;
             loop {
-                let lookup = |name: &str| -> Option<&Relation> {
-                    match &fresh {
-                        None => edb_dels.get(name).or_else(|| over.get(name)),
-                        Some(f) => f.get(name),
-                    }
+                let specs = match &fresh {
+                    None => delta_specs(&self.compiled, s, |n| {
+                        edb_dels.relation(n).or_else(|| over.get(n))
+                    }),
+                    Some(f) => delta_specs(&self.compiled, s, |n| f.get(n)),
                 };
-                let specs: Vec<Spec<'_>> = self
-                    .compiled
-                    .iter()
-                    .filter(|c| c.stratum == s)
-                    .flat_map(|rule| {
-                        rule.deltas.iter().filter_map(move |dv| {
-                            let d = lookup(&dv.relation)?;
-                            (!d.is_empty()).then_some((rule, &dv.variant, Some(d)))
-                        })
-                    })
-                    .collect();
                 if specs.is_empty() {
                     break;
                 }
@@ -857,40 +807,18 @@ impl IncrementalEvaluator {
         Ok(())
     }
 
-    /// DRed phases 4–5: applies the batch's insertions to the EDB
-    /// (recording the genuinely-new rows into `applied_ins` for error
-    /// rollback) and runs semi-naive delta rounds seeded from them.
+    /// DRed phases 4–5: semi-naive delta rounds seeded from the batch's
+    /// genuinely-new EDB rows (`applied_ins`, already in the EDB).
     /// Returns the net-added derived facts; facts re-derived after being
     /// net-deleted are removed from `over` instead (net zero).
     fn dred_insert(
         &mut self,
-        inserts: &Database,
+        applied_ins: &Database,
         over: &mut FxHashMap<String, Relation>,
-        applied_ins: &mut FxHashMap<String, Relation>,
         gov: Option<&Governor>,
     ) -> Result<FxHashMap<String, Relation>, EvalError> {
-        for (name, rel) in inserts.iter() {
-            if rel.is_empty() {
-                continue;
-            }
-            let cur = self.edb.relation_mut(name, rel.arity());
-            let mut new_rows = Relation::new_untracked(rel.arity());
-            for row in rel.iter() {
-                if cur.insert_row(row) {
-                    new_rows.insert_row(row);
-                }
-            }
-            if !new_rows.is_empty() {
-                self.indexes
-                    .write()
-                    .expect("index cache poisoned")
-                    .remove(name);
-                applied_ins.insert(name.to_string(), new_rows);
-            }
-        }
-
         let mut added: FxHashMap<String, Relation> = FxHashMap::default();
-        if applied_ins.is_empty() {
+        if applied_ins.num_facts() == 0 {
             return Ok(added);
         }
         // The cumulative delta: joined-against facts for round 1 of each
@@ -899,29 +827,15 @@ impl IncrementalEvaluator {
         // is covered (and deduplicated) without delta-delta rounds.
         let mut accum: FxHashMap<String, Relation> = applied_ins
             .iter()
-            .map(|(n, r)| (n.clone(), r.clone()))
+            .map(|(n, r)| (n.to_string(), r.clone()))
             .collect();
         let run = make_run(&self.edb, &self.indexes, &self.pool, self.reorder, gov);
         for s in 0..=self.max_stratum {
             let mut prev: Option<FxHashMap<String, Relation>> = None;
             loop {
-                let lookup = |name: &str| -> Option<&Relation> {
-                    match &prev {
-                        None => accum.get(name),
-                        Some(f) => f.get(name),
-                    }
-                };
-                let specs: Vec<Spec<'_>> = self
-                    .compiled
-                    .iter()
-                    .filter(|c| c.stratum == s)
-                    .flat_map(|rule| {
-                        rule.deltas.iter().filter_map(move |dv| {
-                            let d = lookup(&dv.relation)?;
-                            (!d.is_empty()).then_some((rule, &dv.variant, Some(d)))
-                        })
-                    })
-                    .collect();
+                let specs = delta_specs(&self.compiled, s, |n| {
+                    prev.as_ref().unwrap_or(&accum).get(n)
+                });
                 if specs.is_empty() {
                     break;
                 }
@@ -975,53 +889,8 @@ impl IncrementalEvaluator {
         deletes: &Database,
         gov: Option<&Governor>,
     ) -> Result<OutputDelta, EvalError> {
-        let mut touched: Vec<String> = Vec::new();
-        let mut removed: FxHashMap<String, Relation> = FxHashMap::default();
-        for (name, rel) in deletes.iter() {
-            let Some(cur) = self.edb.relation(name) else {
-                continue;
-            };
-            if rel.is_empty() || cur.is_empty() {
-                continue;
-            }
-            let mut gone = Relation::new_untracked(rel.arity());
-            for row in rel.iter() {
-                if cur.contains_row(row) {
-                    gone.insert_row(row);
-                }
-            }
-            if gone.is_empty() {
-                continue;
-            }
-            let rows: Vec<Vec<Value>> = gone.iter().map(|r| r.iter().collect()).collect();
-            self.edb.relation_mut(name, rel.arity()).remove_rows(&rows);
-            touched.push(name.to_string());
-            removed.insert(name.to_string(), gone);
-        }
-        let mut applied: FxHashMap<String, Relation> = FxHashMap::default();
-        for (name, rel) in inserts.iter() {
-            if rel.is_empty() {
-                continue;
-            }
-            let cur = self.edb.relation_mut(name, rel.arity());
-            let mut new_rows = Relation::new_untracked(rel.arity());
-            for row in rel.iter() {
-                if cur.insert_row(row) {
-                    new_rows.insert_row(row);
-                }
-            }
-            if !new_rows.is_empty() {
-                touched.push(name.to_string());
-                applied.insert(name.to_string(), new_rows);
-            }
-        }
-        {
-            let mut cache = self.indexes.write().expect("index cache poisoned");
-            for name in &touched {
-                cache.remove(name);
-            }
-        }
-
+        let indexes = self.indexes.get_mut().expect("index cache poisoned");
+        let edit = EdbEdit::apply(&mut self.edb, indexes, inserts, deletes);
         let old = self.idb.to_database();
         match self.full_eval_database(gov) {
             Ok(new) => {
@@ -1031,20 +900,10 @@ impl IncrementalEvaluator {
             }
             Err(e) => {
                 // Roll the EDB back: the failed batch is atomic.
-                for (name, rows) in &removed {
-                    let rel = self.edb.relation_mut(name, rows.arity());
-                    for row in rows.iter() {
-                        rel.insert_row(row);
-                    }
-                }
-                for (name, rows) in &applied {
-                    let dead: Vec<Vec<Value>> = rows.iter().map(|r| r.iter().collect()).collect();
-                    self.edb.relation_mut(name, rows.arity()).remove_rows(&dead);
-                }
-                let mut cache = self.indexes.write().expect("index cache poisoned");
-                for name in &touched {
-                    cache.remove(name);
-                }
+                edit.undo(
+                    &mut self.edb,
+                    self.indexes.get_mut().expect("index cache poisoned"),
+                );
                 Err(e)
             }
         }
@@ -1054,6 +913,27 @@ impl IncrementalEvaluator {
         let run = make_run(&self.edb, &self.indexes, &self.pool, self.reorder, gov);
         run.eval(&self.program)
     }
+}
+
+/// One round's specs for stratum `s`: every delta variant of the
+/// stratum's rules whose delta relation has rows in `delta`. DRed's
+/// over-delete and insert rounds share it.
+fn delta_specs<'r>(
+    compiled: &'r [CompiledRule],
+    s: usize,
+    delta: impl Fn(&str) -> Option<&'r Relation>,
+) -> Vec<Spec<'r>> {
+    let delta = &delta;
+    compiled
+        .iter()
+        .filter(|c| c.stratum == s)
+        .flat_map(|rule| {
+            rule.deltas.iter().filter_map(move |dv| {
+                let d = delta(&dv.relation)?;
+                (!d.is_empty()).then_some((rule, &dv.variant, Some(d)))
+            })
+        })
+        .collect()
 }
 
 /// Set difference of two outputs, relation by relation.

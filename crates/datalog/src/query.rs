@@ -55,7 +55,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use dynamite_instance::{Database, Relation, Value};
 
@@ -586,13 +586,10 @@ const QUERY_CACHE_CAP: usize = 256;
 ///
 /// Sharing: `&self` queries are safe from many threads (the cache is
 /// internally locked); [`ServedEvaluator::apply_delta`] takes `&mut
-/// self`, swaps in the mutated snapshot, and invalidates the cache.
+/// self`, edits the snapshot in place, and invalidates the cache.
 pub struct ServedEvaluator {
     ev: Evaluator,
     program: Program,
-    /// Shared compiled-rule memo, survives `apply_delta` snapshot swaps
-    /// (sound: plan orders are part of its key).
-    rules: RuleCacheHandle,
     cache: Mutex<Vec<CacheEntry>>,
     fixpoints: AtomicU64,
     fallbacks: AtomicU64,
@@ -626,12 +623,10 @@ impl ServedEvaluator {
         check_arities(&program, &edb)?;
         let idb: Vec<&str> = program.intensional().into_iter().collect();
         crate::eval::stratify(&program, &idb)?;
-        let rules = RuleCacheHandle::default();
-        let ev = Evaluator::with_config(edb, pool, rules.clone(), reorder);
+        let ev = Evaluator::with_config(edb, pool, RuleCacheHandle::default(), reorder);
         Ok(ServedEvaluator {
             ev,
             program,
-            rules,
             cache: Mutex::new(Vec::new()),
             fixpoints: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
@@ -703,7 +698,7 @@ impl ServedEvaluator {
             // Nothing ran; nothing worth caching either.
             Route::Empty => return Ok(rows),
         }
-        let mut cache = self.cache.lock().expect("query cache poisoned");
+        let mut cache = self.cache();
         if cache.len() >= QUERY_CACHE_CAP {
             cache.remove(0);
         }
@@ -719,7 +714,7 @@ impl ServedEvaluator {
     /// match returns the rows verbatim, a subsuming broader pattern
     /// returns them filtered down to `bindings`.
     fn cache_lookup(&self, relation: &str, bindings: &[Option<Value>]) -> Option<Relation> {
-        let cache = self.cache.lock().expect("query cache poisoned");
+        let cache = self.cache();
         for e in cache.iter() {
             if e.relation != relation || e.pattern.len() != bindings.len() {
                 continue;
@@ -734,11 +729,25 @@ impl ServedEvaluator {
         None
     }
 
+    /// The query cache. A thread that panicked while holding it may have
+    /// left it half-updated, so a poisoned cache is cleared and reused —
+    /// it is only a cache, and every answer can be recomputed.
+    fn cache(&self) -> MutexGuard<'_, Vec<CacheEntry>> {
+        self.cache.lock().unwrap_or_else(|poisoned| {
+            self.cache.clear_poison();
+            let mut cache = poisoned.into_inner();
+            cache.clear();
+            cache
+        })
+    }
+
     /// Applies an extensional delta to the served snapshot: `deletes`
     /// are removed first, then `inserts` added, and the query cache is
     /// invalidated wholesale — every subsequent query re-derives its
     /// slice against the new snapshot (demand-driven serving needs no
-    /// DRed pass; the *next query* is the recomputation).
+    /// DRed pass; the *next query* is the recomputation). The snapshot
+    /// is edited in place, not copied, and keeps the join indexes of
+    /// relations the batch did not touch.
     ///
     /// Batches are validated exactly as
     /// [`IncrementalEvaluator::apply_delta`](crate::IncrementalEvaluator::apply_delta)
@@ -748,28 +757,59 @@ impl ServedEvaluator {
     /// nothing.
     pub fn apply_delta(&mut self, inserts: &Database, deletes: &Database) -> Result<(), EvalError> {
         check_delta(&self.program, self.ev.database(), inserts, deletes)?;
-        let mut edb = self.ev.database().clone();
-        for (name, rel) in deletes.iter() {
-            let Some(arity) = edb.relation(name).map(Relation::arity) else {
-                continue; // deleting from an absent relation is a no-op
-            };
-            edb.relation_mut(name, arity)
-                .remove_rows(rel.iter().map(|r| r.to_vec()));
-        }
-        // Empty relations carry no rows and may have any arity.
-        for (name, rel) in inserts.iter().filter(|(_, r)| !r.is_empty()) {
-            let dst = edb.relation_mut(name, rel.arity());
-            for row in rel.iter() {
-                dst.insert_row(row);
-            }
-        }
-        self.ev = Evaluator::with_config(
-            edb,
-            self.ev.pool().clone(),
-            self.rules.clone(),
-            self.ev.reorder(),
-        );
-        self.cache.lock().expect("query cache poisoned").clear();
+        let ev = std::mem::replace(&mut self.ev, Evaluator::new(Database::new()));
+        self.ev = ev.apply_delta(inserts, deletes);
+        self.cache().clear();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn poisoned_query_cache_is_cleared_not_fatal() {
+        let program = Program::parse(
+            "Path(x, y) :- Edge(x, y).
+             Path(x, z) :- Path(x, y), Edge(y, z).",
+        )
+        .unwrap();
+        let mut edb = Database::new();
+        for (a, b) in [(1, 2), (2, 3), (3, 4)] {
+            edb.insert("Edge", vec![a.into(), b.into()]);
+        }
+        let mut served = ServedEvaluator::new(program.clone(), edb.clone()).unwrap();
+        let bindings = [Some(Value::Int(1)), None];
+        served.query("Path", &bindings).unwrap();
+
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = served.cache.lock().unwrap();
+                panic!("poisoning the query cache");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(served.cache.is_poisoned());
+
+        let oracle = |edb: &Database| {
+            let out = Evaluator::new(edb.clone()).eval(&program).unwrap();
+            filter_rows(out.relation("Path"), &bindings)
+        };
+        assert!(served
+            .query("Path", &bindings)
+            .unwrap()
+            .set_eq(&oracle(&edb)));
+        assert!(!served.cache.is_poisoned());
+
+        // A delta applied after a poisoning still lands and invalidates.
+        let mut ins = Database::new();
+        ins.insert("Edge", vec![4.into(), 5.into()]);
+        edb.insert("Edge", vec![4.into(), 5.into()]);
+        served.apply_delta(&ins, &Database::new()).unwrap();
+        assert!(served
+            .query("Path", &bindings)
+            .unwrap()
+            .set_eq(&oracle(&edb)));
     }
 }

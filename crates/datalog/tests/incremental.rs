@@ -298,6 +298,35 @@ fn governed_trip_is_atomic_and_recoverable() {
 }
 
 #[test]
+fn governed_trip_restores_a_fact_deleted_and_reinserted() {
+    // DRed, and the full re-evaluation fallback negation forces.
+    let negated = "Path(x, y) :- Edge(x, y).
+                   Path(x, z) :- Path(x, y), Edge(y, z).
+                   Reach(y) :- Source(x), Path(x, y).
+                   Unreached(x) :- Source(x), !Reach(x).";
+    for program in [recursive_program(), Program::parse(negated).unwrap()] {
+        let mut edb = Database::new();
+        for n in 0..10 {
+            edb.insert("Edge", edge(n, n + 1));
+        }
+        edb.insert("Source", vec![Value::Int(0)]);
+        let mut inc = IncrementalEvaluator::new(program, edb.clone()).unwrap();
+
+        // Edge(9, 10) is deleted and re-inserted in one batch; the new
+        // Edge(10, 11) then derives past the fact budget, so the trip
+        // lands after both EDB edits. Rolling back must leave
+        // Edge(9, 10) present, as it was before the batch.
+        let mut dels = Database::new();
+        dels.insert("Edge", edge(9, 10));
+        let mut ins = dels.clone();
+        ins.insert("Edge", edge(10, 11));
+        let gov = Governor::new(ResourceLimits::none().with_fact_budget(1));
+        assert!(inc.apply_delta_governed(&ins, &dels, &gov).is_err());
+        assert_eq!(inc.edb(), &edb, "failed batch must roll the EDB back");
+    }
+}
+
+#[test]
 fn output_after_governed_trip_rebuilds() {
     let program = recursive_program();
     let mut edb = Database::new();

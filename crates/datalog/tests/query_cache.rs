@@ -212,6 +212,9 @@ fn apply_delta_invalidates_cached_answers() {
             shadow.relation_mut("Edge", 2).remove_rows(&rows);
         }
         shadow.merge(&ins);
+        // The snapshot is edited in place; it must hold exactly the
+        // shadow's facts (deletes first, then inserts).
+        assert_eq!(served.edb(), &shadow, "round {round}: served snapshot");
     }
     // The cache was cleared each round, so repeats across rounds re-ran.
     assert!(served.stats().fixpoints >= 6);

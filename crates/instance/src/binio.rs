@@ -222,6 +222,11 @@ const TAG_STR: u8 = 1;
 const TAG_BOOL: u8 = 2;
 const TAG_ID: u8 = 3;
 
+/// Widest relation the codec writes or reads. Far above any schema's
+/// record width, and low enough that a corrupt arity prefix cannot make
+/// the decoder allocate more than a few hundred KiB of empty columns.
+const MAX_ARITY: usize = 4096;
+
 /// Appends one [`Value`]: a tag byte followed by the variant payload.
 /// Strings are written as text (see the module docs for why).
 pub fn write_value(out: &mut Vec<u8>, v: Value) {
@@ -269,10 +274,14 @@ pub fn read_value(r: &mut Reader<'_>) -> Result<Value, BinError> {
 
 /// Appends one [`Relation`]: a tracked flag (whether the store maintains
 /// per-column statistics), arity, row count, then rows in insertion order.
+///
+/// # Panics
+/// Panics if the relation is wider than the codec's arity bound (4096).
 pub fn write_relation(out: &mut Vec<u8>, rel: &Relation) {
     let tracked = rel.column_stats(0).is_some() || rel.arity() == 0;
+    assert!(rel.arity() <= MAX_ARITY, "arity exceeds {MAX_ARITY}");
     write_u8(out, u8::from(tracked));
-    write_u32(out, u32::try_from(rel.arity()).expect("arity exceeds u32"));
+    write_u32(out, rel.arity() as u32);
     write_u64(out, rel.len() as u64);
     for row in rel.iter() {
         for v in row.iter() {
@@ -298,6 +307,12 @@ pub fn read_relation(r: &mut Reader<'_>) -> Result<Relation, BinError> {
         }
     };
     let arity = r.read_u32()? as usize;
+    if arity > MAX_ARITY {
+        return Err(BinError {
+            at,
+            kind: BinErrorKind::Corrupt("arity exceeds bound"),
+        });
+    }
     let rows = r.read_u64()?;
     // Reject row counts that could not possibly fit in the remaining
     // buffer (each row needs at least `arity` tag bytes, and a row of
@@ -539,6 +554,16 @@ mod tests {
         assert!(matches!(
             read_relation(&mut Reader::new(&buf)).unwrap_err().kind,
             BinErrorKind::Corrupt("row count exceeds buffer")
+        ));
+        // Absurd arity on an empty relation fails instead of allocating
+        // one column per position.
+        let mut buf = Vec::new();
+        write_u8(&mut buf, 1);
+        write_u32(&mut buf, u32::MAX);
+        write_u64(&mut buf, 0);
+        assert!(matches!(
+            read_relation(&mut Reader::new(&buf)).unwrap_err().kind,
+            BinErrorKind::Corrupt("arity exceeds bound")
         ));
         // Out-of-order relation names.
         let mut buf = Vec::new();
