@@ -3,14 +3,14 @@
 //! This is the original evaluator: it clones the whole EDB per call,
 //! recompiles every rule in every fixpoint round, rebuilds each join
 //! index from scratch per rule per round, and checks negation by scanning
-//! the negated relation per emitted tuple. It is kept for two reasons:
-//!
-//! - **differential testing** — `tests/properties.rs` evaluates random
-//!   stratified programs through both this interpreter and the
-//!   [`Evaluator`](crate::Evaluator) context and asserts identical
-//!   outputs, so index reuse and interning cannot drift the semantics;
-//! - **benchmarking** — the `bench_eval` binary reports the context
-//!   engine's speedup over this baseline (`BENCH_eval.json`).
+//! the negated relation per emitted tuple. It is kept only as the
+//! differential-testing oracle: `tests/properties.rs` evaluates random
+//! stratified programs through both this interpreter and the
+//! [`Evaluator`](crate::Evaluator) context and asserts identical outputs,
+//! so index reuse, interning, planning and parallelism cannot drift the
+//! semantics. The `perfbench` harness likewise checks every migration and
+//! synthesized program it times against this interpreter, outside its
+//! timed spans. Being simple is its job; do not optimise it.
 
 use dynamite_instance::hash::FxHashMap;
 use dynamite_instance::{Database, Relation, RowRef, Value};

@@ -43,10 +43,7 @@ impl std::error::Error for ParseError {}
 
 /// Parses a Datalog program.
 pub fn parse_program(input: &str) -> Result<Program, ParseError> {
-    let mut p = Parser {
-        src: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: input, pos: 0 };
     let mut rules = Vec::new();
     p.skip_ws();
     while !p.at_end() {
@@ -57,7 +54,7 @@ pub fn parse_program(input: &str) -> Result<Program, ParseError> {
 }
 
 struct Parser<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -70,7 +67,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn at_end(&self) -> bool {
@@ -83,7 +80,9 @@ impl Parser<'_> {
                 self.pos += 1;
             }
             match self.peek() {
-                Some(b'/') if self.src.get(self.pos + 1) == Some(&b'/') => self.skip_line(),
+                Some(b'/') if self.src.as_bytes().get(self.pos + 1) == Some(&b'/') => {
+                    self.skip_line()
+                }
                 _ => break,
             }
         }
@@ -125,7 +124,7 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == b'_') {
             self.pos += 1;
         }
-        Ok(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
+        Ok(self.src[start..self.pos].to_string())
     }
 
     fn rule(&mut self) -> Result<Rule, ParseError> {
@@ -176,6 +175,36 @@ impl Parser<'_> {
         Ok(Atom { relation, terms })
     }
 
+    /// Decodes the escape after a `\\` in a string literal: every escape
+    /// that `Value`'s `Display` (Rust's `{:?}` for `str`) can emit.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'0') => '\0',
+            Some(b'u') if self.src.as_bytes().get(self.pos + 1) == Some(&b'{') => {
+                let start = self.pos + 2;
+                let len = self.src[start..]
+                    .find('}')
+                    .ok_or_else(|| self.err("unterminated unicode escape"))?;
+                let hex = &self.src[start..start + len];
+                let c = Some(hex)
+                    .filter(|h| h.len() <= 6 && h.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .and_then(char::from_u32)
+                    .ok_or_else(|| self.err("bad unicode escape in string"))?;
+                self.pos = start + len + 1;
+                return Ok(c);
+            }
+            _ => return Err(self.err("bad escape in string")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
     fn term(&mut self) -> Result<Term, ParseError> {
         self.skip_ws();
         match self.peek() {
@@ -191,18 +220,14 @@ impl Parser<'_> {
                         }
                         Some(b'\\') => {
                             self.pos += 1;
-                            match self.peek() {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                Some(b'n') => s.push('\n'),
-                                Some(b't') => s.push('\t'),
-                                _ => return Err(self.err("bad escape in string")),
-                            }
-                            self.pos += 1;
+                            s.push(self.escape()?);
                         }
-                        Some(c) => {
-                            s.push(c as char);
-                            self.pos += 1;
+                        Some(_) => {
+                            // `pos` only ever advances by ASCII bytes or
+                            // whole chars, so it sits on a char boundary.
+                            let c = self.src[self.pos..].chars().next().expect("non-empty");
+                            s.push(c);
+                            self.pos += c.len_utf8();
                         }
                     }
                 }
@@ -216,8 +241,8 @@ impl Parser<'_> {
                 while matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
                     self.pos += 1;
                 }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii");
-                text.parse::<i64>()
+                self.src[start..self.pos]
+                    .parse::<i64>()
                     .map(|i| Term::Const(Value::Int(i)))
                     .map_err(|_| self.err("integer out of range"))
             }
@@ -228,8 +253,8 @@ impl Parser<'_> {
                 while matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
                     self.pos += 1;
                 }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii");
-                text.parse::<u64>()
+                self.src[start..self.pos]
+                    .parse::<u64>()
                     .map(|i| Term::Const(Value::Id(i)))
                     .map_err(|_| self.err("bad id constant"))
             }
@@ -301,12 +326,36 @@ mod tests {
 
     #[test]
     fn round_trip_display_parse() {
+        // String constants with UTF-8 and the escapes `Value`'s `Display`
+        // prints for control and invisible characters.
         let src = r#"A(x, y) :- B(x, z), !C(z, "s"), D(3, _).
 E(q) :- F(q, true).
+G(x) :- H(x, "café", "a\rb\0", "\"q\" \\ 't'", "zw\u{200b}j\u{7f}").
 "#;
         let p = parse_program(src).unwrap();
+        assert_eq!(
+            p.rules[2].body[0].atom.terms[1..3],
+            [
+                Term::Const(Value::str("café")),
+                Term::Const(Value::str("a\rb\0"))
+            ]
+        );
         let p2 = parse_program(&p.to_string()).unwrap();
         assert_eq!(p, p2);
+    }
+
+    #[test]
+    fn rejects_malformed_unicode_escapes() {
+        for src in [
+            r#"A("\u{}")."#,
+            r#"A("\u{d800}")."#,
+            r#"A("\u{1234567}")."#,
+            r#"A("\u{+41}")."#,
+            r#"A("\u{41")."#,
+            r#"A("\u41")."#,
+        ] {
+            assert!(parse_program(src).is_err(), "{src}");
+        }
     }
 
     #[test]

@@ -101,3 +101,26 @@ pub fn apply_to_shadow(shadow: &mut Database, ins: &Database, dels: &Database) {
     }
     shadow.merge(ins);
 }
+
+/// Transitive closure over `Edge`.
+pub fn closure_program() -> dynamite_datalog::Program {
+    dynamite_datalog::Program::parse(
+        "Path(x, y) :- Edge(x, y).
+         Path(x, z) :- Path(x, y), Edge(y, z).",
+    )
+    .unwrap()
+}
+
+/// `n` disjoint chains of `len` edges; chain `c` runs over the nodes
+/// `c * (len + 1) ..= c * (len + 1) + len`. Its closure holds
+/// `n * len * (len + 1) / 2` `Path` facts, `len` of them per chain head.
+pub fn disjoint_chains(n: u64, len: u64) -> Database {
+    let mut edb = Database::new();
+    for c in 0..n {
+        let base = c * (len + 1);
+        for i in 0..len {
+            edb.insert("Edge", edge(base + i, base + i + 1));
+        }
+    }
+    edb
+}

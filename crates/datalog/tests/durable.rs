@@ -532,3 +532,26 @@ fn open_or_create_and_error_paths() {
         "all-corrupt directory must report NoUsableCheckpoint"
     );
 }
+
+/// A checkpoint stores its program as text, so a reopened session must
+/// run the program it was created with — including string constants
+/// that are non-ASCII or print with escapes the parser must accept.
+#[test]
+fn string_constants_survive_create_drop_open() {
+    let _g = fault::test_lock();
+    fault::reset();
+    for (i, s) in ["café", "a\rb"].into_iter().enumerate() {
+        let dir = TempDir::new(&format!("string-const-{i}"));
+        let program = Program::parse(&format!("Q(x) :- R(x, {}).", Value::str(s))).unwrap();
+        let text = program.to_string();
+        let mut edb = Database::new();
+        edb.insert("R", vec![Value::Int(1), Value::str(s)]);
+        let mut created = DurableEvaluator::create(dir.path(), program, edb).unwrap();
+        let live = created.output();
+        assert_eq!(live.relation("Q").map(|r| r.len()), Some(1), "{s:?}");
+        drop(created);
+        let mut reopened = DurableEvaluator::open(dir.path()).unwrap();
+        assert_eq!(reopened.program().to_string(), text, "{s:?}");
+        assert_bit_identical(&reopened.output(), &live, "string-constant reopen");
+    }
+}

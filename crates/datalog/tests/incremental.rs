@@ -7,13 +7,13 @@ use std::sync::Arc;
 
 use dynamite_datalog::pool::WorkerPool;
 use dynamite_datalog::{
-    evaluate, EvalError, Evaluator, Governor, IncrementalEvaluator, Program, ResourceLimits,
+    evaluate, fault, EvalError, Evaluator, Governor, IncrementalEvaluator, Program, ResourceLimits,
     RuleCacheHandle,
 };
 use dynamite_instance::{Database, Value};
 
 mod common;
-use common::{apply_to_shadow, edge, Lcg};
+use common::{apply_to_shadow, closure_program, disjoint_chains, edge, Lcg};
 
 fn recursive_program() -> Program {
     Program::parse(
@@ -357,4 +357,38 @@ fn explicit_config_maintainer_matches_context() {
     let ev = Evaluator::with_config(edb.clone(), pool.clone(), RuleCacheHandle::default(), false);
     let mut inc = IncrementalEvaluator::with_config(program.clone(), edb, pool, false).unwrap();
     assert_eq!(inc.output(), ev.eval(&program).unwrap());
+}
+
+/// Maintenance must stay proportional to the batch: extending one of 200
+/// disjoint 30-edge chains by an edge derives that chain's 31 new paths,
+/// not the 93,000-fact closure. Counted as facts charged to the governor,
+/// so the pin is deterministic where a timing ratio would be noise.
+#[test]
+fn one_edge_batch_work_is_proportional_to_the_delta() {
+    let _g = fault::test_lock();
+    fault::reset();
+    let program = closure_program();
+    let edb = disjoint_chains(200, 30);
+
+    let full = Governor::unlimited();
+    Evaluator::new(edb.clone())
+        .eval_governed(&program, &full)
+        .unwrap();
+    assert_eq!(full.facts_counted(), 93_000);
+
+    let mut inc = IncrementalEvaluator::new(program, edb).unwrap();
+    let mut ins = Database::new();
+    ins.insert("Edge", edge(30, 200 * 31));
+    let gov = Governor::unlimited();
+    inc.apply_delta_governed(&ins, &Database::new(), &gov)
+        .unwrap();
+    assert_eq!(inc.output().relation("Path").unwrap().len(), 93_031);
+    // Deriving the delta is charged too, so the count cannot be vacuous.
+    assert!(gov.facts_counted() >= 31, "{}", gov.facts_counted());
+    assert!(
+        gov.facts_counted() * 100 <= full.facts_counted(),
+        "one-edge batch charged {} facts, full evaluation {}",
+        gov.facts_counted(),
+        full.facts_counted()
+    );
 }

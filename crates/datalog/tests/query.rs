@@ -16,13 +16,15 @@ use std::sync::Arc;
 
 use dynamite_datalog::pool::WorkerPool;
 use dynamite_datalog::{
-    DurableEvaluator, DurableOptions, EvalError, Evaluator, Program, RuleCacheHandle,
-    ServedEvaluator,
+    fault, DurableEvaluator, DurableOptions, EvalError, Evaluator, Governor, Program,
+    RuleCacheHandle, ServedEvaluator,
 };
 use dynamite_instance::{Database, Relation, Value};
 
 mod common;
-use common::{apply_to_shadow, int, oracle, row_set, Lcg, TempDir};
+use common::{
+    apply_to_shadow, closure_program, disjoint_chains, int, oracle, row_set, Lcg, TempDir,
+};
 
 const DOMAIN: u64 = 8;
 
@@ -501,4 +503,35 @@ fn multi_head_rules_are_split_for_rewrite() {
             "{rel}({bindings:?})"
         );
     }
+}
+
+/// Magic sets must prune: a point query on one chain head of 200 disjoint
+/// 30-edge chains derives that chain's 30 answers (plus one demand fact),
+/// not the 93,000-fact closure. Counted as facts charged to the governor,
+/// so the pin is deterministic where a timing ratio would be noise.
+#[test]
+fn point_query_work_is_proportional_to_the_answer() {
+    let _g = fault::test_lock();
+    fault::reset();
+    let program = closure_program();
+    let ev = Evaluator::new(disjoint_chains(200, 30));
+
+    let full = Governor::unlimited();
+    ev.eval_governed(&program, &full).unwrap();
+    assert_eq!(full.facts_counted(), 93_000);
+
+    let head = int(7 * 31);
+    let gov = Governor::unlimited();
+    let answer = ev
+        .query_governed(&program, "Path", &[Some(head), None], &gov)
+        .unwrap();
+    assert_eq!(answer.len(), 30);
+    // Deriving the answer is charged too, so the count cannot be vacuous.
+    assert!(gov.facts_counted() >= 30, "{}", gov.facts_counted());
+    assert!(
+        gov.facts_counted() * 100 <= full.facts_counted(),
+        "point query charged {} facts, full evaluation {}",
+        gov.facts_counted(),
+        full.facts_counted()
+    );
 }

@@ -95,7 +95,7 @@ pub enum FactsParseError {
         got: usize,
     },
     /// A string cell ends in a dangling `\` or uses an escape other than
-    /// `\\`, `\t`, `\n`.
+    /// `\\`, `\t`, `\n`, `\r`.
     BadEscape {
         relation: String,
         line: usize,
@@ -124,7 +124,7 @@ impl fmt::Display for FactsParseError {
             } => write!(
                 f,
                 "{relation}.facts line {line}, column {column}: bad escape sequence \
-                 (only \\\\, \\t, \\n are recognized)"
+                 (only \\\\, \\t, \\n, \\r are recognized)"
             ),
             FactsParseError::DuplicateRelation { relation } => {
                 write!(f, "relation `{relation}` appears more than once")
@@ -137,7 +137,7 @@ impl std::error::Error for FactsParseError {}
 
 /// Parses one relation's `.facts` text — the reader for the format
 /// `dynamite_migrate::writers::render_facts` emits: one tab-separated row
-/// per line, `\\`/`\t`/`\n` escapes inside string cells, `#N` synthetic
+/// per line, `\\`/`\t`/`\n`/`\r` escapes inside string cells, `#N` synthetic
 /// identifiers, bare integers, and `true`/`false` booleans.
 ///
 /// Like Soufflé's, the format is not self-describing: a cell that *looks*
@@ -230,6 +230,7 @@ fn parse_cell(
             Some('\\') => s.push('\\'),
             Some('t') => s.push('\t'),
             Some('n') => s.push('\n'),
+            Some('r') => s.push('\r'),
             _ => {
                 return Err(FactsParseError::BadEscape {
                     relation: relation.to_string(),

@@ -43,10 +43,7 @@ impl std::error::Error for JsonError {}
 
 /// Parses a JSON document into an [`Instance`] of `schema`.
 pub fn parse_document(input: &str, schema: Arc<Schema>) -> Result<Instance, JsonError> {
-    let mut p = Lexer {
-        src: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Lexer { src: input, pos: 0 };
     let mut instance = Instance::new(schema.clone());
     p.skip_ws();
     p.expect(b'{')?;
@@ -218,7 +215,7 @@ fn write_record(schema: &Schema, record_type: &str, r: &Record, indent: usize, o
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -231,7 +228,7 @@ impl Lexer<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn at_end(&self) -> bool {
@@ -284,6 +281,7 @@ impl Lexer<'_> {
                         Some(b'u') => {
                             let hex = self
                                 .src
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(
@@ -302,11 +300,10 @@ impl Lexer<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.src[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = text.chars().next().expect("nonempty");
+                    // Consume one UTF-8 scalar. `pos` only ever advances by
+                    // ASCII bytes or whole chars, so it sits on a char
+                    // boundary.
+                    let ch = self.src[self.pos..].chars().next().expect("nonempty");
                     s.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -337,9 +334,8 @@ impl Lexer<'_> {
                 if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
                     return Err(self.err("floating-point numbers are not supported"));
                 }
-                let text =
-                    std::str::from_utf8(&self.src[start..self.pos]).expect("digits are ASCII");
-                text.parse::<i64>()
+                self.src[start..self.pos]
+                    .parse::<i64>()
                     .map(Value::Int)
                     .map_err(|_| self.err("integer out of range"))
             }
@@ -348,7 +344,7 @@ impl Lexer<'_> {
     }
 
     fn keyword(&mut self, kw: &str) -> Result<(), JsonError> {
-        if self.src[self.pos..].starts_with(kw.as_bytes()) {
+        if self.src[self.pos..].starts_with(kw) {
             self.pos += kw.len();
             Ok(())
         } else {
@@ -431,6 +427,30 @@ mod tests {
             inst.records("Univ")[0].prim(1),
             Some(&Value::str("a\"bA\n"))
         );
+    }
+
+    #[test]
+    fn large_document_parses_in_linear_time() {
+        // Re-validating the rest of the input per string character made
+        // this quadratic: minutes for a few MB. Linear is well under a
+        // second even in a debug build; the bound only catches the blowup.
+        let mut doc = String::from(r#"{"Univ": ["#);
+        let mut n = 0;
+        while doc.len() < 2 << 20 {
+            if n > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&format!(
+                r#"{{"id": {n}, "name": "université numéro {n}", "Admit": [{{"uid": {n}, "count": 1}}]}}"#
+            ));
+            n += 1;
+        }
+        doc.push_str("]}");
+        let start = std::time::Instant::now();
+        let inst = parse_document(&doc, schema()).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(inst.records("Univ").len(), n);
+        assert!(elapsed.as_secs() < 60, "2 MB document took {elapsed:?}");
     }
 
     #[test]

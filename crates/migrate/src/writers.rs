@@ -66,14 +66,15 @@ pub fn render_facts(db: &Database) -> BTreeMap<String, String> {
                 match v {
                     // Bare string content, Soufflé-style (no quotes), but
                     // with the format's structural characters escaped so a
-                    // tab or newline inside the value cannot change the
-                    // row/column shape of the file.
+                    // tab, newline or carriage return inside the value
+                    // cannot change the row/column shape of the file.
                     Value::Str(sym) => {
                         for ch in sym.as_str().chars() {
                             match ch {
                                 '\\' => s.push_str("\\\\"),
                                 '\t' => s.push_str("\\t"),
                                 '\n' => s.push_str("\\n"),
+                                '\r' => s.push_str("\\r"),
                                 c => s.push(c),
                             }
                         }
@@ -163,6 +164,9 @@ mod tests {
         db.insert("Univ", vec![2.into(), "U2".into(), Value::Id(200)]);
         db.insert("Admit", vec![Value::Id(100), 2.into(), 50.into()]);
         db.insert("R", vec!["a\tb".into(), "c\nd\\e".into()]);
+        // A raw `\r` before the row's newline would read back as a CRLF
+        // line ending and vanish.
+        db.insert("R", vec!["x\ry".into(), "cr\r".into()]);
         db.insert(
             "Mix",
             vec![Value::Bool(true), (-7).into(), "plain".into(), Value::Id(0)],

@@ -16,7 +16,7 @@
 //! dependency DAG, the example → synthesizer → engine → storage data
 //! flow, the threading model, and the structure-of-arrays storage
 //! layout; `DESIGN.md` records the decisions behind each subsystem and
-//! `BENCHMARKS.md` how to run and read the perf suite.
+//! `BENCHMARKS.md` how to run and read the `perfbench` benchmark.
 
 pub use dynamite_core as core;
 pub use dynamite_datalog as datalog;
