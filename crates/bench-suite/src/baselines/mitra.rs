@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use dynamite_core::Example;
 use dynamite_datalog::{Atom, Evaluator, Governor, Literal, Program, ResourceLimits, Rule, Term};
-use dynamite_instance::{from_facts, to_facts};
+use dynamite_instance::{to_facts, Flattened};
 use dynamite_schema::Schema;
 
 /// Result of a Mitra-like synthesis run.
@@ -123,9 +123,8 @@ pub fn synthesize_mitra(
                 }
                 let ok = result
                     .ok()
-                    .and_then(|out| from_facts(&out, target_arc(target)).ok())
-                    .map(|inst| inst.flatten().table(table) == expected_flat.table(table))
-                    .unwrap_or(false);
+                    .and_then(|out| Flattened::from_facts(&out, target).ok())
+                    .is_some_and(|actual| actual.table(table) == expected_flat.table(table));
                 if ok {
                     found = Some(rule);
                     break 'anchors;
@@ -162,10 +161,6 @@ pub fn synthesize_mitra(
         time: started.elapsed(),
         candidates,
     })
-}
-
-fn target_arc(target: &Schema) -> std::sync::Arc<Schema> {
-    std::sync::Arc::new(target.clone())
 }
 
 /// Builds the Datalog rule for an anchor chain and a column assignment.

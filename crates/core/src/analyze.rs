@@ -13,6 +13,17 @@
 //!    all guaranteed-incorrect completions (Theorem 2); the caller adds
 //!    `¬ψ` as a blocking clause.
 //!
+//! A node `L` of the breadth-first search is decided without projecting
+//! either table. The rows of both tables (actual first) get dense `u32`
+//! value ids per column once per call; deciding `L` then refines one
+//! reused row partition of the two tables' union one column of `L` at a
+//! time — the stratified partition refinement of TANE (Huhtala et al.,
+//! Comput. J. 1999). The projections onto `L` agree iff every class of
+//! the final partition holds rows of both tables, and because refining
+//! only splits classes, the first one-sided class ends the node early.
+//! No partition is stored per queued node: a node costs `|L|` linear
+//! passes over the rows, and memory stays O(rows × columns).
+//!
 //! The pattern is expressed over hole indices ([`PatternLit`]) and lowered
 //! to solver literals by the synthesizer. Beyond the paper we must also
 //! keep *rigid* domain elements (filtering constants and fixed chain
@@ -22,8 +33,8 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use dynamite_instance::hash::FxHashSet;
-use dynamite_instance::FlatTable;
+use dynamite_instance::hash::{FxHashMap, FxHashSet};
+use dynamite_instance::{FlatTable, Value};
 
 use crate::sketch::DomainElem;
 
@@ -60,6 +71,7 @@ pub fn mdp_set(actual: &FlatTable, expected: &FlatTable, budget: usize) -> MdpRe
         };
     }
 
+    let mut parts = Partitioner::new(actual, expected);
     let mut delta: Vec<BTreeSet<usize>> = Vec::new();
     let mut visited: FxHashSet<Vec<usize>> = FxHashSet::default();
     let mut queue: VecDeque<BTreeSet<usize>> = VecDeque::new();
@@ -85,7 +97,7 @@ pub fn mdp_set(actual: &FlatTable, expected: &FlatTable, budget: usize) -> MdpRe
             };
         }
         let cols: Vec<usize> = l.iter().copied().collect();
-        if actual.project(&cols) == expected.project(&cols) {
+        if parts.projections_agree(&cols) {
             for c in 0..ncols {
                 if !l.contains(&c) {
                     let mut l2 = l.clone();
@@ -110,6 +122,133 @@ pub fn mdp_set(actual: &FlatTable, expected: &FlatTable, budget: usize) -> MdpRe
     MdpResult {
         mdps: delta,
         budget_exhausted: false,
+    }
+}
+
+/// Decides [`mdp_set`]'s BFS nodes by partition refinement over the rows
+/// of `actual ∪ expected`: rows `0..n_actual` are the actual table's
+/// (in set order), the rest the expected table's.
+struct Partitioner {
+    rows: usize,
+    n_actual: u32,
+    /// Dense value ids, column-major: row `r`'s id in column `c` is
+    /// `ids[c * rows + r]`. Equal ids iff equal values.
+    ids: Vec<u32>,
+    /// The partition being refined: row numbers grouped by class. Each
+    /// class is ascending (the scatter is stable and refinement starts
+    /// from `0..rows`), so its actual rows come first.
+    perm: Vec<u32>,
+    /// Class `i` is `perm[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<u32>,
+    next_perm: Vec<u32>,
+    next_bounds: Vec<u32>,
+    /// Per value id: its row count in the class being split, then its
+    /// sub-class's write position; zero between classes.
+    slot: Vec<u32>,
+    /// The value ids of the class being split, in first-seen order.
+    seen: Vec<usize>,
+}
+
+impl Partitioner {
+    fn new(actual: &FlatTable, expected: &FlatTable) -> Partitioner {
+        let ncols = actual.columns.len();
+        let rows = actual.rows.len() + expected.rows.len();
+        assert!(
+            u32::try_from(rows).is_ok(),
+            "row numbers and value ids are u32"
+        );
+        let mut ids = vec![0u32; ncols * rows];
+        let mut dicts: Vec<FxHashMap<Value, u32>> = vec![FxHashMap::default(); ncols];
+        for (r, row) in actual.rows.iter().chain(&expected.rows).enumerate() {
+            for (c, dict) in dicts.iter_mut().enumerate() {
+                let next = dict.len() as u32;
+                ids[c * rows + r] = *dict.entry(row[c]).or_insert(next);
+            }
+        }
+        let distinct = dicts.iter().map(FxHashMap::len).max().unwrap_or(0);
+        Partitioner {
+            rows,
+            n_actual: actual.rows.len() as u32,
+            ids,
+            perm: Vec::with_capacity(rows),
+            bounds: Vec::new(),
+            next_perm: vec![0; rows],
+            next_bounds: Vec::new(),
+            slot: vec![0; distinct],
+            seen: Vec::new(),
+        }
+    }
+
+    /// `actual.project(cols) == expected.project(cols)`: refines the
+    /// one-class partition by each column of `cols` and checks that every
+    /// class holds rows of both tables. Refinement only splits classes,
+    /// so the first one-sided class decides the node.
+    fn projections_agree(&mut self, cols: &[usize]) -> bool {
+        let (n, na) = (self.rows, self.n_actual);
+        if n == 0 {
+            return true;
+        }
+        // Classes are ascending: one holds rows of both tables iff its
+        // first row is an actual one and its last an expected one.
+        let mixed = |class: &[u32]| class[0] < na && class[class.len() - 1] >= na;
+        let Partitioner {
+            ids,
+            perm,
+            bounds,
+            next_perm,
+            next_bounds,
+            slot,
+            seen,
+            ..
+        } = self;
+        perm.clear();
+        perm.extend(0..n as u32);
+        bounds.clear();
+        bounds.extend([0, n as u32]);
+        if !mixed(&perm[..]) {
+            return false;
+        }
+        for &c in cols {
+            let col = &ids[c * n..(c + 1) * n];
+            next_bounds.clear();
+            next_bounds.push(0);
+            for w in bounds.windows(2) {
+                let class = &perm[w[0] as usize..w[1] as usize];
+                seen.clear();
+                for &r in class {
+                    let v = col[r as usize] as usize;
+                    if slot[v] == 0 {
+                        seen.push(v);
+                    }
+                    slot[v] += 1;
+                }
+                let mut at = w[0];
+                for &v in seen.iter() {
+                    let count = slot[v];
+                    slot[v] = at;
+                    at += count;
+                    next_bounds.push(at);
+                }
+                for &r in class {
+                    let v = col[r as usize] as usize;
+                    next_perm[slot[v] as usize] = r;
+                    slot[v] += 1;
+                }
+                for &v in seen.iter() {
+                    slot[v] = 0;
+                }
+                let split = &next_bounds[next_bounds.len() - seen.len() - 1..];
+                if split
+                    .windows(2)
+                    .any(|s| !mixed(&next_perm[s[0] as usize..s[1] as usize]))
+                {
+                    return false;
+                }
+            }
+            std::mem::swap(perm, next_perm);
+            std::mem::swap(bounds, next_bounds);
+        }
+        true
     }
 }
 

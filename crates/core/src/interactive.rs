@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use dynamite_datalog::{pool, resolve_reorder, Evaluator, Governor, Program, RuleCacheHandle};
-use dynamite_instance::{from_facts, to_facts, Instance, Record};
+use dynamite_instance::{from_facts, to_facts, Flattened, Instance, Record};
 use dynamite_schema::Schema;
 
 use crate::example::Example;
@@ -222,10 +222,7 @@ fn find_distinguishing_input(
     let worker_pool = pool::with_threads(config.synthesis.threads);
     let reorder = resolve_reorder(config.synthesis.reorder);
     let rules = RuleCacheHandle::default();
-    let run_pair = |input: &Instance| -> (
-        Option<dynamite_instance::Flattened>,
-        Option<dynamite_instance::Flattened>,
-    ) {
+    let run_pair = |input: &Instance| -> (Option<Flattened>, Option<Flattened>) {
         let ctx =
             Evaluator::with_config(to_facts(input), worker_pool.clone(), rules.clone(), reorder);
         // Disambiguation probes honour the session's per-candidate
@@ -238,8 +235,7 @@ fn find_distinguishing_input(
                 Some(l) => ctx.eval_governed(p, &Governor::new(l)).ok()?,
                 None => ctx.eval(p).ok()?,
             };
-            let inst = from_facts(&out, target.clone()).ok()?;
-            Some(inst.flatten())
+            Flattened::from_facts(&out, target).ok()
         };
         (run(p1), run(p2))
     };

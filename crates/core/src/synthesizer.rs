@@ -20,7 +20,7 @@ use dynamite_datalog::{
     ResourceTrip, Rule, RuleCacheHandle,
 };
 use dynamite_instance::hash::FxHashMap;
-use dynamite_instance::{from_facts, to_facts, Flattened};
+use dynamite_instance::{to_facts, Flattened};
 use dynamite_schema::Schema;
 use dynamite_smt::{ConstId, FdLit, FdSolver, FdVar};
 
@@ -480,14 +480,12 @@ impl Synthesizer {
             let ok = ctx
                 .eval(&prog)
                 .ok()
-                .and_then(|out| from_facts(&out, self.target.clone()).ok())
-                .map(|inst| {
-                    let actual = inst.flatten();
+                .and_then(|out| Flattened::from_facts(&out, &self.target).ok())
+                .is_some_and(|actual| {
                     record_types
                         .iter()
                         .all(|rt| actual.table(rt) == expected.table(rt))
-                })
-                .unwrap_or(false);
+                });
             if !ok {
                 return rule.clone();
             }
@@ -848,7 +846,7 @@ enum ExampleCheck {
 fn check_example(
     ctx: &Evaluator,
     prog: &Program,
-    target: &Arc<Schema>,
+    target: &Schema,
     record_types: &[String],
     expected: &Flattened,
     limits: Option<ResourceLimits>,
@@ -866,10 +864,9 @@ fn check_example(
             }
         }
     };
-    let Ok(inst) = from_facts(&out, target.clone()) else {
+    let Ok(actual) = Flattened::from_facts(&out, target) else {
         return ExampleCheck::Error;
     };
-    let actual = inst.flatten();
     if record_types
         .iter()
         .any(|rt| actual.table(rt) != expected.table(rt))
@@ -899,6 +896,7 @@ mod tests {
     use super::*;
     use crate::test_fixtures::{motivating, works_in};
     use dynamite_datalog::{alpha_equivalent, evaluate};
+    use dynamite_instance::from_facts;
 
     #[test]
     fn synthesizes_the_motivating_example() {

@@ -297,13 +297,10 @@ pub fn to_facts_with(instance: &Instance, gen: &mut IdGen) -> Database {
     db
 }
 
-/// Rebuilds a database instance from Datalog facts over `schema`'s record
-/// relations (the `BuildRecord` procedure of §3.3).
-///
-/// Relations missing from `facts` are treated as empty. Extra relations in
-/// `facts` that are not record types of `schema` are ignored.
-pub fn from_facts(facts: &Database, schema: Arc<Schema>) -> Result<Instance, FactsError> {
-    // Arity check up front for clearer errors.
+/// The up-front arity check of [`from_facts`] (and of
+/// [`Flattened::from_facts`](crate::Flattened::from_facts)): every
+/// non-empty record relation must have the arity §3.3 dictates.
+pub(crate) fn check_arities(facts: &Database, schema: &Schema) -> Result<(), FactsError> {
     for record in schema.records() {
         if let Some(rel) = facts.relation(record) {
             let expected = schema.fact_arity(record);
@@ -316,6 +313,16 @@ pub fn from_facts(facts: &Database, schema: Arc<Schema>) -> Result<Instance, Fac
             }
         }
     }
+    Ok(())
+}
+
+/// Rebuilds a database instance from Datalog facts over `schema`'s record
+/// relations (the `BuildRecord` procedure of §3.3).
+///
+/// Relations missing from `facts` are treated as empty. Extra relations in
+/// `facts` that are not record types of `schema` are ignored.
+pub fn from_facts(facts: &Database, schema: Arc<Schema>) -> Result<Instance, FactsError> {
+    check_arities(facts, &schema)?;
 
     // Parent-id index for every nested record type (MongoDB substitute).
     let empty = Relation::new(0);

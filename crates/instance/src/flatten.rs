@@ -15,7 +15,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use crate::record::{Field, Instance, Record};
+use dynamite_schema::{PrimType, Schema, TypeDef};
+
+use crate::database::{Database, Relation};
+use crate::facts::{check_arities, FactsError};
+use crate::hash::FxHashMap;
+use crate::record::{Field, Instance, InstanceError, Record};
+use crate::tuple_store::RowRef;
 use crate::value::Value;
 
 /// One flattened table: named columns plus a canonical row set.
@@ -58,6 +64,159 @@ impl Flattened {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &FlatTable)> {
         self.0.iter().map(|(n, t)| (n.as_str(), t))
     }
+
+    /// The flattening of the instance [`from_facts`](crate::from_facts)
+    /// rebuilds from `facts`, read straight off the facts: equal to
+    /// `from_facts(facts, schema)?.flatten()` and failing in exactly the
+    /// same cases with the same error (an arity mismatch, or the first
+    /// value of the wrong primitive type — an `Id` included — in
+    /// `from_facts`'s validation order), without building the records.
+    /// Child facts no parent reaches are ignored, as `BuildRecord` does.
+    ///
+    /// This is the CEGIS candidate check's path from a candidate's output
+    /// to the comparison with the expected flattening: it collects each
+    /// table's rows and builds its row set in bulk.
+    pub fn from_facts(facts: &Database, schema: &Schema) -> Result<Flattened, FactsError> {
+        check_arities(facts, schema)?;
+        let names: Vec<&str> = schema.records().collect();
+        let plans: Vec<Plan<'_>> = names
+            .iter()
+            .map(|&name| Plan::new(facts, schema, &names, name))
+            .collect();
+        let mut rows: Vec<Vec<Vec<Value>>> = vec![Vec::new(); plans.len()];
+        for top in schema.top_level_records() {
+            let k = names.iter().position(|&n| n == top).expect("record type");
+            if let Some(rel) = plans[k].rel {
+                for tuple in rel.iter() {
+                    walk_facts(&plans, &mut rows, k, tuple, &[])?;
+                }
+            }
+        }
+        let tables = names
+            .iter()
+            .zip(rows)
+            .map(|(&name, rows)| {
+                let table = FlatTable {
+                    columns: flat_columns(schema, name),
+                    rows: rows.into_iter().collect(),
+                };
+                (name.to_string(), table)
+            })
+            .collect();
+        Ok(Flattened(tables))
+    }
+}
+
+/// One record type of a [`Flattened::from_facts`] walk.
+struct Plan<'a> {
+    name: &'a str,
+    /// The type's fact relation, if `facts` has one.
+    rel: Option<&'a Relation>,
+    /// 1 for nested types (column 0 holds the parent id), else 0.
+    first_col: usize,
+    attrs: Vec<(&'a str, Attr)>,
+    /// Nested types: the rows of `rel` by parent id, ascending (the
+    /// order `from_facts`'s parent-id index yields them in).
+    by_parent: FxHashMap<Value, Vec<usize>>,
+}
+
+/// What one attribute's fact column holds.
+enum Attr {
+    /// A primitive value of this type.
+    Prim(PrimType),
+    /// The id the children's facts hold in column 0; the children are
+    /// of the record type `plans[i]` walks.
+    Record(usize),
+}
+
+impl<'a> Plan<'a> {
+    fn new(facts: &'a Database, schema: &'a Schema, names: &[&str], name: &'a str) -> Plan<'a> {
+        let rel = facts.relation(name);
+        let nested = schema.is_nested(name);
+        let attrs = schema
+            .attrs(name)
+            .iter()
+            .map(|a| {
+                let kind = match schema.def(a).expect("schemas define every attribute") {
+                    TypeDef::Record(_) => {
+                        Attr::Record(names.iter().position(|n| n == a).expect("record type"))
+                    }
+                    TypeDef::Prim(t) => Attr::Prim(*t),
+                };
+                (a.as_str(), kind)
+            })
+            .collect();
+        let mut by_parent: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
+        if let Some(rel) = rel.filter(|r| nested && !r.is_empty()) {
+            for (i, parent) in rel.column(0).iter().enumerate() {
+                by_parent.entry(parent).or_default().push(i);
+            }
+        }
+        Plan {
+            name,
+            rel,
+            first_col: usize::from(nested),
+            attrs,
+            by_parent,
+        }
+    }
+}
+
+/// Emits the flat row of `tuple` (a fact of record type `plans[k]`) and,
+/// depth first, its children's, validating in `from_facts`'s order: the
+/// attributes in schema order, each record-typed one's children before
+/// the next attribute.
+fn walk_facts(
+    plans: &[Plan<'_>],
+    rows: &mut [Vec<Vec<Value>>],
+    k: usize,
+    tuple: RowRef<'_>,
+    prefix: &[Value],
+) -> Result<(), FactsError> {
+    let plan = &plans[k];
+    let mut row = prefix.to_vec();
+    for (i, (_, attr)) in plan.attrs.iter().enumerate() {
+        if let Attr::Prim(_) = attr {
+            row.push(tuple.at(plan.first_col + i));
+        }
+    }
+    for (i, (name, attr)) in plan.attrs.iter().enumerate() {
+        let v = tuple.at(plan.first_col + i);
+        match attr {
+            Attr::Prim(t) => {
+                if v.prim_type() != Some(*t) {
+                    return Err(FactsError::Validation(InstanceError::FieldType {
+                        record: plan.name.to_string(),
+                        attr: name.to_string(),
+                    }));
+                }
+            }
+            Attr::Record(j) => {
+                let child = &plans[*j];
+                let (Some(rel), Some(ids)) = (child.rel, child.by_parent.get(&v)) else {
+                    continue;
+                };
+                for &c in ids {
+                    let fact = rel.get(c).expect("index in range");
+                    walk_facts(plans, rows, *j, fact, &row)?;
+                }
+            }
+        }
+    }
+    rows[k].push(row);
+    Ok(())
+}
+
+/// The columns of record type `record`'s flat table: the primitive
+/// attributes of its ancestors (outermost first), then its own.
+fn flat_columns(schema: &Schema, record: &str) -> Vec<String> {
+    schema
+        .chain_to(record)
+        .into_iter()
+        .flat_map(|ancestor| schema.attrs(ancestor))
+        .filter(|a| schema.is_prim(a))
+        .cloned()
+        .collect()
 }
 
 impl fmt::Display for Flattened {
@@ -80,25 +239,17 @@ pub fn flatten(instance: &Instance) -> Flattened {
     // Pre-create a table for every record type so empty types still appear
     // (distinguishing "no records" from "type absent").
     for record in schema.records() {
-        let mut columns = Vec::new();
-        for ancestor in schema.chain_to(record) {
-            for a in schema.attrs(ancestor) {
-                if schema.is_prim(a) {
-                    columns.push(a.clone());
-                }
-            }
-        }
         tables.insert(
             record.to_string(),
             FlatTable {
-                columns,
+                columns: flat_columns(schema, record),
                 rows: BTreeSet::new(),
             },
         );
     }
 
     fn walk(
-        schema: &dynamite_schema::Schema,
+        schema: &Schema,
         record_type: &str,
         record: &Record,
         prefix: &[Value],

@@ -10,7 +10,7 @@
 //! { "Univ": [ { "id": 1, "name": "U1", "Admit": [ {"uid": 1, "count": 10} ] } ] }
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use dynamite_schema::Schema;
@@ -161,7 +161,9 @@ pub fn write_document(instance: &Instance) -> String {
             out.push_str(",\n");
         }
         first_type = false;
-        out.push_str(&format!("  {:?}: [", record_type));
+        out.push_str("  ");
+        push_string(&mut out, record_type);
+        out.push_str(": [");
         for (i, r) in records.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -189,13 +191,17 @@ fn write_record(schema: &Schema, record_type: &str, r: &Record, indent: usize, o
             out.push_str(", ");
         }
         first = false;
+        push_string(out, attr);
+        out.push_str(": ");
         match field {
             Field::Prim(v) => match v {
-                Value::Str(s) => out.push_str(&format!("{attr:?}: {:?}", s.as_str())),
-                other => out.push_str(&format!("{attr:?}: {other}")),
+                Value::Str(s) => push_string(out, s.as_str()),
+                other => {
+                    let _ = write!(out, "{other}");
+                }
             },
             Field::Children(children) => {
-                out.push_str(&format!("{attr:?}: ["));
+                out.push('[');
                 for (i, c) in children.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
@@ -212,6 +218,28 @@ fn write_record(schema: &Schema, record_type: &str, r: &Record, indent: usize, o
         }
     }
     out.push('}');
+}
+
+/// Appends `s` as a JSON string literal that [`parse_document`] reads
+/// back as `s`: `"`, `\\` and the common control characters get their
+/// short escapes, every other control character a `\u00XX` escape, and
+/// everything else is raw UTF-8.
+fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c.is_control() => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 struct Lexer<'a> {
@@ -389,6 +417,25 @@ mod tests {
         let text = write_document(&inst);
         let again = parse_document(&text, schema()).unwrap();
         assert!(inst.canon_eq(&again));
+    }
+
+    #[test]
+    fn control_and_combining_characters_round_trip() {
+        // Rust's `{:?}` escapes (`\u{301}`, `\0`, `\u{1f}`, …) are not
+        // JSON, so the writer used to print documents the reader rejects.
+        let name = "e\u{301}\0\u{1f}\u{200b}\u{7f}\u{85}\"\\/\n\r\t\u{8}\u{c}zürich";
+        let mut inst = Instance::new(schema());
+        let univ = Record::with_fields(vec![
+            Value::Int(1).into(),
+            Value::str(name).into(),
+            Vec::<Record>::new().into(),
+        ]);
+        inst.insert("Univ", univ).unwrap();
+        let text = write_document(&inst);
+        let again = parse_document(&text, schema()).unwrap();
+        assert_eq!(again.records("Univ")[0].prim(1), Some(&Value::str(name)));
+        assert_eq!(write_document(&again), text);
+        assert!(text.contains("e\u{301}\\u0000\\u001f\u{200b}\\u007f"));
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! - [`to_facts`] / [`from_facts`]: the instance ⇄ fact translation of
 //!   §3.3, including the `BuildRecord` parent-chasing procedure;
 //! - [`Instance::flatten`]: a canonical, id-free flattening used to compare
-//!   instances and to drive MDP analysis.
+//!   instances and to drive MDP analysis, and [`Flattened::from_facts`],
+//!   the same flattening read straight off the facts `from_facts` would
+//!   rebuild an instance from (the synthesizer's candidate check).
 //!
 //! For how this crate fits the rest of the workspace (crate DAG, data
 //! flow, a diagram of the tag/payload column streams) see

@@ -1,26 +1,69 @@
 //! End-to-end integration: every Table 2 benchmark must synthesize from
 //! its curated example and the synthesized program must agree with the
 //! golden program on a fresh, larger instance (the Table 3 protocol).
+//!
+//! Each synthesis also pins its search path: the candidates sampled, the
+//! MDPs computed and the printed program must equal the recorded counts
+//! in `perfbench/expected/synth-table3.counts`, at any thread count, in
+//! either planner mode, and under the CI legs' injected faults and
+//! default fact budget (no Table-3 candidate comes near that budget, and
+//! a single injected trip is absorbed by the candidate retry).
 
 use std::time::Duration;
 
-use dynamite::core::{synthesize, SynthesisConfig};
+use dynamite::core::{synthesize, Synthesis, SynthesisConfig};
 use dynamite::datalog::{evaluate, Program};
 use dynamite::instance::{from_facts, to_facts};
 use dynamite_bench_suite::benchmarks::{all, by_name, Benchmark};
 
-fn synthesize_benchmark(b: &Benchmark) -> Program {
+/// The recorded per-scenario counts: `name candidates mdps sat_conflicts
+/// program_hash` per line, `#` lines are comments.
+const EXPECTED_COUNTS: &str = include_str!("../perfbench/expected/synth-table3.counts");
+
+fn synthesize_benchmark(b: &Benchmark) -> Synthesis {
     let ex = b.example();
     // Debug builds are ~10× slower; the hardest benchmark (Retina-2, the
-    // paper's pathological case) takes ~1 min in release.
+    // paper's pathological case) takes ~2 s in release.
     let secs = if cfg!(debug_assertions) { 1_800 } else { 200 };
     let config = SynthesisConfig {
         timeout: Some(Duration::from_secs(secs)),
         ..Default::default()
     };
-    let result = synthesize(b.source(), b.target(), &[ex], &config)
-        .unwrap_or_else(|e| panic!("{}: synthesis failed: {e}", b.name));
-    result.program
+    synthesize(b.source(), b.target(), &[ex], &config)
+        .unwrap_or_else(|e| panic!("{}: synthesis failed: {e}", b.name))
+}
+
+/// 64-bit FNV-1a, the hash the counts file records programs by.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Checks a synthesis against its scenario's recorded counts.
+fn assert_search_path(b: &Benchmark, synthesis: &Synthesis) {
+    let line = EXPECTED_COUNTS
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .find(|l| l.split_whitespace().next() == Some(b.name))
+        .unwrap_or_else(|| panic!("{}: no recorded counts", b.name));
+    let fields: Vec<&str> = line.split_whitespace().collect();
+    let [_, candidates, mdps, _conflicts, hash] = fields[..] else {
+        panic!("malformed counts line {line:?}");
+    };
+    let program = synthesis.program.to_string();
+    let got_mdps: usize = synthesis.stats.rules.iter().map(|r| r.mdps_computed).sum();
+    assert_eq!(
+        (
+            synthesis.stats.total_iterations().to_string(),
+            got_mdps.to_string(),
+            format!("{:016x}", fnv1a64(program.as_bytes())),
+        ),
+        (candidates.to_string(), mdps.to_string(), hash.to_string()),
+        "{}: search path (candidates, mdps, program hash) differs from the recorded \
+         counts; program:\n{program}",
+        b.name
+    );
 }
 
 fn assert_correct(b: &Benchmark, program: &Program) {
@@ -47,8 +90,9 @@ macro_rules! bench_test {
         #[test]
         fn $fn_name() {
             let b = by_name($name).expect("benchmark exists");
-            let program = synthesize_benchmark(&b);
-            assert_correct(&b, &program);
+            let synthesis = synthesize_benchmark(&b);
+            assert_search_path(&b, &synthesis);
+            assert_correct(&b, &synthesis.program);
         }
     };
 }

@@ -33,6 +33,7 @@ const TOKENS: &[&str] = &[
     "\"", "\\", "\\u{", "}", "{", "[", "]", "(", ")", ",", ".", ":-", ":", "!", "#", "-", "_",
     "//", "\n", "\r", "\t", "\0", "é", "\u{200b}", "\\r", "\\0", "\\n", "\\t", "\\u{e9}",
     "\\u00e9", "true", "false", "9223372036854775808", "#18446744073709551616",
+    "\u{301}", "\u{1f}", "\u{7f}", "\u{85}", "\\u0000", "\\u001f", "\\u0301", "\\b",
 ];
 
 fn mutate(rng: &mut StdRng, corpus: &[Vec<u8>]) -> Vec<u8> {
@@ -152,6 +153,45 @@ fn parse_document_never_panics() {
         r#"{"Univ": []}"#,
     ]);
     fuzz("parse_document", corpus, |input| {
-        let _ = parse_document(&String::from_utf8_lossy(input), source.clone());
+        if let Ok(inst) = parse_document(&String::from_utf8_lossy(input), source.clone()) {
+            let printed = write_document(&inst);
+            let again = parse_document(&printed, source.clone())
+                .unwrap_or_else(|e| panic!("reparse of {printed:?} failed: {e}"));
+            assert_eq!(write_document(&again), printed);
+        }
     });
+}
+
+/// `write_document` prints any string so that `parse_document` reads
+/// it back and printing again is a fixed point — control characters,
+/// combining marks, escapes and non-ASCII text included.
+#[test]
+fn write_document_round_trips_any_string() {
+    use dynamite::instance::{Instance, Record};
+    let (source, _, _) = motivating();
+    #[rustfmt::skip]
+    const CHARS: &[char] = &[
+        'a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\0', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}',
+        '\u{85}', '\u{9f}', '\u{301}', '\u{200b}', '\u{feff}', 'é', 'ü', '漢', '\u{1f600}',
+    ];
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for i in 0..2_000 {
+        let mut word = || -> String {
+            (0..rng.gen_range(0..8))
+                .map(|_| *CHARS.choose(&mut rng).expect("non-empty"))
+                .collect()
+        };
+        let mut inst = Instance::new(source.clone());
+        let univ = Record::with_fields(vec![
+            Value::Int(i).into(),
+            Value::str(word()).into(),
+            vec![Record::from_values(vec![Value::Int(1), Value::Int(2)])].into(),
+        ]);
+        inst.insert("Univ", univ).expect("valid record");
+        let printed = write_document(&inst);
+        let again = parse_document(&printed, source.clone())
+            .unwrap_or_else(|e| panic!("iteration {i}: reparse of {printed:?} failed: {e}"));
+        assert!(again.canon_eq(&inst), "iteration {i}: {printed:?}");
+        assert_eq!(write_document(&again), printed, "iteration {i}");
+    }
 }

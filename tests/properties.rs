@@ -424,6 +424,248 @@ fn facts_round_trip() {
     }
 }
 
+/// A schema with two nesting levels, sibling child types, primitive
+/// attributes after nested ones (so validation order is observable),
+/// every primitive type and a second top-level type, for the facts→flat
+/// differential.
+fn facts_flat_schema() -> Arc<Schema> {
+    Arc::new(
+        Schema::parse(
+            "@document
+             Dept { did: Int, Emp { eid: Int, Skill { sname: String }, ename: String,
+                    active: Bool }, dname: String, Site { city: String } }
+             Proj { pid: Int, title: String }",
+        )
+        .expect("valid schema"),
+    )
+}
+
+/// `Flattened::from_facts(db, s)` is `from_facts(db, s).map(flatten)`:
+/// the same `Ok` value, or the same error.
+fn assert_facts_flat_agree(db: &Database, schema: &Arc<Schema>, what: &str) {
+    use dynamite::instance::Flattened;
+    let direct = Flattened::from_facts(db, schema);
+    let via_instance = from_facts(db, schema.clone()).map(|i| i.flatten());
+    assert_eq!(direct, via_instance, "{what}\nfacts:\n{db}");
+}
+
+/// The candidate check's facts→flat path agrees with rebuilding the
+/// instance and flattening it, on random fact databases over a nested
+/// schema: wrong primitive types, ids in primitive columns, non-id
+/// values in record columns, orphan, shared and duplicate children,
+/// wrong arities (on empty and non-empty relations), missing and extra
+/// relations — and on the facts of valid instances.
+#[test]
+fn flattened_from_facts_matches_from_facts_then_flatten() {
+    use dynamite::schema::PrimType;
+    let schema = facts_flat_schema();
+    for seed in 0..600u64 {
+        let mut rng = StdRng::seed_from_u64(7000 + seed);
+        // Share of cells drawn from the wrong kind: none, rare, common.
+        let noise = [0.0, 0.03, 0.15][(seed % 3) as usize];
+        let ids = rng.gen_range(1u64..5);
+        let cell = |rng: &mut StdRng, attr: &str| -> Value {
+            let kind = if rng.gen_bool(noise) {
+                rng.gen_range(0..4)
+            } else {
+                match schema.prim_type(attr) {
+                    Some(PrimType::Int) => 0,
+                    Some(PrimType::Str) => 1,
+                    Some(PrimType::Bool) => 2,
+                    None => 3,
+                }
+            };
+            match kind {
+                0 => Value::Int(rng.gen_range(0i64..4)),
+                1 => Value::str(["a", "b", "é"][rng.gen_range(0..3)]),
+                2 => Value::Bool(rng.gen_bool(0.5)),
+                _ => Value::Id(rng.gen_range(0..ids)),
+            }
+        };
+        let mut db = Database::new();
+        for record in schema.records() {
+            if rng.gen_bool(0.1) {
+                continue; // missing relation: no records
+            }
+            let mut arity = schema.fact_arity(record);
+            if rng.gen_bool(0.04) {
+                arity = if rng.gen_bool(0.5) {
+                    arity + 1
+                } else {
+                    arity - 1
+                };
+            }
+            let mut cols: Vec<&str> = Vec::new();
+            if schema.is_nested(record) {
+                cols.push(""); // parent id
+            }
+            cols.extend(schema.attrs(record).iter().map(String::as_str));
+            let rel = db.relation_mut(record, arity);
+            for _ in 0..rng.gen_range(0..6) {
+                let row: Vec<Value> = (0..arity)
+                    .map(|c| cell(&mut rng, cols.get(c).copied().unwrap_or("")))
+                    .collect();
+                rel.insert(&row);
+            }
+        }
+        if rng.gen_bool(0.1) {
+            db.insert("Unrelated", vec![Value::Int(1)]);
+        }
+        assert_facts_flat_agree(&db, &schema, &format!("seed {seed}"));
+    }
+
+    // The facts of valid instances (always `Ok`).
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(8000 + seed);
+        let mut inst = Instance::new(schema.clone());
+        for d in 0..rng.gen_range(0..4) {
+            let emps: Vec<Record> = (0..rng.gen_range(0..3))
+                .map(|e| {
+                    let skills: Vec<Record> = (0..rng.gen_range(0..3))
+                        .map(|k| Record::from_values(vec![Value::str(format!("s{k}"))]))
+                        .collect();
+                    Record::with_fields(vec![
+                        Value::Int(e).into(),
+                        skills.into(),
+                        Value::str("n").into(),
+                        Value::Bool(rng.gen_bool(0.5)).into(),
+                    ])
+                })
+                .collect();
+            let sites = vec![Record::from_values(vec![Value::str("x")])];
+            let dept = Record::with_fields(vec![
+                Value::Int(d).into(),
+                emps.into(),
+                Value::str("d").into(),
+                sites.into(),
+            ]);
+            inst.insert("Dept", dept).expect("valid record");
+        }
+        let db = to_facts(&inst);
+        assert!(dynamite::instance::Flattened::from_facts(&db, &schema).is_ok());
+        assert_facts_flat_agree(&db, &schema, &format!("valid instance, seed {seed}"));
+    }
+}
+
+/// Hand-built cases of the facts→flat differential, one per failure mode.
+#[test]
+fn flattened_from_facts_hand_built_cases() {
+    let schema = facts_flat_schema();
+    let (i, s, b, id) = (Value::Int, Value::str, Value::Bool, Value::Id);
+    let db = |rels: &[(&str, Vec<Vec<Value>>)]| {
+        let mut db = Database::new();
+        for (name, rows) in rels {
+            for row in rows {
+                db.insert(name, row.clone());
+            }
+        }
+        db
+    };
+    let cases: Vec<(&str, Database)> = vec![
+        ("empty database", Database::new()),
+        (
+            "empty relations, one with the wrong arity",
+            Database::from_relations([
+                ("Dept".to_string(), TupleStore::new(4)),
+                ("Emp".to_string(), TupleStore::new(2)),
+            ]),
+        ),
+        (
+            "valid, with shared and duplicate children",
+            db(&[
+                (
+                    "Dept",
+                    vec![
+                        vec![i(1), id(0), s("d"), id(9)],
+                        vec![i(2), id(0), s("e"), id(9)],
+                    ],
+                ),
+                (
+                    "Emp",
+                    vec![
+                        vec![id(0), i(7), id(3), s("n"), b(true)],
+                        vec![id(0), i(7), id(4), s("n"), b(true)],
+                    ],
+                ),
+                ("Skill", vec![vec![id(3), s("x")], vec![id(4), s("x")]]),
+            ]),
+        ),
+        (
+            "orphan children are ignored, even ill-typed ones",
+            db(&[
+                ("Dept", vec![vec![i(1), id(0), s("d"), id(1)]]),
+                ("Emp", vec![vec![id(5), s("bad"), id(6), i(0), i(0)]]),
+                ("Site", vec![vec![id(8), s("x")]]),
+            ]),
+        ),
+        (
+            "a non-id value links children too",
+            db(&[
+                ("Dept", vec![vec![i(1), i(4), s("d"), id(1)]]),
+                ("Emp", vec![vec![i(4), i(7), id(2), s("n"), b(false)]]),
+            ]),
+        ),
+        (
+            "arity mismatch on a nested relation",
+            db(&[
+                ("Dept", vec![]),
+                ("Site", vec![vec![id(0), s("x"), s("y")]]),
+            ]),
+        ),
+        (
+            "arity mismatch on a top-level relation",
+            db(&[("Proj", vec![vec![i(1)]])]),
+        ),
+        (
+            "wrong primitive type",
+            db(&[("Proj", vec![vec![i(1), s("t")], vec![s("1"), s("t")]])]),
+        ),
+        (
+            "id in a primitive column",
+            db(&[("Proj", vec![vec![id(1), s("t")]])]),
+        ),
+        (
+            "a bad child before a bad later parent attribute",
+            db(&[
+                ("Dept", vec![vec![i(1), id(0), i(2), id(0)]]),
+                ("Emp", vec![vec![id(0), i(7), id(2), s("n"), i(1)]]),
+                ("Site", vec![vec![id(0), i(3)]]),
+            ]),
+        ),
+        (
+            "a bad grandchild before a bad later child attribute",
+            db(&[
+                ("Dept", vec![vec![i(1), id(0), s("d"), id(0)]]),
+                ("Emp", vec![vec![id(0), i(7), id(3), i(5), b(true)]]),
+                ("Skill", vec![vec![id(3), i(9)]]),
+            ]),
+        ),
+        (
+            "a bad parent attribute before its children",
+            db(&[
+                ("Dept", vec![vec![s("1"), id(0), s("d"), id(0)]]),
+                ("Emp", vec![vec![id(0), s("bad"), id(2), s("n"), b(true)]]),
+            ]),
+        ),
+        (
+            "the first of two bad children, in fact order",
+            db(&[
+                ("Dept", vec![vec![i(1), id(0), s("d"), id(0)]]),
+                (
+                    "Emp",
+                    vec![
+                        vec![id(0), i(7), id(2), s("n"), i(1)],
+                        vec![id(0), s("e"), id(2), s("n"), b(true)],
+                    ],
+                ),
+            ]),
+        ),
+    ];
+    for (what, db) in &cases {
+        assert_facts_flat_agree(db, &schema, what);
+    }
+}
+
 /// Positive Datalog is monotone: adding input facts never removes output
 /// facts.
 #[test]
@@ -462,22 +704,144 @@ fn datalog_monotone() {
 
 // ------------------------------------------------------------ analyze --
 
-/// Every MDP returned by `mdp_set` distinguishes the tables and is
-/// minimal (Definition 1).
+/// Algorithm 4 by direct projection: `mdp_set`'s breadth-first search
+/// with each node decided as `actual.project(L) == expected.project(L)`.
+/// `mdp_set` decides nodes by partition refinement instead and must
+/// return exactly this, order included.
+fn reference_mdp_set(
+    actual: &dynamite::instance::FlatTable,
+    expected: &dynamite::instance::FlatTable,
+    budget: usize,
+) -> (Vec<std::collections::BTreeSet<usize>>, bool) {
+    use std::collections::{BTreeSet, HashSet, VecDeque};
+    let ncols = actual.columns.len();
+    let all: BTreeSet<usize> = (0..ncols).collect();
+    if ncols == 0 {
+        return (vec![all], false);
+    }
+    let mut delta: Vec<BTreeSet<usize>> = Vec::new();
+    let mut visited: HashSet<BTreeSet<usize>> = HashSet::new();
+    let mut queue: VecDeque<BTreeSet<usize>> = VecDeque::new();
+    for c in 0..ncols {
+        let l: BTreeSet<usize> = [c].into();
+        visited.insert(l.clone());
+        queue.push_back(l);
+    }
+    let mut dequeued = 0;
+    while let Some(l) = queue.pop_front() {
+        dequeued += 1;
+        if dequeued > budget {
+            return (if delta.is_empty() { vec![all] } else { delta }, true);
+        }
+        let cols: Vec<usize> = l.iter().copied().collect();
+        if actual.project(&cols) == expected.project(&cols) {
+            for c in (0..ncols).filter(|c| !l.contains(c)) {
+                let mut l2 = l.clone();
+                l2.insert(c);
+                if visited.insert(l2.clone()) {
+                    queue.push_back(l2);
+                }
+            }
+        } else if !delta.iter().any(|d| d.is_subset(&l)) {
+            delta.push(l);
+        }
+    }
+    if delta.is_empty() {
+        delta.push(all);
+    }
+    (delta, false)
+}
+
+/// `mdp_set` equals the by-projection reference exactly (sets and
+/// order, and the exhaustion flag) over 1–6 columns of integer, string
+/// (ordering resolves the strings), boolean and id values, empty tables,
+/// near-identical tables, and every budget from 0 to `ncols + 2` plus an
+/// ample one; with an ample budget every MDP distinguishes the tables
+/// and is minimal (Definition 1).
 #[test]
 fn mdps_distinguish_and_are_minimal() {
     use dynamite::core::mdp_set;
     use dynamite::instance::FlatTable;
-    for seed in 0..32u64 {
+    // Interned in an order unlike their lexicographic one.
+    const STRS: [&str; 5] = ["zeta", "Alpha", "é", "", "alpha"];
+    fn value(rng: &mut StdRng, kind: u32) -> Value {
+        match kind {
+            0 => Value::Int(rng.gen_range(-1i64..2)),
+            1 => Value::str(STRS[rng.gen_range(0..STRS.len())]),
+            2 => Value::Id(rng.gen_range(0u64..3)),
+            _ => Value::Bool(rng.gen_bool(0.5)),
+        }
+    }
+    for seed in 0..400u64 {
         let mut rng = StdRng::seed_from_u64(4000 + seed);
-        let random_table = |rng: &mut StdRng| FlatTable {
-            columns: vec!["a".into(), "b".into(), "c".into()],
-            rows: (0..rng.gen_range(1..6))
-                .map(|_| (0..3).map(|_| Value::Int(rng.gen_range(0i64..3))).collect())
-                .collect(),
+        let ncols = rng.gen_range(1..=6usize);
+        // Per column: one value kind, or (kind 4) a mix of all of them.
+        let kinds: Vec<u32> = (0..ncols).map(|_| rng.gen_range(0..5u32)).collect();
+        let row = |rng: &mut StdRng| -> Vec<Value> {
+            kinds
+                .iter()
+                .map(|&k| {
+                    let k = if k == 4 { rng.gen_range(0..4) } else { k };
+                    value(rng, k)
+                })
+                .collect()
         };
-        let ta = random_table(&mut rng);
-        let tb = random_table(&mut rng);
+        let columns: Vec<String> = (0..ncols).map(|c| format!("c{c}")).collect();
+        let table = |rng: &mut StdRng, max: usize| FlatTable {
+            columns: columns.clone(),
+            rows: (0..rng.gen_range(0..=max)).map(|_| row(rng)).collect(),
+        };
+        let ta = match seed % 4 {
+            0 => FlatTable {
+                columns: columns.clone(),
+                rows: Default::default(),
+            },
+            _ => table(&mut rng, 9),
+        };
+        let tb = match seed % 4 {
+            // Both empty, or only the actual side empty.
+            0 if seed % 8 == 0 => ta.clone(),
+            0 => table(&mut rng, 6),
+            // Near-identical: drop, change or add a row or two, so the
+            // search goes deep before a projection distinguishes.
+            1 | 2 => {
+                let mut rows: Vec<Vec<Value>> = ta.rows.iter().cloned().collect();
+                for _ in 0..rng.gen_range(1..=2) {
+                    match rng.gen_range(0..3) {
+                        0 if !rows.is_empty() => {
+                            let i = rng.gen_range(0..rows.len());
+                            rows.remove(i);
+                        }
+                        1 if !rows.is_empty() => {
+                            let i = rng.gen_range(0..rows.len());
+                            let c = rng.gen_range(0..ncols);
+                            let k = if kinds[c] == 4 {
+                                rng.gen_range(0..4)
+                            } else {
+                                kinds[c]
+                            };
+                            rows[i][c] = value(&mut rng, k);
+                        }
+                        _ => rows.push(row(&mut rng)),
+                    }
+                }
+                FlatTable {
+                    columns: columns.clone(),
+                    rows: rows.into_iter().collect(),
+                }
+            }
+            _ => table(&mut rng, 9),
+        };
+        let (ta, tb) = if seed % 16 == 4 { (tb, ta) } else { (ta, tb) };
+        for budget in (0..=ncols + 2).chain([10_000]) {
+            let got = mdp_set(&ta, &tb, budget);
+            let (mdps, exhausted) = reference_mdp_set(&ta, &tb, budget);
+            assert_eq!(
+                (&got.mdps, got.budget_exhausted),
+                (&mdps, exhausted),
+                "seed {seed}, budget {budget}:\nactual {ta:?}\nexpected {tb:?}"
+            );
+        }
         if ta == tb {
             continue;
         }
