@@ -21,9 +21,9 @@
 //!   and cached inside the context, so candidate #2 onwards reuses the
 //!   indexes candidate #1 built;
 //! - overlay indexes are maintained **eagerly**: `absorb` extends every
-//!   caught-up index of a relation as each delta tuple lands, so
-//!   recursion-heavy workloads skip the per-rule-variant catch-up scan
-//!   (indexes first requested mid-evaluation still catch up lazily);
+//!   index of a relation as each delta tuple lands, so recursion-heavy
+//!   workloads never re-scan the overlay per rule variant (an index first
+//!   requested mid-evaluation is built once over the rows so far);
 //! - compiled rules are memoized **across** evaluations by a normalized
 //!   rule key, so CEGIS candidates sharing rule bodies skip recompilation;
 //! - positive body literals are **reordered by a cost-based planner**
@@ -71,18 +71,20 @@
 //!   [`RuleCacheHandle`] will serve each other wrong plans.
 //! - **Delta-first**: every semi-naive delta variant keeps its delta
 //!   occurrence outermost; the planner may permute only the rest.
-//! - **Overlay indexes are append-only**: row ids never move while the
-//!   overlay grows (the store's stable-insertion-order invariant), which
-//!   is what lets `absorb` extend caught-up indexes per inserted row.
-//!   The incremental-maintenance module's retraction path is the one
-//!   consumer that compacts a store; [`IdbState::remove_rows`] therefore
-//!   drops the mutated relation's indexes wholesale (they rebuild
-//!   lazily), never patches them in place.
+//! - **Indexes equal a fresh build**: every cached EDB index and every
+//!   overlay index equals `ColumnIndex::build` over its relation's
+//!   current rows, postings ascending. Inserts append the new row id
+//!   (`absorb`, [`IdbState::insert`], `EdbEdit::apply`), and the
+//!   retraction path repairs indexes for exactly the removed and the
+//!   swap-moved rows ([`IdbState::remove_rows`], `EdbEdit::apply`), so no
+//!   batch rebuilds an index. Join emission order follows posting order,
+//!   which is why a session recovered from disk (whose indexes are
+//!   freshly built) emits rows in the live session's order.
 
 use std::sync::{Arc, OnceLock, RwLock};
 
 use dynamite_instance::hash::FxHashMap;
-use dynamite_instance::{ColumnIndex, Database, Relation, RowRef, Value};
+use dynamite_instance::{ColumnIndex, Database, Relation, RowChange, RowRef, Value};
 
 use crate::ast::{Atom, Literal, Program, Rule, Term};
 use crate::eval::{check_arities, rule_stratum, stratify, EdbEdit, EvalError};
@@ -294,10 +296,11 @@ impl Evaluator {
     }
 
     /// This context with a validated batch applied to its snapshot by
-    /// [`EdbEdit::apply`], which drops the changed relations' indexes. The
-    /// pool, rule memo, planner mode and every other index carry over; the
-    /// plan cache restarts, since statistics moved. The snapshot is moved,
-    /// never copied, so this handle must be the context's sole owner.
+    /// [`EdbEdit::apply`], which repairs the changed relations' cached
+    /// indexes in place. The pool, rule memo, planner mode and every
+    /// index carry over; the plan cache restarts, since statistics moved.
+    /// The snapshot is moved, never copied, so this handle must be the
+    /// context's sole owner.
     pub(crate) fn apply_delta(self, inserts: &Database, deletes: &Database) -> Evaluator {
         let Ok(mut ctx) = Arc::try_unwrap(self.ctx) else {
             panic!("an edited evaluation context must have one owner");
@@ -786,6 +789,8 @@ impl EvalRun<'_> {
         {
             return Some(idx.clone());
         }
+        #[cfg(test)]
+        upkeep::count_edb_build();
         let built = Arc::new(ColumnIndex::build(relation, cols));
         let mut w = self.indexes.write().expect("index cache poisoned");
         Some(
@@ -1689,51 +1694,29 @@ pub(crate) fn rederive_plans(rule: &Rule) -> Vec<RederivePlan> {
 
 // ------------------------------------------------------------- overlay --
 
-/// Per-evaluation IDB overlay: derived relations plus their incrementally
-/// maintained indexes. The incremental maintainer keeps one of these warm
-/// across batches (see `crate::incremental`).
+/// Applies one row-id change of a relation to one of its indexes, keeping
+/// the index equal to a fresh build (see the module invariants).
+pub(crate) fn repair_index(
+    idx: &mut ColumnIndex,
+    cols: &[usize],
+    row: RowRef<'_>,
+    change: RowChange,
+) {
+    #[cfg(test)]
+    upkeep::count_touch();
+    idx.update(cols, row, change);
+}
+
+/// Per-evaluation IDB overlay: derived relations plus their join indexes.
+/// The incremental maintainer keeps one of these warm across batches (see
+/// `crate::incremental`).
 pub(crate) struct IdbState {
     rels: FxHashMap<String, Relation>,
     /// `relation → column-set → index`, borrowed-key lookups on the hot
-    /// path (see [`EdbContext::indexes`]).
-    indexes: FxHashMap<String, FxHashMap<Vec<usize>, IncIndex>>,
-}
-
-/// An incrementally extended column index over an overlay relation.
-pub(crate) struct IncIndex {
-    map: FxHashMap<Vec<Value>, Vec<usize>>,
-    /// Number of overlay tuples already indexed.
-    covered: usize,
-}
-
-impl IncIndex {
-    pub(crate) fn get(&self, key: &[Value]) -> &[usize] {
-        self.map.get(key).map_or(&[], Vec::as_slice)
-    }
-
-    /// Repairs the index across a compaction that removed the ascending
-    /// pre-compaction row ids `dead` (see
-    /// `TupleStore::remove_rows_indices`): dead ids are dropped,
-    /// survivors shift down past the dead ids beneath them, and emptied
-    /// postings go away. `covered` shrinks by the dead ids it had
-    /// absorbed, so a caught-up index stays caught up and a partial one
-    /// still covers exactly the compacted prefix it had seen. Costs one
-    /// sweep of the postings — no key is re-hashed, so a small retraction
-    /// batch does not pay a full rebuild of a large overlay index.
-    fn remap_removed(&mut self, dead: &[usize]) {
-        self.map.retain(|_, ids| {
-            ids.retain_mut(|id| {
-                let below = dead.partition_point(|&d| d < *id);
-                if dead.get(below).is_some_and(|&d| d == *id) {
-                    return false;
-                }
-                *id -= below;
-                true
-            });
-            !ids.is_empty()
-        });
-        self.covered -= dead.partition_point(|&d| d < self.covered);
-    }
+    /// path (see [`EdbContext::indexes`]). Every index is current: built
+    /// whole when registered, then kept equal to a fresh build by every
+    /// insert and removal.
+    indexes: FxHashMap<String, FxHashMap<Vec<usize>, ColumnIndex>>,
 }
 
 impl IdbState {
@@ -1751,7 +1734,7 @@ impl IdbState {
 
     /// Rebuilds an overlay from a previously materialized output
     /// database (the warm-start path of the incremental maintainer).
-    /// Indexes start empty and catch up lazily via `ensure_index`.
+    /// Indexes start empty and are built on first use via `ensure_index`.
     pub(crate) fn from_database(db: Database) -> IdbState {
         IdbState {
             rels: db.into_relations().collect(),
@@ -1773,41 +1756,31 @@ impl IdbState {
             .or_insert_with(|| Relation::new_untracked(arity));
     }
 
-    /// Registers the overlay index of `rel` on `cols`, catching it up over
-    /// any rows absorbed before it existed. Once caught up, `absorb` keeps
-    /// it current eagerly, so re-registration is a cheap no-op.
+    /// Registers the overlay index of `rel` on `cols`, building it over
+    /// the rows absorbed so far. From then on every insert and removal
+    /// keeps it current, so re-registration is a cheap no-op.
     pub(crate) fn ensure_index(&mut self, rel: &str, cols: &[usize]) {
         let Some(relation) = self.rels.get(rel) else {
             return; // purely extensional: no overlay side
         };
-        if !self.indexes.contains_key(rel) {
-            self.indexes.insert(rel.to_string(), FxHashMap::default());
+        if self
+            .indexes
+            .get(rel)
+            .is_some_and(|by| by.contains_key(cols))
+        {
+            return;
         }
-        let by_cols = self.indexes.get_mut(rel).expect("just ensured");
-        if !by_cols.contains_key(cols) {
-            by_cols.insert(
-                cols.to_vec(),
-                IncIndex {
-                    map: FxHashMap::default(),
-                    covered: 0,
-                },
-            );
-        }
-        let idx = by_cols.get_mut(cols).expect("just ensured");
-        if idx.covered < relation.len() {
-            // Columnar catch-up: gather keys from the contiguous
-            // tag/payload streams, reassembling values on the fly.
-            let slices: Vec<_> = cols.iter().map(|&c| relation.column(c)).collect();
-            for i in idx.covered..relation.len() {
-                let key: Vec<Value> = slices.iter().map(|s| s.value(i)).collect();
-                idx.map.entry(key).or_default().push(i);
-            }
-            idx.covered = relation.len();
-        }
+        #[cfg(test)]
+        upkeep::count_overlay_build();
+        let idx = ColumnIndex::build(relation, cols);
+        self.indexes
+            .entry(rel.to_string())
+            .or_default()
+            .insert(cols.to_vec(), idx);
     }
 
     /// The overlay relation and its (previously ensured) index.
-    pub(crate) fn indexed(&self, rel: &str, cols: &[usize]) -> Option<(&Relation, &IncIndex)> {
+    pub(crate) fn indexed(&self, rel: &str, cols: &[usize]) -> Option<(&Relation, &ColumnIndex)> {
         let relation = self.rels.get(rel)?;
         let idx = self.indexes.get(rel)?.get(cols)?;
         Some((relation, idx))
@@ -1824,13 +1797,9 @@ impl IdbState {
     }
 
     /// Removes `rows` from the overlay relation `rel`, returning how many
-    /// were present. Removal compacts the store (row ids shift), so the
-    /// relation's overlay indexes are remapped in place — the one
-    /// exception to the append-only index invariant. The remap drops the
-    /// dead postings and shifts the survivors (`IncIndex::remap_removed`)
-    /// instead of rebuilding, keeping a small retraction batch's index
-    /// upkeep proportional to the postings sweep rather than a full
-    /// re-hash of a large overlay relation.
+    /// were present. The store swap-removes them, and each of the
+    /// relation's indexes is repaired for exactly the removed and the
+    /// moved rows — O(batch) index work, whatever the relation's size.
     pub(crate) fn remove_rows<I, R>(&mut self, rel: &str, rows: I) -> usize
     where
         I: IntoIterator<Item = R>,
@@ -1839,20 +1808,17 @@ impl IdbState {
         let Some(relation) = self.rels.get_mut(rel) else {
             return 0;
         };
-        let dead = relation.remove_rows_indices(rows);
-        if !dead.is_empty() {
-            if let Some(by_cols) = self.indexes.get_mut(rel) {
-                for idx in by_cols.values_mut() {
-                    idx.remap_removed(&dead);
-                }
+        let mut by_cols = self.indexes.get_mut(rel);
+        relation.remove_rows_with(rows, |row, change| {
+            for (cols, idx) in by_cols.iter_mut().flat_map(|by| by.iter_mut()) {
+                repair_index(idx, cols, row, change);
             }
-        }
-        dead.len()
+        })
     }
 
     /// Inserts one tuple directly (DRed's re-derivation reinsert path),
-    /// keeping caught-up overlay indexes extended exactly as `absorb`
-    /// does. Returns `false` if the tuple was already present.
+    /// extending the relation's indexes exactly as `absorb` does.
+    /// Returns `false` if the tuple was already present.
     pub(crate) fn insert(&mut self, rel: &str, row: &[Value]) -> bool {
         let Some(overlay) = self.rels.get_mut(rel) else {
             return false;
@@ -1860,17 +1826,18 @@ impl IdbState {
         if !overlay.insert(row) {
             return false;
         }
-        let at = overlay.len() - 1;
-        if let Some(by_cols) = self.indexes.get_mut(rel) {
-            for (cols, idx) in by_cols.iter_mut() {
-                if idx.covered == at {
-                    let key: Vec<Value> = cols.iter().map(|&c| row[c]).collect();
-                    idx.map.entry(key).or_default().push(at);
-                    idx.covered = at + 1;
-                }
-            }
-        }
+        append_to_indexes(overlay, self.indexes.get_mut(rel));
         true
+    }
+}
+
+/// Extends `by_cols` (the indexes of `rel`, if any) with `rel`'s newest
+/// row, just appended.
+fn append_to_indexes(rel: &Relation, by_cols: Option<&mut FxHashMap<Vec<usize>, ColumnIndex>>) {
+    let id = rel.len() - 1;
+    let row = rel.get(id).expect("just appended");
+    for (cols, idx) in by_cols.into_iter().flatten() {
+        repair_index(idx, cols, row, RowChange::Appended(id as u32));
     }
 }
 
@@ -1878,10 +1845,10 @@ impl IdbState {
 /// new when it is in neither the EDB snapshot nor the overlay.
 ///
 /// Index maintenance is delta-driven (eager): every overlay index of the
-/// head relation that is already caught up extends itself with the new
-/// row immediately, so recursion-heavy fixpoints never re-scan the
-/// overlay per rule variant. Indexes created later (mid-evaluation) start
-/// behind and catch up once in [`IdbState::ensure_index`].
+/// head relation extends itself with the new row immediately, so
+/// recursion-heavy fixpoints never re-scan the overlay per rule variant.
+/// Indexes registered later (mid-evaluation) are built whole once in
+/// [`IdbState::ensure_index`].
 /// The fact budget is charged here — on the sequential merge path, per
 /// *unique* insert, in fixed job order — so whether (and where) it trips
 /// is identical at every thread count. A budget trip aborts mid-absorb;
@@ -1920,16 +1887,7 @@ pub(crate) fn absorb(
             if let Some(gov) = gov {
                 gov.count_fact()?;
             }
-            let row = overlay.len() - 1;
-            if let Some(by_cols) = indexes.get_mut(rel) {
-                for (cols, idx) in by_cols.iter_mut() {
-                    if idx.covered == row {
-                        let key: Vec<Value> = cols.iter().map(|&c| tuple[c]).collect();
-                        idx.map.entry(key).or_default().push(row);
-                        idx.covered = row + 1;
-                    }
-                }
-            }
+            append_to_indexes(overlay, indexes.get_mut(rel));
             if let Some(d) = delta.get_mut(rel) {
                 d.insert(&tuple);
             }
@@ -1963,7 +1921,7 @@ enum ScanSrc<'a> {
     /// Index probe on the key columns, each side with its own index.
     Indexed {
         edb: Option<(&'a Relation, &'a ColumnIndex)>,
-        idb: Option<(&'a Relation, &'a IncIndex)>,
+        idb: Option<(&'a Relation, &'a ColumnIndex)>,
     },
 }
 
@@ -1971,7 +1929,7 @@ struct NegExec<'a> {
     plan: &'a NegPlan,
     edb: Option<&'a ColumnIndex>,
     edb_rel: Option<&'a Relation>,
-    idb: Option<&'a IncIndex>,
+    idb: Option<&'a ColumnIndex>,
     idb_rel: Option<&'a Relation>,
 }
 
@@ -2192,7 +2150,7 @@ impl JoinRun<'_> {
                         if self.should_stop() {
                             break;
                         }
-                        let t = rel.get(ti).expect("index in range");
+                        let t = rel.get(ti as usize).expect("index in range");
                         if try_tuple(&mut self.env, &mut newly, exec.slots, t) {
                             self.descend(depth + 1);
                             for &n in &newly {
@@ -2207,6 +2165,9 @@ impl JoinRun<'_> {
         self.newly[depth] = newly;
     }
 }
+
+#[cfg(test)]
+pub(crate) mod upkeep;
 
 #[cfg(test)]
 mod tests {

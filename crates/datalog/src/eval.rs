@@ -21,11 +21,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
-use dynamite_instance::{Database, Relation};
+use dynamite_instance::{ColumnIndex, Database, Relation, RowChange};
 
 use crate::ast::{Program, Rule, WellFormedError};
-use crate::engine::{Evaluator, IndexCache};
+use crate::engine::{repair_index, Evaluator, IndexCache};
 
 /// Errors raised by the evaluator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -229,9 +230,12 @@ pub(crate) struct EdbEdit {
 impl EdbEdit {
     /// Applies a validated batch to `edb`, the one place a batch mutates
     /// an EDB. Deletions go first, so a fact in both batches ends up
-    /// present. Every changed relation's cached EDB indexes are dropped:
-    /// removal compacts row ids, and an index built before an insert
-    /// misses the new rows.
+    /// present. Every cached EDB index of a changed relation is repaired
+    /// in place: an insert appends its new row id, and a delete repairs
+    /// the index for the removed row and the row swap-removal moved into
+    /// its slot. The work is O(batch), never O(relation). An index some
+    /// other handle still shares (so `Arc::get_mut` fails) is dropped
+    /// instead and rebuilt on next use.
     pub(crate) fn apply(
         edb: &mut Database,
         indexes: &mut IndexCache,
@@ -240,22 +244,33 @@ impl EdbEdit {
     ) -> EdbEdit {
         let removed = present_rows(edb, deletes);
         for (name, rows) in removed.iter() {
-            edb.relation_mut(name, rows.arity())
-                .remove_rows(rows.iter().map(|row| row.to_vec()));
-            indexes.remove(name);
+            let mut live = unshared_indexes(indexes, name);
+            edb.relation_mut(name, rows.arity()).remove_rows_with(
+                rows.iter().map(|row| row.to_vec()),
+                |row, change| {
+                    for (cols, idx) in live.iter_mut() {
+                        repair_index(idx, cols, row, change);
+                    }
+                },
+            );
         }
         let mut added = Vec::new();
         // Empty relations carry no rows and may have any arity.
         for (name, rel) in inserts.iter().filter(|(_, rel)| !rel.is_empty()) {
             let cur = edb.relation_mut(name, rel.arity());
+            let mut live = unshared_indexes(indexes, name);
             let mut rows = Relation::new_untracked(rel.arity());
             for row in rel.iter() {
                 if cur.insert_row(row) {
+                    let id = cur.len() - 1;
+                    let at = cur.get(id).expect("just appended");
+                    for (cols, idx) in live.iter_mut() {
+                        repair_index(idx, cols, at, RowChange::Appended(id as u32));
+                    }
                     rows.insert_row(row);
                 }
             }
             if !rows.is_empty() {
-                indexes.remove(name);
                 added.push((name.to_string(), rows));
             }
         }
@@ -272,6 +287,27 @@ impl EdbEdit {
     pub(crate) fn undo(&self, edb: &mut Database, indexes: &mut IndexCache) {
         EdbEdit::apply(edb, indexes, &self.removed, &self.added);
     }
+}
+
+/// The cached indexes of relation `name` that only the cache holds,
+/// ready to repair in place. Indexes another handle still shares are
+/// dropped from the cache: they cannot be edited, and a stale one must
+/// not be served.
+fn unshared_indexes<'c>(
+    indexes: &'c mut IndexCache,
+    name: &str,
+) -> Vec<(&'c [usize], &'c mut ColumnIndex)> {
+    let Some(by_cols) = indexes.get_mut(name) else {
+        return Vec::new();
+    };
+    by_cols.retain(|_, idx| Arc::get_mut(idx).is_some());
+    by_cols
+        .iter_mut()
+        .map(|(cols, idx)| {
+            let idx = Arc::get_mut(idx).expect("shared indexes were dropped");
+            (cols.as_slice(), idx)
+        })
+        .collect()
 }
 
 /// Relation arities as used by `program`, validated against `input`.

@@ -42,9 +42,10 @@
 //! # Warm-state invariants
 //!
 //! - The EDB snapshot and the derived-fact overlay (`IdbState`) persist
-//!   across batches; overlay join indexes survive and are extended
-//!   eagerly on reinserts. Relations that lose rows have their cached
-//!   indexes dropped (compaction shifts row ids) and rebuilt lazily.
+//!   across batches, and so do both sides' join indexes: inserts append
+//!   their row ids, and removals (swap-remove) repair only the removed
+//!   and the moved rows. A batch's index work is O(batch); no index is
+//!   rebuilt after warm-up.
 //! - Programs with negation fall back to full re-evaluation plus output
 //!   diffing — DRed's over-delete is unsound under negation (removing a
 //!   fact can *add* derivations). The public contract is unchanged.
@@ -1028,7 +1029,7 @@ fn body_holds(
                 .collect();
             if let (Some(rel), Some(ix)) = (edb.relation(&lit.rel), edb_ix[depth].as_deref()) {
                 for &ti in ix.get(&key) {
-                    let row = rel.get(ti).expect("index position in range");
+                    let row = rel.get(ti as usize).expect("index position in range");
                     if try_tuple(env, &mut newly, &lit.slots, row) {
                         if body_holds(lits, depth + 1, env, edb, idb, edb_ix) {
                             return true;
@@ -1042,7 +1043,7 @@ fn body_holds(
             }
             if let Some((rel, ix)) = idb.indexed(&lit.rel, &lit.key_cols) {
                 for &ti in ix.get(&key) {
-                    let row = rel.get(ti).expect("index position in range");
+                    let row = rel.get(ti as usize).expect("index position in range");
                     if try_tuple(env, &mut newly, &lit.slots, row) {
                         if body_holds(lits, depth + 1, env, edb, idb, edb_ix) {
                             return true;
@@ -1075,4 +1076,223 @@ fn body_holds(
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::upkeep::{self, Cached, Work};
+    use crate::governor::ResourceLimits;
+    use crate::query::ServedEvaluator;
+
+    /// Joins on every EDB relation, recursion through the overlay, and
+    /// `Tag`, which starts empty.
+    const PROGRAM: &str = "
+        Path(x, y) :- Edge(x, y).
+        Path(x, z) :- Path(x, y), Edge(y, z).
+        Named(x, n) :- Node(x, n), Edge(x, _).
+        Tagged(n, t) :- Tag(x, t), Node(x, n).
+    ";
+
+    /// A seeded xorshift stream; `pick(m)` is uniform-ish in `0..m`.
+    struct Rng(u64);
+
+    impl Rng {
+        fn pick(&mut self, m: u64) -> i64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % m) as i64
+        }
+    }
+
+    fn fact(rng: &mut Rng, rel: &str) -> Vec<Value> {
+        let node = |rng: &mut Rng| Value::Int(rng.pick(10));
+        match rel {
+            "Edge" => vec![node(rng), node(rng)],
+            "Node" => vec![node(rng), Value::Int(100 + rng.pick(4))],
+            _ => vec![node(rng), Value::Int(200 + rng.pick(3))],
+        }
+    }
+
+    fn start_edb(rng: &mut Rng) -> Database {
+        let mut edb = Database::new();
+        edb.relation_mut("Tag", 2);
+        for _ in 0..25 {
+            let f = fact(rng, "Edge");
+            edb.insert("Edge", f);
+            let f = fact(rng, "Node");
+            edb.insert("Node", f);
+        }
+        edb
+    }
+
+    /// One random batch against `edb`: inserts and deletes on every
+    /// relation, plus one present fact both deleted and re-inserted.
+    fn batch(rng: &mut Rng, edb: &Database) -> (Database, Database) {
+        let (mut ins, mut dels) = (Database::new(), Database::new());
+        for rel in ["Edge", "Node", "Tag"] {
+            for _ in 0..rng.pick(4) {
+                ins.insert(rel, fact(rng, rel));
+            }
+            let Some(cur) = edb.relation(rel).filter(|r| !r.is_empty()) else {
+                continue;
+            };
+            for _ in 0..rng.pick(4) {
+                let row = cur.get(rng.pick(cur.len() as u64) as usize).unwrap();
+                dels.insert(rel, row.to_vec());
+            }
+        }
+        let edges = edb.relation("Edge").unwrap();
+        let both = edges.get(rng.pick(edges.len() as u64) as usize).unwrap();
+        dels.insert("Edge", both.to_vec());
+        ins.insert("Edge", both.to_vec());
+        (ins, dels)
+    }
+
+    /// The number of `now` entries absent from `before`, after asserting
+    /// that every entry of `before` survives with the same index (same
+    /// `Arc` allocation): nothing cached was dropped or rebuilt.
+    fn new_entries<K: Ord + std::fmt::Debug>(before: &[K], now: &[K]) -> usize {
+        for k in before {
+            assert!(
+                now.binary_search(k).is_ok(),
+                "cached index {k:?} was replaced"
+            );
+        }
+        now.len() - before.len()
+    }
+
+    #[test]
+    fn maintained_indexes_equal_fresh_builds_and_are_never_rebuilt() {
+        let program = Program::parse(PROGRAM).unwrap();
+        let mut rng = Rng(0x5eed_1dec_0de5_f00d);
+        let edb = start_edb(&mut rng);
+        let pool = pool::with_threads(Some(1));
+        let mut inc =
+            IncrementalEvaluator::with_config(program, edb, pool, true).expect("valid program");
+        upkeep::take();
+        let (mut edb_before, mut overlay_before): (Cached, Vec<_>) = (Vec::new(), Vec::new());
+        for b in 0..80 {
+            let (ins, dels) = batch(&mut rng, &inc.edb);
+            if b == 40 {
+                // A governed trip after the deletions landed: DRed's
+                // insert rounds exceed the fact budget, so the edit is
+                // undone through `EdbEdit::undo`.
+                let mut ins = ins.clone();
+                for x in 0..10 {
+                    ins.insert("Edge", vec![Value::Int(x), Value::Int(x + 50)]);
+                }
+                let edb_rows = inc.edb.clone();
+                let gov = Governor::new(ResourceLimits::none().with_fact_budget(1));
+                assert!(inc.apply_delta_governed(&ins, &dels, &gov).is_err());
+                assert_eq!(inc.edb, edb_rows, "a failed batch leaves the EDB as it was");
+            } else {
+                inc.apply_delta(&ins, &dels).expect("batch applies");
+            }
+            let work = upkeep::take();
+            let edb_now = upkeep::check_edb(&inc.edb, &inc.indexes.read().unwrap());
+            if b >= 10 {
+                assert_eq!(
+                    work.edb_builds,
+                    new_entries(&edb_before, &edb_now),
+                    "batch {b}: an EDB index was rebuilt"
+                );
+            }
+            edb_before = edb_now;
+            if inc.poisoned {
+                continue; // batch 41 rebuilds the overlay wholesale
+            }
+            let overlay_now = upkeep::check_overlay(&inc.idb);
+            if b >= 10 && b != 41 {
+                assert_eq!(
+                    work.overlay_builds,
+                    new_entries(&overlay_before, &overlay_now),
+                    "batch {b}: an overlay index was rebuilt"
+                );
+            }
+            overlay_before = overlay_now;
+            inc.audit()
+                .expect("maintained overlay equals a full evaluation");
+            upkeep::take(); // the audit's own evaluation is not upkeep
+        }
+        assert!(!inc.edb.relation("Tag").unwrap().is_empty());
+        assert!(!edb_before.is_empty() && !overlay_before.is_empty());
+    }
+
+    #[test]
+    fn served_indexes_equal_fresh_builds_and_are_never_rebuilt() {
+        let program = Program::parse(PROGRAM).unwrap();
+        let mut rng = Rng(0x0dd_ba11_cafe_f00d);
+        let edb = start_edb(&mut rng);
+        let pool = pool::with_threads(Some(1));
+        let mut served = ServedEvaluator::with_config(program, edb, pool, true).unwrap();
+        let mut before: Cached = Vec::new();
+        for b in 0..60 {
+            let (ins, dels) = batch(&mut rng, served.evaluator().database());
+            served.apply_delta(&ins, &dels).expect("batch applies");
+            for (rel, bound) in [("Path", 0), ("Named", 0), ("Tagged", 1), ("Path", 1)] {
+                let mut bindings = vec![None, None];
+                bindings[bound] = Some(Value::Int(rng.pick(10)));
+                if rel == "Tagged" {
+                    bindings[bound] = Some(Value::Int(200 + rng.pick(3)));
+                }
+                served.query(rel, &bindings).expect("query answers");
+            }
+            let work = upkeep::take();
+            let now = served.evaluator().check_indexes();
+            if b >= 10 {
+                assert_eq!(
+                    work.edb_builds,
+                    new_entries(&before, &now),
+                    "batch {b}: an EDB index was rebuilt"
+                );
+            }
+            before = now;
+        }
+        assert!(!before.is_empty());
+    }
+
+    /// Index work of one fixed batch against a chain graph of `n` nodes.
+    fn batch_work(n: i64) -> Work {
+        let program = Program::parse(
+            "Hop2(x, z) :- Edge(x, y), Edge(y, z).
+             Named(x, m) :- Node(x, m), Edge(x, _).",
+        )
+        .unwrap();
+        let mut edb = Database::new();
+        for i in 0..n {
+            edb.insert("Edge", vec![Value::Int(i), Value::Int(i + 1)]);
+            edb.insert("Node", vec![Value::Int(i), Value::Int(i % 7)]);
+        }
+        let pool = pool::with_threads(Some(1));
+        let mut inc = IncrementalEvaluator::with_config(program, edb, pool, false).unwrap();
+        // Warm-up: a first batch touching both relations builds every
+        // index the maintenance plans use.
+        let (mut ins, mut dels) = (Database::new(), Database::new());
+        dels.insert("Edge", vec![Value::Int(10), Value::Int(11)]);
+        ins.insert("Edge", vec![Value::Int(10), Value::Int(11)]);
+        dels.insert("Node", vec![Value::Int(10), Value::Int(3)]);
+        ins.insert("Node", vec![Value::Int(10), Value::Int(3)]);
+        inc.apply_delta(&ins, &dels).unwrap();
+        inc.apply_delta(&dels, &ins).unwrap();
+        upkeep::take();
+        // The measured batch: 8 deletions and 8 insertions, all local.
+        let (mut ins, mut dels) = (Database::new(), Database::new());
+        for i in 100..108i64 {
+            dels.insert("Edge", vec![Value::Int(i), Value::Int(i + 1)]);
+            ins.insert("Edge", vec![Value::Int(i), Value::Int(i + 2)]);
+        }
+        inc.apply_delta(&ins, &dels).unwrap();
+        upkeep::take()
+    }
+
+    #[test]
+    fn batch_index_work_does_not_grow_with_the_edb() {
+        let small = batch_work(1_000);
+        let large = batch_work(10_000);
+        assert_eq!(small.edb_builds + small.overlay_builds, 0, "{small:?}");
+        assert!(small.touches > 0);
+        assert_eq!(small, large, "index work must not depend on the EDB size");
+    }
 }

@@ -380,7 +380,7 @@ fn eval_compiled(
                     })
                     .collect();
                 for &ti in index.get(&key) {
-                    let t = rel.get(ti).expect("index in range");
+                    let t = rel.get(ti as usize).expect("index in range");
                     if let Some(newly) = try_tuple(t, env) {
                         join(compiled, layouts, indexes, total, depth + 1, env, results);
                         for n in newly {

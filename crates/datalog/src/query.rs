@@ -710,6 +710,12 @@ impl ServedEvaluator {
         Ok(rows)
     }
 
+    /// The evaluation context the server answers from.
+    #[cfg(test)]
+    pub(crate) fn evaluator(&self) -> &Evaluator {
+        &self.ev
+    }
+
     /// A cached answer covering `bindings`, if any: an exact pattern
     /// match returns the rows verbatim, a subsuming broader pattern
     /// returns them filtered down to `bindings`.
@@ -746,8 +752,10 @@ impl ServedEvaluator {
     /// invalidated wholesale — every subsequent query re-derives its
     /// slice against the new snapshot (demand-driven serving needs no
     /// DRed pass; the *next query* is the recomputation). The snapshot
-    /// is edited in place, not copied, and keeps the join indexes of
-    /// relations the batch did not touch.
+    /// is edited in place, not copied, and keeps every cached join
+    /// index: those of the changed relations are repaired in place for
+    /// just the batch's rows (see `EdbEdit::apply`), so a write costs
+    /// O(batch) index work and the next query rebuilds nothing.
     ///
     /// Batches are validated exactly as
     /// [`IncrementalEvaluator::apply_delta`](crate::IncrementalEvaluator::apply_delta)

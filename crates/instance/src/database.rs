@@ -1,10 +1,10 @@
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashSet};
 
 use crate::hash::FxHashMap;
 use std::fmt;
 
-use crate::tuple_store::TupleStore;
+use crate::posting::{post, unpost, Posting, RowChange};
+use crate::tuple_store::{RowRef, TupleStore};
 use crate::value::Value;
 
 /// A set of tuples of fixed arity with insertion-ordered, deduplicated
@@ -140,9 +140,14 @@ impl fmt::Display for Database {
 /// A hash index from key columns to tuple positions, used by the Datalog
 /// evaluator for joins and by `BuildRecord` for parent-id lookup (this is
 /// the in-memory substitute for the paper's MongoDB index, §5).
-#[derive(Debug, Default)]
+///
+/// Each key's posting holds its row ids ascending, with a single id
+/// stored inline. [`ColumnIndex::update`] keeps an index equal to a fresh
+/// [`ColumnIndex::build`] across every row-id change of its relation, so
+/// a maintained index is state updated per batch, never rebuilt.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct ColumnIndex {
-    map: FxHashMap<Vec<Value>, Vec<usize>>,
+    map: FxHashMap<Vec<Value>, Posting>,
 }
 
 impl ColumnIndex {
@@ -158,38 +163,50 @@ impl ColumnIndex {
         if rel.is_empty() {
             return ColumnIndex::default();
         }
-        let mut map: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
+        let mut map: FxHashMap<Vec<Value>, Posting> = FxHashMap::default();
         match cols {
             // Single-column fast path: one stream pair, one value per key.
             [c] => {
                 for (i, v) in rel.column(*c).iter().enumerate() {
-                    match map.entry(vec![v]) {
-                        Entry::Occupied(mut e) => e.get_mut().push(i),
-                        Entry::Vacant(e) => {
-                            e.insert(vec![i]);
-                        }
-                    }
+                    post(&mut map, vec![v], i as u32);
                 }
             }
             _ => {
                 let slices: Vec<_> = cols.iter().map(|&c| rel.column(c)).collect();
                 for i in 0..rel.len() {
-                    let key: Vec<Value> = slices.iter().map(|s| s.value(i)).collect();
-                    match map.entry(key) {
-                        Entry::Occupied(mut e) => e.get_mut().push(i),
-                        Entry::Vacant(e) => {
-                            e.insert(vec![i]);
-                        }
-                    }
+                    post(
+                        &mut map,
+                        slices.iter().map(|s| s.value(i)).collect(),
+                        i as u32,
+                    );
                 }
             }
         }
         ColumnIndex { map }
     }
 
-    /// Tuple positions whose key columns equal `key`.
-    pub fn get(&self, key: &[Value]) -> &[usize] {
-        self.map.get(key).map_or(&[], Vec::as_slice)
+    /// Tuple positions whose key columns equal `key`, ascending.
+    pub fn get(&self, key: &[Value]) -> &[u32] {
+        self.map.get(key).map_or(&[], Posting::ids)
+    }
+
+    /// Applies one row-id change of the indexed relation, keeping this
+    /// index on `cols` equal to a fresh build over the current rows.
+    /// `row` views the changed row: the appended row, the row being
+    /// removed, or the row being moved (see
+    /// [`TupleStore::remove_rows_with`]). Costs one key lookup plus a
+    /// binary search in that key's posting.
+    pub fn update(&mut self, cols: &[usize], row: RowRef<'_>, change: RowChange) {
+        let key: Vec<Value> = cols.iter().map(|&c| row.at(c)).collect();
+        match change {
+            RowChange::Appended(id) => post(&mut self.map, key, id),
+            RowChange::Removed(id) => unpost(&mut self.map, key.as_slice(), id),
+            RowChange::Moved { from, to } => self
+                .map
+                .get_mut(&key)
+                .expect("moved row is indexed")
+                .relocate(from, to),
+        }
     }
 }
 
@@ -272,6 +289,48 @@ mod tests {
         let idx = ColumnIndex::build(&r, &[0, 1]);
         assert_eq!(idx.get(&t(&[1, 10])), &[0, 1]);
         assert_eq!(idx.get(&t(&[1, 20])), &[2]);
+    }
+
+    #[test]
+    fn updated_index_equals_a_fresh_build() {
+        // Seeded inserts and swap-remove deletes over a low-cardinality
+        // key (long postings) and a two-column key; after every batch
+        // each maintained index equals a fresh build, postings ascending.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rnd = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m) as i64
+        };
+        let keys: [&[usize]; 2] = [&[0], &[1, 0]];
+        let mut r = Relation::new(2);
+        let mut idx: Vec<ColumnIndex> = keys.iter().map(|k| ColumnIndex::build(&r, k)).collect();
+        for batch in 0..300 {
+            for _ in 0..rnd(6) {
+                let row = t(&[rnd(5), rnd(40)]);
+                if r.insert(&row) {
+                    let id = r.len() - 1;
+                    for (ix, cols) in idx.iter_mut().zip(keys) {
+                        ix.update(cols, r.get(id).unwrap(), RowChange::Appended(id as u32));
+                    }
+                }
+            }
+            let dead: Vec<Vec<Value>> = (0..rnd(6)).map(|_| t(&[rnd(5), rnd(40)])).collect();
+            r.remove_rows_with(&dead, |row, change| {
+                for (ix, cols) in idx.iter_mut().zip(keys) {
+                    ix.update(cols, row, change);
+                }
+            });
+            for (ix, cols) in idx.iter().zip(keys) {
+                assert_eq!(
+                    *ix,
+                    ColumnIndex::build(&r, cols),
+                    "batch {batch}, key {cols:?}"
+                );
+            }
+        }
+        assert!(!r.is_empty());
     }
 
     #[test]

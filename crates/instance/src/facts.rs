@@ -353,7 +353,7 @@ pub fn from_facts(facts: &Database, schema: Arc<Schema>) -> Result<Instance, Fac
                         .get(&[slot])
                         .iter()
                         .map(|&i| {
-                            let child = rel.get(i).expect("index in range");
+                            let child = rel.get(i as usize).expect("index in range");
                             build(schema, facts, indices, attr, child, true)
                         })
                         .collect(),

@@ -69,6 +69,7 @@ mod flatten;
 pub mod hash;
 mod intern;
 mod json;
+mod posting;
 mod record;
 mod stats;
 mod tuple_store;
@@ -82,6 +83,7 @@ pub use flatten::{FlatTable, Flattened};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::Symbol;
 pub use json::{parse_document, write_document, JsonError};
+pub use posting::RowChange;
 pub use record::{Field, Instance, InstanceError, Record};
 pub use stats::ColumnStats;
 pub use tuple_store::{ColumnSlices, RowRef, TupleStore};

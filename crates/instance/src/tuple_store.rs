@@ -44,14 +44,12 @@
 //!   table stores a single word per entry in the collision-free case).
 //!   Every insert path probes it first, so the store never holds two
 //!   equal rows and `insert` can report freshness without a scan.
-//! - **Stable insertion order.** Row `i` is the `i`-th distinct tuple
-//!   ever inserted; ids never move while the store only grows, so join
-//!   indexes and the engine's incrementally extended overlay indexes
-//!   stay valid across inserts. The one exception is
-//!   [`TupleStore::remove_rows`] (incremental maintenance's retraction
-//!   path): it compacts the streams, shifting every id above a removed
-//!   row down, so callers must drop or rebuild any id-keyed structure
-//!   over the store afterwards. Survivors keep their relative order.
+//! - **Insertion order, swap-remove deletes.** Row `i` is the `i`-th
+//!   distinct tuple inserted while the store only grows; inserts append.
+//!   [`TupleStore::remove_rows_with`] deletes by swap-remove (the last
+//!   row fills each hole, highest hole first) and reports each removal
+//!   and move, so id-keyed structures over the store are repaired for
+//!   exactly those rows: O(batch) work, whatever the store's size.
 //! - **Valid payloads only.** Payload words are only ever produced by
 //!   [`Value::to_raw`] on a real value, so reassembly (including interned
 //!   [`Symbol`](crate::Symbol) indices) is always sound.
@@ -61,12 +59,12 @@
 //!   `None` from [`TupleStore::column_stats`] — the filter kernel then
 //!   skips its statistics prune, with identical results.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use crate::hash::{FxHashMap, FxHasher};
+use crate::posting::{post, unpost, Posting, RowChange};
 use crate::stats::ColumnStats;
 use crate::value::Value;
 
@@ -77,47 +75,6 @@ fn hash_values(values: impl Iterator<Item = Value>) -> u64 {
         v.hash(&mut h);
     }
     h.finish()
-}
-
-/// Removes the entries at the ascending, deduplicated indices `dead`
-/// from `v` in one left-to-right compaction sweep, preserving the
-/// survivors' relative order. `dead` must be non-empty and in range.
-fn drop_indices<T: Copy>(v: &mut Vec<T>, dead: &[usize]) {
-    let mut write = dead[0];
-    let mut next = 0;
-    for read in dead[0]..v.len() {
-        if next < dead.len() && dead[next] == read {
-            next += 1;
-            continue;
-        }
-        v[write] = v[read];
-        write += 1;
-    }
-    v.truncate(write);
-}
-
-/// Remaps one row id across a compaction that removed the ascending,
-/// deduplicated pre-compaction ids `dead`: returns `false` if the id
-/// itself is dead, otherwise shifts it down past the dead ids beneath
-/// it and returns `true`.
-fn remap_row_id(r: &mut u32, dead: &[usize]) -> bool {
-    let id = *r as usize;
-    let below = dead.partition_point(|&d| d < id);
-    if dead.get(below).is_some_and(|&d| d == id) {
-        return false;
-    }
-    *r = (id - below) as u32;
-    true
-}
-
-/// The row indices behind one row hash. Collisions are rare, so the table
-/// almost always holds the inline single-row form.
-#[derive(Debug, Clone)]
-enum RowSlot {
-    /// Exactly one row bears this hash (the overwhelmingly common case).
-    One(u32),
-    /// Hash collision: several distinct rows share the hash.
-    Many(Vec<u32>),
 }
 
 /// One column in structure-of-arrays form: the variant-tag byte stream
@@ -193,7 +150,7 @@ pub struct TupleStore {
     /// One tag/payload stream pair per column; all of length `rows`.
     cols: Vec<Column>,
     /// Row-hash deduplication table: row hash → row indices.
-    dedup: FxHashMap<u64, RowSlot>,
+    dedup: FxHashMap<u64, Posting>,
     /// Per-column statistics (bounds + distinct sketch), maintained
     /// incrementally on every accepted insert — the cost model behind
     /// the engine's join planner. Empty for *untracked* stores
@@ -477,11 +434,11 @@ impl TupleStore {
             })
         };
         match self.dedup.get(&hash)? {
-            RowSlot::One(r) => {
+            Posting::One(r) => {
                 let r = *r as usize;
                 eq(r).then_some(r)
             }
-            RowSlot::Many(rs) => rs.iter().map(|&r| r as usize).find(|&r| eq(r)),
+            Posting::Many(rs) => rs.iter().map(|&r| r as usize).find(|&r| eq(r)),
         }
     }
 
@@ -498,23 +455,7 @@ impl TupleStore {
         }
         debug_assert_eq!(pushed, self.arity, "row arity mismatch in push_row");
         self.rows += 1;
-        self.dedup_insert(hash, id);
-    }
-
-    /// Records row `id` under `hash` in the dedup table.
-    fn dedup_insert(&mut self, hash: u64, id: u32) {
-        match self.dedup.entry(hash) {
-            Entry::Vacant(e) => {
-                e.insert(RowSlot::One(id));
-            }
-            Entry::Occupied(mut e) => match e.get_mut() {
-                RowSlot::One(first) => {
-                    let first = *first;
-                    *e.get_mut() = RowSlot::Many(vec![first, id]);
-                }
-                RowSlot::Many(rs) => rs.push(id),
-            },
-        }
+        post(&mut self.dedup, hash, id);
     }
 
     /// Inserts a row; returns `true` if it was new.
@@ -573,33 +514,32 @@ impl TupleStore {
     }
 
     /// Removes every listed row that is present (rows of the wrong arity
-    /// or not in the store are ignored) and compacts the streams;
-    /// returns how many rows were actually removed.
-    ///
-    /// See [`TupleStore::remove_rows_indices`] for the compaction
-    /// contract; this wrapper is for callers that do not own any
-    /// id-keyed structures over the store.
+    /// or not in the store are ignored); returns how many rows were
+    /// actually removed. See [`TupleStore::remove_rows_with`] for how
+    /// surviving rows move; this wrapper is for callers that keep no
+    /// id-keyed structure over the store.
     pub fn remove_rows<I, R>(&mut self, rows: I) -> usize
     where
         I: IntoIterator<Item = R>,
         R: AsRef<[Value]>,
     {
-        self.remove_rows_indices(rows).len()
+        self.remove_rows_with(rows, |_, _| {})
     }
 
-    /// [`TupleStore::remove_rows`], additionally reporting the removed
-    /// rows' **pre-compaction** ids in ascending order.
+    /// [`TupleStore::remove_rows`], reporting every row-id change to
+    /// `on_change` as it happens: the retraction path of incremental
+    /// maintenance, and the one operation that moves row ids.
     ///
-    /// This is the retraction path of incremental maintenance and the
-    /// one operation that moves row ids: every id above a removed row
-    /// shifts down by the number of removed rows beneath it, and
-    /// survivors keep their relative insertion order. Callers owning
-    /// id-keyed structures over this store (join indexes, the engine's
-    /// overlay indexes) must repair them with the returned list — drop
-    /// the dead ids and shift the survivors — rather than rebuilding
-    /// from scratch, so a small batch of removals costs the structure
-    /// O(its own size) pointer work instead of a full re-hash of every
-    /// surviving row. The dedup table here is repaired exactly that way.
+    /// Deletion is **swap-remove**. The dead ids are processed in
+    /// descending order; for each, `on_change` first sees
+    /// [`RowChange::Removed`] with a view of the dying row, then — unless
+    /// the hole is the last row — [`RowChange::Moved`] with a view of the
+    /// store's current last row, which then moves into the hole. Every
+    /// callback sees the store as it is just before that change, so a
+    /// join index that applies each one stays equal to a fresh build over
+    /// the current rows. Removing `k` rows moves at most `k` survivors
+    /// and touches only the dead and the moved rows, whatever the store's
+    /// size; the dedup table is repaired the same way.
     ///
     /// A tracked store's per-column statistics are **not** swept on
     /// every call: bounds and KMV sketches are add-only and cannot
@@ -612,7 +552,11 @@ impl TupleStore {
     /// small delete batches pays amortized-constant stats upkeep
     /// instead of O(rows) each. Batches that remove nothing return
     /// before any stats bookkeeping.
-    pub fn remove_rows_indices<I, R>(&mut self, rows: I) -> Vec<usize>
+    pub fn remove_rows_with<I, R>(
+        &mut self,
+        rows: I,
+        mut on_change: impl FnMut(RowRef<'_>, RowChange),
+    ) -> usize
     where
         I: IntoIterator<Item = R>,
         R: AsRef<[Value]>,
@@ -630,22 +574,35 @@ impl TupleStore {
             .collect();
         dead.sort_unstable();
         dead.dedup();
-        if dead.is_empty() {
-            return dead;
+        for &hole in dead.iter().rev() {
+            let last = self.rows - 1;
+            let dying = self.get(hole).expect("in range");
+            on_change(dying, RowChange::Removed(hole as u32));
+            let hash = hash_values(dying.iter());
+            unpost(&mut self.dedup, &hash, hole as u32);
+            if hole != last {
+                let (from, to) = (last as u32, hole as u32);
+                let moved = self.get(last).expect("in range");
+                on_change(moved, RowChange::Moved { from, to });
+                let hash = hash_values(moved.iter());
+                self.dedup
+                    .get_mut(&hash)
+                    .expect("every row is in the dedup table")
+                    .relocate(from, to);
+            }
+            for col in &mut self.cols {
+                col.tags.swap_remove(hole);
+                col.payloads.swap_remove(hole);
+            }
+            self.rows -= 1;
         }
-        for col in &mut self.cols {
-            drop_indices(&mut col.tags, &dead);
-            drop_indices(&mut col.payloads, &dead);
-        }
-        self.rows -= dead.len();
-        self.remap_dedup(&dead);
-        if !self.stats.is_empty() {
+        if !dead.is_empty() && !self.stats.is_empty() {
             self.stale += dead.len();
             if self.stale * 4 >= self.rows {
                 self.resweep_stats();
             }
         }
-        dead
+        dead.len()
     }
 
     /// Rebuilds the per-column statistics from the surviving rows and
@@ -665,39 +622,16 @@ impl TupleStore {
     /// sweep. Always `0` right after a sweep (and for untracked stores,
     /// which keep no statistics to go stale). The statistics remain
     /// sound over-approximations while this is non-zero; see
-    /// [`TupleStore::remove_rows_indices`].
+    /// [`TupleStore::remove_rows_with`].
     pub fn stale_stat_rows(&self) -> usize {
         self.stale
     }
 
     /// Removes one row if present; returns `true` when it was removed.
-    /// See [`TupleStore::remove_rows_indices`] for the compaction
-    /// contract.
+    /// The last row moves into its slot (see
+    /// [`TupleStore::remove_rows_with`]).
     pub fn remove(&mut self, row: &[Value]) -> bool {
         self.remove_rows(std::iter::once(row)) == 1
-    }
-
-    /// Repairs the row-hash table after compaction moved row ids: drops
-    /// the `dead` ids (ascending, pre-compaction) and shifts every
-    /// survivor down by the number of dead ids beneath it. Unlike a
-    /// from-scratch rebuild this never re-hashes a row, so its cost is
-    /// the table sweep itself.
-    fn remap_dedup(&mut self, dead: &[usize]) {
-        self.dedup.retain(|_, slot| {
-            let keep = match slot {
-                RowSlot::One(r) => remap_row_id(r, dead),
-                RowSlot::Many(rs) => {
-                    rs.retain_mut(|r| remap_row_id(r, dead));
-                    !rs.is_empty()
-                }
-            };
-            if let RowSlot::Many(rs) = slot {
-                if rs.len() == 1 {
-                    *slot = RowSlot::One(rs[0]);
-                }
-            }
-            keep
-        });
     }
 
     /// Membership test.
@@ -962,8 +896,8 @@ impl<'a> RowRef<'a> {
         // SAFETY: a `RowRef` is only created by `TupleStore::get`
         // (bounds-checked) and `TupleStore::iter` (range-bounded), so
         // `row < rows == column length` holds at construction; removal
-        // (`remove_rows`) takes `&mut self` and therefore cannot overlap
-        // any live `RowRef`, so the bound cannot shrink underneath one.
+        // hands views to its callback only between edits, and otherwise
+        // takes `&mut self`, so the bound cannot shrink underneath one.
         // The column lookup stays checked (`c` is caller-supplied).
         unsafe { self.store.cols[c].value_unchecked(self.row) }
     }
@@ -1321,7 +1255,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_rows_compacts_and_keeps_survivor_order() {
+    fn remove_rows_swap_removes_in_descending_order() {
         let mut s = TupleStore::new(2);
         for i in 0..10i64 {
             s.insert(&t(&[i, i * 10]));
@@ -1338,20 +1272,84 @@ mod tests {
         ]);
         assert_eq!(removed, 3);
         assert_eq!(s.len(), 7);
+        // Dead ids descending: 9 is the last row and just goes; row 8
+        // fills hole 4; row 7 (now last) fills hole 0.
         let rows: Vec<Vec<Value>> = s.iter().map(|r| r.to_vec()).collect();
-        let want: Vec<Vec<Value>> = [1i64, 2, 3, 5, 6, 7, 8]
+        let want: Vec<Vec<Value>> = [7i64, 1, 2, 3, 8, 5, 6]
             .iter()
             .map(|&i| t(&[i, i * 10]))
             .collect();
-        assert_eq!(rows, want, "survivors keep their relative order");
+        assert_eq!(
+            rows, want,
+            "the last row fills each hole, highest hole first"
+        );
         // Dedup table is consistent: membership, re-insertion, and
-        // re-removal all behave on the compacted store.
+        // re-removal all behave on the edited store.
         assert!(!s.contains(&t(&[4, 40])));
-        assert!(s.contains(&t(&[5, 50])));
+        assert!(s.contains(&t(&[8, 80])));
         assert!(s.insert(&t(&[4, 40])), "removed row inserts as new");
-        assert!(!s.insert(&t(&[5, 50])), "survivor still deduplicates");
+        assert!(!s.insert(&t(&[8, 80])), "moved row still deduplicates");
         assert!(s.remove(&t(&[4, 40])));
         assert!(!s.remove(&t(&[4, 40])), "second removal is a no-op");
+    }
+
+    /// Removes `dead` from a `0..n` single-column store while a `Vec`
+    /// model applies each reported removal with `Vec::swap_remove`,
+    /// checking every view shows the row its change is about and that the
+    /// store ends equal to the model. Returns the number of moves.
+    fn swap_remove_against_model(n: i64, dead: &[i64]) -> usize {
+        let mut s: TupleStore = (0..n).map(|i| t(&[i])).collect();
+        let mut model: Vec<i64> = (0..n).collect();
+        let (mut gone, mut moves) = (Vec::new(), 0);
+        let removed = s.remove_rows_with(dead.iter().map(|&i| t(&[i])), |row, change| {
+            match change {
+                RowChange::Removed(id) => {
+                    assert_eq!(row, t(&[model[id as usize]]));
+                    gone.push(model.swap_remove(id as usize));
+                }
+                // The model already moved its last entry into `to`.
+                RowChange::Moved { from, to } => {
+                    assert_eq!(from as usize, model.len(), "the last row moves");
+                    assert_eq!(row, t(&[model[to as usize]]));
+                    moves += 1;
+                }
+                RowChange::Appended(_) => unreachable!("removal appends nothing"),
+            }
+        });
+        assert_eq!(removed, dead.len());
+        assert!(
+            gone.iter().rev().eq(dead),
+            "dead ids go in descending order"
+        );
+        let rows: Vec<Vec<Value>> = s.iter().map(|r| r.to_vec()).collect();
+        assert_eq!(rows, model.iter().map(|&i| t(&[i])).collect::<Vec<_>>());
+        assert!((0..n).all(|i| s.contains(&t(&[i])) != dead.contains(&i)));
+        moves
+    }
+
+    #[test]
+    fn swap_remove_matches_a_vec_model() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut rnd = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        for _ in 0..200 {
+            let n = 1 + rnd(40) as i64;
+            let dead: Vec<i64> = (0..n).filter(|_| rnd(3) == 0).collect();
+            swap_remove_against_model(n, &dead);
+        }
+    }
+
+    #[test]
+    fn removing_k_rows_moves_at_most_k_survivors_at_any_size() {
+        // The same k = 8 removals from a store of n and of 10·n rows.
+        let dead: Vec<i64> = (0..8).map(|i| i * 37 + 3).collect();
+        let small = swap_remove_against_model(1_000, &dead);
+        assert!(small <= dead.len());
+        assert_eq!(swap_remove_against_model(10_000, &dead), small);
     }
 
     #[test]
@@ -1428,7 +1426,7 @@ mod tests {
         // Seed one tombstone so the fast path's "unchanged" is observable.
         assert_eq!(s.remove_rows([t(&[99])]), 1);
         assert_eq!(s.stale_stat_rows(), 1);
-        // Absent and wrong-arity rows remove nothing: no compaction, no
+        // Absent and wrong-arity rows remove nothing: no moves, no
         // sweep, tombstone count untouched.
         assert_eq!(s.remove_rows([t(&[500]), t(&[1, 2])]), 0);
         assert_eq!(s.stale_stat_rows(), 1);
@@ -1441,24 +1439,12 @@ mod tests {
     }
 
     #[test]
-    fn remove_rows_handles_hash_collision_slots_and_zero_arity() {
-        // Many rows through the dedup table exercise both RowSlot forms
-        // during the rebuild; a randomized removal set exercises
-        // interleaved dead runs in the compaction sweep.
-        let mut s = TupleStore::new(1);
-        for i in 0..2000i64 {
-            s.insert(&t(&[i]));
-        }
-        let dead: Vec<Vec<Value>> = (0..2000i64)
-            .filter(|i| i % 3 == 0)
-            .map(|i| t(&[i]))
-            .collect();
-        assert_eq!(s.remove_rows(&dead), dead.len());
-        assert_eq!(s.len(), 2000 - dead.len());
-        for i in 0..2000i64 {
-            assert_eq!(s.contains(&t(&[i])), i % 3 != 0, "row {i}");
-        }
-        // Zero-arity stores compact their (absent) columns consistently.
+    fn remove_rows_handles_dense_removal_and_zero_arity() {
+        // Every third of 2000 rows: interleaved dead runs, each hole
+        // filled by a survivor from the tail.
+        let dead: Vec<i64> = (0..2000).filter(|i| i % 3 == 0).collect();
+        swap_remove_against_model(2000, &dead);
+        // Zero-arity stores remove their one row consistently.
         let mut z = TupleStore::new(0);
         z.insert(&[]);
         assert!(z.remove(&[]));
