@@ -10,7 +10,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dynamite::datalog::{
-    evaluate, legacy, reorder_default, Evaluator, Program, RuleCacheHandle, WorkerPool,
+    evaluate, legacy, reorder_default, Evaluator, IncrementalEvaluator, Program, RuleCacheHandle,
+    WorkerPool,
 };
 use dynamite::instance::{from_facts, to_facts, Database, Instance, Record, TupleStore, Value};
 use dynamite::schema::Schema;
@@ -949,23 +950,28 @@ fn random_stratified_program(rng: &mut StdRng) -> Program {
 /// the interner in join keys and negation probes).
 fn random_edb(rng: &mut StdRng) -> Database {
     let mut db = Database::new();
-    let val = |rng: &mut StdRng| -> Value {
-        match rng.gen_range(0..4) {
-            0 => Value::Int(rng.gen_range(1i64..3)),
-            1 => Value::str(if rng.gen_bool(0.5) { "a" } else { "b" }),
-            _ => Value::Int(rng.gen_range(1i64..6)),
-        }
-    };
     for _ in 0..rng.gen_range(0..10) {
-        db.insert("E1", vec![val(rng), val(rng)]);
+        db.insert("E1", vec![random_value(rng), random_value(rng)]);
     }
     for _ in 0..rng.gen_range(0..5) {
-        db.insert("E2", vec![val(rng)]);
+        db.insert("E2", vec![random_value(rng)]);
     }
     for _ in 0..rng.gen_range(0..8) {
-        db.insert("E3", vec![val(rng), val(rng), val(rng)]);
+        db.insert(
+            "E3",
+            vec![random_value(rng), random_value(rng), random_value(rng)],
+        );
     }
     db
+}
+
+/// One value of `random_edb`'s domain.
+fn random_value(rng: &mut StdRng) -> Value {
+    match rng.gen_range(0..4) {
+        0 => Value::Int(rng.gen_range(1i64..3)),
+        1 => Value::str(if rng.gen_bool(0.5) { "a" } else { "b" }),
+        _ => Value::Int(rng.gen_range(1i64..6)),
+    }
 }
 
 /// An ambient-planner context over `edb` on an explicit pool.
@@ -1169,6 +1175,113 @@ fn differential_context_reuse_many_candidates() {
                 via_context, via_legacy,
                 "seed {seed} candidate {k} diverged on:\n{program}\nEDB:\n{edb}"
             );
+        }
+    }
+}
+
+// -------------------------------------- maintained vs scratch evaluation --
+
+/// `program` without its negated body literals. Negated literals only use
+/// variables that positive literals bind, so the result stays
+/// range-restricted; being negation-free, it is maintained by DRed
+/// rather than by the re-evaluation fallback.
+fn positive_part(program: &Program) -> Program {
+    let mut positive = program.clone();
+    for rule in &mut positive.rules {
+        rule.body.retain(|l| !l.negated);
+    }
+    positive
+}
+
+/// Negation-free multi-head programs over `random_edb`'s relations (the
+/// generator emits single-head rules only): heads sharing a body, head
+/// constants, a repeated head variable, recursion through a second head,
+/// and a rule whose only support for `Q` is `Q` itself.
+const MULTI_HEAD: [&str; 2] = [
+    "A(x), B(x, y) :- E1(x, y).
+     A(y), B(y, 1) :- E3(x, y, _), A(x).
+     C(x, x), A(x) :- E2(x), B(x, _).",
+    "P(x, z), Q(z) :- E1(x, y), E1(y, z).
+     P(x, y), R(y, \"a\") :- P(x, z), E3(z, y, _).
+     Q(x), R(x, x) :- E2(x), Q(x).",
+];
+
+/// One random update batch against `edb`: new facts for every EDB
+/// relation of `random_edb` and deletions of live rows (repeats
+/// included).
+fn random_batch(rng: &mut StdRng, edb: &Database) -> (Database, Database) {
+    let (mut ins, mut dels) = (Database::new(), Database::new());
+    for (rel, arity) in [("E1", 2), ("E2", 1), ("E3", 3)] {
+        for _ in 0..rng.gen_range(0..3) {
+            ins.insert(rel, (0..arity).map(|_| random_value(rng)).collect());
+        }
+        let live: Vec<Vec<Value>> = edb
+            .relation(rel)
+            .map(|r| r.iter().map(|row| row.to_vec()).collect())
+            .unwrap_or_default();
+        if live.is_empty() {
+            continue;
+        }
+        for _ in 0..rng.gen_range(0..4) {
+            dels.insert(rel, live[rng.gen_range(0..live.len())].clone());
+        }
+    }
+    (ins, dels)
+}
+
+/// Maintained ≡ scratch over random programs: after every batch of a
+/// random insert/delete stream, `IncrementalEvaluator`'s output equals a
+/// from-scratch evaluation of the mutated EDB, at 1 and 4 workers, with
+/// and without the cost-based planner. Each generated program runs as is
+/// (mostly the negation fallback) and without its negated literals
+/// (DRed); the multi-head programs cover re-derivation per head.
+#[test]
+fn maintained_equals_scratch_on_random_programs() {
+    let pools = [Arc::new(WorkerPool::new(1)), Arc::new(WorkerPool::new(4))];
+    let multi_head: Vec<Program> = MULTI_HEAD
+        .iter()
+        .map(|p| Program::parse(p).expect("parses"))
+        .collect();
+    for seed in 0..100u64 {
+        let mut rng = StdRng::seed_from_u64(12_000 + seed);
+        let generated = random_stratified_program(&mut rng);
+        let edb = random_edb(&mut rng);
+        let programs = [
+            positive_part(&generated),
+            generated,
+            multi_head[seed as usize % MULTI_HEAD.len()].clone(),
+        ];
+        for program in &programs {
+            for pool in &pools {
+                for reorder in [true, false] {
+                    // Every configuration sees the same batch stream.
+                    let mut stream = StdRng::seed_from_u64(seed);
+                    let mut inc = IncrementalEvaluator::with_config(
+                        program.clone(),
+                        edb.clone(),
+                        pool.clone(),
+                        reorder,
+                    )
+                    .expect("maintainer builds");
+                    let mut shadow = edb.clone();
+                    for batch in 0..6 {
+                        let (ins, dels) = random_batch(&mut stream, &shadow);
+                        inc.apply_delta(&ins, &dels).expect("batch applies");
+                        for (name, rel) in dels.iter() {
+                            let rows: Vec<Vec<Value>> = rel.iter().map(|r| r.to_vec()).collect();
+                            shadow.relation_mut(name, rel.arity()).remove_rows(&rows);
+                        }
+                        shadow.merge(&ins);
+                        assert_eq!(
+                            inc.output(),
+                            evaluate(program, &shadow).expect("scratch evaluates"),
+                            "seed {seed} batch {batch}, {} threads, reorder {reorder}, \
+                             diverged on:\n{program}\nEDB:\n{shadow}",
+                            pool.threads()
+                        );
+                    }
+                }
+            }
         }
     }
 }
