@@ -634,8 +634,9 @@ impl EvalRun<'_> {
     /// The join phase of one round without the absorb step: runs `specs`
     /// against the frozen state and returns each job's rule together with
     /// its emitted `(head index, tuple)` buffer, in the deterministic job
-    /// order. DRed's over-deletion rounds use this directly, routing the
-    /// derivations into the deletion set instead of the overlay.
+    /// order. DRed's over-deletion and re-derivation rounds use this
+    /// directly: the former route the derivations into the deletion set,
+    /// the latter move them from there back into the overlay.
     pub(crate) fn join_round<'r>(
         &self,
         specs: &[Spec<'r>],
@@ -778,7 +779,7 @@ impl EvalRun<'_> {
 
     /// Returns (building and caching on first use) the EDB-side index of
     /// `rel` on `cols`; `None` when the snapshot has no such relation.
-    pub(crate) fn edb_index(&self, rel: &str, cols: &[usize]) -> Option<Arc<ColumnIndex>> {
+    fn edb_index(&self, rel: &str, cols: &[usize]) -> Option<Arc<ColumnIndex>> {
         let relation = self.edb.relation(rel)?;
         if let Some(idx) = self
             .indexes
@@ -1220,11 +1221,11 @@ impl PlanOrders {
 /// join order, every same-stratum delta variant, and negation probes.
 pub(crate) struct CompiledRule {
     pub(crate) stratum: usize,
-    pub(crate) nvars: usize,
+    nvars: usize,
     /// Per head: relation name and term templates.
-    pub(crate) heads: Vec<(String, Vec<HeadTerm>)>,
-    pub(crate) negs: Vec<NegPlan>,
-    pub(crate) naive: Variant,
+    heads: Vec<(String, Vec<HeadTerm>)>,
+    negs: Vec<NegPlan>,
+    naive: Variant,
     pub(crate) deltas: Vec<DeltaVariant>,
 }
 
@@ -1236,12 +1237,12 @@ pub(crate) struct DeltaVariant {
 
 /// A join order over the positive body literals.
 pub(crate) struct Variant {
-    pub(crate) lits: Vec<LitPlan>,
+    lits: Vec<LitPlan>,
 }
 
 /// How a literal's tuples are reached at its join depth.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Access {
+enum Access {
     /// Full scan (delta occurrences and unconstrained literals).
     Scan,
     /// Constant-filter pre-scan: every key column is a constant, so the
@@ -1252,39 +1253,39 @@ pub(crate) enum Access {
 }
 
 /// One positive literal in a join order.
-pub(crate) struct LitPlan {
-    pub(crate) rel: String,
-    pub(crate) slots: Vec<Slot>,
+struct LitPlan {
+    rel: String,
+    slots: Vec<Slot>,
     /// Columns bound before this literal joins (consts and earlier-bound
     /// variables, in column order) — the index key. Empty means scan.
-    pub(crate) key_cols: Vec<usize>,
+    key_cols: Vec<usize>,
     /// Constant-bound columns, in column order (the pre-scan filter).
-    pub(crate) const_cols: Vec<(usize, Value)>,
-    pub(crate) access: Access,
+    const_cols: Vec<(usize, Value)>,
+    access: Access,
 }
 
-pub(crate) enum Slot {
+enum Slot {
     Const(Value),
     Bound(usize),
     Free(usize),
     Wild,
 }
 
-pub(crate) enum HeadTerm {
+enum HeadTerm {
     Const(Value),
     Var(usize),
 }
 
 /// A negated literal compiled to an index probe on its bound columns.
-pub(crate) struct NegPlan {
-    pub(crate) rel: String,
-    pub(crate) terms: Vec<NegTerm>,
+struct NegPlan {
+    rel: String,
+    terms: Vec<NegTerm>,
     /// Non-wildcard columns, in column order. Empty means the literal is
     /// fully unconstrained: negation fails iff the relation is non-empty.
-    pub(crate) key_cols: Vec<usize>,
+    key_cols: Vec<usize>,
 }
 
-pub(crate) enum NegTerm {
+enum NegTerm {
     Const(Value),
     Var(usize),
     Wild,
@@ -1375,17 +1376,6 @@ impl RuleKey {
     }
 }
 
-/// The dense variable numbering `compile` (and the re-derivation
-/// planner) assigns: first occurrence order over `rule.all_vars()`.
-fn rule_var_index(rule: &Rule) -> FxHashMap<&str, usize> {
-    let mut var_index: FxHashMap<&str, usize> = FxHashMap::default();
-    for v in rule.all_vars() {
-        let next = var_index.len();
-        var_index.entry(v).or_insert(next);
-    }
-    var_index
-}
-
 impl CompiledRule {
     fn compile(
         rule: &Rule,
@@ -1415,7 +1405,12 @@ impl CompiledRule {
         all_deltas: bool,
     ) -> CompiledRule {
         let stratum = rule_stratum(rule, strata);
-        let var_index = rule_var_index(rule);
+        // Dense variable numbering: first occurrence order.
+        let mut var_index: FxHashMap<&str, usize> = FxHashMap::default();
+        for v in rule.all_vars() {
+            let next = var_index.len();
+            var_index.entry(v).or_insert(next);
+        }
         let nvars = var_index.len();
 
         let heads = rule
@@ -1492,6 +1487,11 @@ impl CompiledRule {
         }
     }
 
+    /// The relation of head `i`.
+    pub(crate) fn head(&self, i: usize) -> &str {
+        &self.heads[i].0
+    }
+
     /// One-line plan rendering: heads, then the naive variant's literals
     /// in execution order with their access paths, then negation probes.
     fn describe(&self) -> String {
@@ -1534,21 +1534,7 @@ impl Variant {
         nvars: usize,
         order: &[usize],
     ) -> Variant {
-        Self::compile_with(positives, delta_first, var_index, vec![false; nvars], order)
-    }
-
-    /// [`Variant::compile`] starting from a pre-bound variable mask
-    /// instead of an empty one. DRed's re-derivation check compiles each
-    /// rule body with the head variables pre-bound (the candidate fact
-    /// supplies their values), so body literals over those variables plan
-    /// as index probes rather than scans.
-    fn compile_with(
-        positives: &[(usize, &Literal)],
-        delta_first: bool,
-        var_index: &FxHashMap<&str, usize>,
-        mut bound: Vec<bool>,
-        order: &[usize],
-    ) -> Variant {
+        let mut bound = vec![false; nvars];
         debug_assert_eq!(order.len(), positives.len(), "order must be a permutation");
         let ordered: Vec<(usize, &Literal)> = order.iter().map(|&i| positives[i]).collect();
         let lits = ordered
@@ -1627,71 +1613,6 @@ impl Variant {
     }
 }
 
-// ----------------------------------------------------------- rederive --
-
-/// A per-(rule, head) point-check plan for DRed's re-derivation phase:
-/// a candidate fact is unified against the head template, and the body
-/// is then tested for *any* satisfying assignment in the current
-/// database. Head variables enter the body pre-bound, so most body
-/// literals compile down to index probes.
-///
-/// Only built for negation-free rules — the incremental maintainer falls
-/// back to full re-evaluation when the program negates (DRed's
-/// over-delete/re-derive split is unsound under negation without
-/// per-stratum recomputation).
-pub(crate) struct RederivePlan {
-    /// The head relation this plan can re-derive.
-    pub(crate) rel: String,
-    pub(crate) head: Vec<HeadTerm>,
-    pub(crate) body: Variant,
-    pub(crate) nvars: usize,
-}
-
-/// Builds one [`RederivePlan`] per head of `rule`, body literals in body
-/// order with the head's variables pre-bound.
-pub(crate) fn rederive_plans(rule: &Rule) -> Vec<RederivePlan> {
-    debug_assert!(
-        rule.body.iter().all(|l| !l.negated),
-        "re-derivation plans are only sound for negation-free rules"
-    );
-    let var_index = rule_var_index(rule);
-    let nvars = var_index.len();
-    let positives: Vec<(usize, &Literal)> = rule
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| !l.negated)
-        .collect();
-    let order: Vec<usize> = (0..positives.len()).collect();
-    rule.heads
-        .iter()
-        .map(|h| {
-            let head: Vec<HeadTerm> = h
-                .terms
-                .iter()
-                .map(|t| match t {
-                    Term::Const(c) => HeadTerm::Const(*c),
-                    Term::Var(v) => HeadTerm::Var(var_index[v.as_str()]),
-                    Term::Wildcard => unreachable!("no wildcards in heads"),
-                })
-                .collect();
-            let mut pre_bound = vec![false; nvars];
-            for t in &head {
-                if let HeadTerm::Var(i) = t {
-                    pre_bound[*i] = true;
-                }
-            }
-            let body = Variant::compile_with(&positives, false, &var_index, pre_bound, &order);
-            RederivePlan {
-                rel: h.relation.clone(),
-                head,
-                body,
-                nvars,
-            }
-        })
-        .collect()
-}
-
 // ------------------------------------------------------------- overlay --
 
 /// Applies one row-id change of a relation to one of its indexes, keeping
@@ -1759,7 +1680,7 @@ impl IdbState {
     /// Registers the overlay index of `rel` on `cols`, building it over
     /// the rows absorbed so far. From then on every insert and removal
     /// keeps it current, so re-registration is a cheap no-op.
-    pub(crate) fn ensure_index(&mut self, rel: &str, cols: &[usize]) {
+    fn ensure_index(&mut self, rel: &str, cols: &[usize]) {
         let Some(relation) = self.rels.get(rel) else {
             return; // purely extensional: no overlay side
         };
@@ -1780,7 +1701,7 @@ impl IdbState {
     }
 
     /// The overlay relation and its (previously ensured) index.
-    pub(crate) fn indexed(&self, rel: &str, cols: &[usize]) -> Option<(&Relation, &ColumnIndex)> {
+    fn indexed(&self, rel: &str, cols: &[usize]) -> Option<(&Relation, &ColumnIndex)> {
         let relation = self.rels.get(rel)?;
         let idx = self.indexes.get(rel)?.get(cols)?;
         Some((relation, idx))
@@ -1855,7 +1776,7 @@ fn append_to_indexes(rel: &Relation, by_cols: Option<&mut FxHashMap<Vec<usize>, 
 /// the partially extended overlay is torn down with the whole evaluation.
 /// Every [`GOV_STRIDE`] merged tuples the deadline/cancel state is polled
 /// too, so a huge buffer cannot blow past the deadline unchecked.
-pub(crate) fn absorb(
+fn absorb(
     rule: &CompiledRule,
     derived: Vec<(usize, Vec<Value>)>,
     edb: &Database,
@@ -1993,10 +1914,8 @@ struct JoinRun<'a> {
 const GOV_STRIDE: u32 = 1024;
 
 /// Binds row `t` against `slots`, extending `env`; records newly bound
-/// variables in `newly`, restoring `env` on mismatch. Shared between the
-/// fixpoint's join descent and the incremental maintainer's
-/// re-derivation existence check.
-pub(crate) fn try_tuple(
+/// variables in `newly`, restoring `env` on mismatch.
+fn try_tuple(
     env: &mut [Option<Value>],
     newly: &mut Vec<usize>,
     slots: &[Slot],

@@ -19,12 +19,14 @@
 //!    over-approximates: a collected fact may have other derivations.
 //! 2. **Remove** — physically delete the batch's EDB facts and the
 //!    over-deleted derived facts.
-//! 3. **Re-derive** — for each over-deleted fact, check whether some rule
-//!    still derives it from the surviving database; if so, reinstate it.
-//!    Reinstated facts can support further reinstatements, so this runs
-//!    to a fixpoint per stratum. Because re-derivation consults the final
-//!    surviving state directly, reinstated facts need no extra
-//!    insert-propagation pass.
+//! 3. **Re-derive** — each head `H(h)` of each rule is also compiled as
+//!    the rule `H(h) :- H(h), body`. A delta round of these rules whose
+//!    outer literal scans `H`'s remaining over-deleted facts emits exactly
+//!    those the surviving database still derives; they are reinstated.
+//!    Reinstated facts can support further reinstatements, so rounds
+//!    repeat per stratum while one reinstates anything. Because
+//!    re-derivation joins against the final surviving state directly,
+//!    reinstated facts need no extra insert-propagation pass.
 //! 4. **Insert** — apply the batch's insertions and run semi-naive delta
 //!    rounds seeded from them.
 //!
@@ -60,22 +62,23 @@
 //! Maintenance rounds run through the same engine entry points as full
 //! evaluation, so a [`Governor`] passed to
 //! [`apply_delta_governed`](IncrementalEvaluator::apply_delta_governed)
-//! observes them identically: every over-deletion and insertion round is
-//! charged against the round cap, reinserted facts are charged against
-//! the fact budget, and the deadline/cancel flags are polled at the same
-//! strides. Re-derivation checks poll the governor once per fixpoint
-//! pass.
+//! observes them identically: every over-deletion, re-derivation and
+//! insertion round is charged against the round cap, facts the insertion
+//! rounds derive are charged against the fact budget, and the
+//! deadline/cancel flags are polled at the same strides. Reinstated
+//! facts are not charged to the fact budget: they were in the output
+//! before the batch.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 use dynamite_instance::hash::FxHashMap;
-use dynamite_instance::{ColumnIndex, Database, Relation, Value};
+use dynamite_instance::{Database, Relation, Value};
 
-use crate::ast::Program;
+use crate::ast::{Literal, Program, Rule};
 use crate::engine::{
-    rederive_plans, try_tuple, Access, CompiledRule, CostModel, EvalRun, HeadTerm, IdbState,
-    IndexCache, LitPlan, PlanOrders, PoolSource, RederivePlan, Slot, Spec,
+    CompiledRule, CostModel, EvalRun, IdbState, IndexCache, JoinRoundOutput, PlanOrders,
+    PoolSource, Spec,
 };
 use crate::eval::{check_arities, check_delta, present_rows, stratify, EdbEdit, EvalError};
 use crate::fault;
@@ -210,9 +213,9 @@ pub struct IncrementalEvaluator {
     /// the evaluation path's same-stratum-only variants. Compiled
     /// privately — never exchanged with the shared rule memo.
     compiled: Vec<CompiledRule>,
-    rederive: Vec<RederivePlan>,
-    /// Head relation → indexes into `rederive`.
-    rederive_by_rel: FxHashMap<String, Vec<usize>>,
+    /// Re-derivation rules, `H(h) :- H(h), body` per head `H(h)` of every
+    /// rule, compiled like `compiled`; empty for programs with negation.
+    rederive: Vec<CompiledRule>,
     edb: Database,
     idb: IdbState,
     indexes: RwLock<IndexCache>,
@@ -246,23 +249,48 @@ fn make_run<'e>(
     }
 }
 
-/// Compiles `program`'s maintenance variants, planned against `edb`'s
-/// current statistics when `reorder` is on.
+/// Compiles `program`'s maintenance rules, planned against `edb`'s
+/// current statistics when `reorder` is on: the rules themselves, and —
+/// unless the program negates — the re-derivation rules. Both sets come
+/// from one call, so every replan keeps them in step.
+///
+/// The re-derivation rule of head `H(h)` of rule `heads :- body` is
+/// `H(h) :- H(h), body`. Only its delta variant on the leading `H(h)`
+/// copy is kept: fed the over-deleted facts of `H`, it emits exactly those
+/// the surviving database still derives.
 fn compile_maintenance(
     program: &Program,
     strata: &HashMap<String, usize>,
     edb: &Database,
     reorder: bool,
-) -> Vec<CompiledRule> {
+    has_negation: bool,
+) -> (Vec<CompiledRule>, Vec<CompiledRule>) {
     let model = reorder.then_some(CostModel { edb, demand: None });
-    program
-        .rules
-        .iter()
-        .map(|r| {
-            let orders = PlanOrders::of_maintenance(r, strata, model.as_ref());
-            CompiledRule::compile_maintenance(r, strata, &orders)
-        })
-        .collect()
+    let compile = |r: &Rule| {
+        let orders = PlanOrders::of_maintenance(r, strata, model.as_ref());
+        CompiledRule::compile_maintenance(r, strata, &orders)
+    };
+    let compiled = program.rules.iter().map(compile).collect();
+    let rederive = if has_negation {
+        Vec::new()
+    } else {
+        let per_head = program.rules.iter().flat_map(|r| {
+            r.heads.iter().map(|h| Rule {
+                heads: vec![h.clone()],
+                body: std::iter::once(Literal::pos(h.clone()))
+                    .chain(r.body.iter().cloned())
+                    .collect(),
+            })
+        });
+        per_head
+            .map(|r| {
+                let mut c = compile(&r);
+                c.deltas.truncate(1);
+                c
+            })
+            .collect()
+    };
+    (compiled, rederive)
 }
 
 impl IncrementalEvaluator {
@@ -322,24 +350,8 @@ impl IncrementalEvaluator {
         // Plan against the initial statistics. The snapshot's stats drift
         // as batches land (like any warm context's would); plans stay
         // valid — only their cost estimates age.
-        let compiled = compile_maintenance(&program, &strata, &edb, reorder);
-
-        let (rederive, rederive_by_rel) = if has_negation {
-            (Vec::new(), FxHashMap::default())
-        } else {
-            let mut plans: Vec<RederivePlan> = Vec::new();
-            let mut by_rel: FxHashMap<String, Vec<usize>> = FxHashMap::default();
-            for rule in &program.rules {
-                for plan in rederive_plans(rule) {
-                    by_rel
-                        .entry(plan.rel.clone())
-                        .or_default()
-                        .push(plans.len());
-                    plans.push(plan);
-                }
-            }
-            (plans, by_rel)
-        };
+        let (compiled, rederive) =
+            compile_maintenance(&program, &strata, &edb, reorder, has_negation);
 
         let stratum_rels: Vec<Vec<(String, usize)>> = (0..=max_stratum)
             .map(|s| {
@@ -358,7 +370,6 @@ impl IncrementalEvaluator {
             stratum_rels,
             compiled,
             rederive,
-            rederive_by_rel,
             edb,
             idb: IdbState::from_database(Database::new()),
             indexes: RwLock::new(FxHashMap::default()),
@@ -405,7 +416,7 @@ impl IncrementalEvaluator {
                 }
                 Some(_) => {
                     let expected = this.arities[name];
-                    if rel.arity() != expected && !rel.is_empty() {
+                    if rel.arity() != expected {
                         return Err(EvalError::InputArity {
                             relation: name.to_string(),
                             expected,
@@ -434,7 +445,13 @@ impl IncrementalEvaluator {
     /// recovery from that checkpoint would compute — the root of the
     /// bit-identical-recovery guarantee under the cost-based planner.
     pub(crate) fn replan(&mut self) {
-        self.compiled = compile_maintenance(&self.program, &self.strata, &self.edb, self.reorder);
+        (self.compiled, self.rederive) = compile_maintenance(
+            &self.program,
+            &self.strata,
+            &self.edb,
+            self.reorder,
+            self.has_negation,
+        );
     }
 
     /// The maintained program (the durability layer serializes its text).
@@ -710,16 +727,7 @@ impl IncrementalEvaluator {
                 if specs.is_empty() {
                     break;
                 }
-                let per_job = run.join_round(&specs, &mut self.idb)?;
-                // Buffer (relation, tuple) pairs before touching `over`:
-                // the jobs' rule refs pin the spec lifetime, which `over`
-                // participates in.
-                let mut batch: Vec<(String, Vec<Value>)> = Vec::new();
-                for (rule, derived) in per_job {
-                    for (head_idx, tuple) in derived {
-                        batch.push((rule.heads[head_idx].0.clone(), tuple));
-                    }
-                }
+                let batch = owned_facts(run.join_round(&specs, &mut self.idb)?);
                 drop(specs);
                 let mut next: FxHashMap<String, Relation> = FxHashMap::default();
                 for (rel, tuple) in batch {
@@ -747,9 +755,11 @@ impl IncrementalEvaluator {
 
     /// DRed phase 3: reinstates every over-deleted fact that still has a
     /// derivation from the surviving database, removing it from `over`.
-    /// Runs to a fixpoint per stratum (a reinstated fact can support
-    /// another), strata ascending (bodies only reference strata ≤ the
-    /// head's).
+    /// Each round runs the re-derivation rules of one stratum over that
+    /// stratum's remaining over-deleted facts, through the engine's join;
+    /// rounds repeat while one reinstates anything (a reinstated fact can
+    /// support another). Strata ascend: bodies only reference strata ≤
+    /// the head's.
     fn dred_rederive(
         &mut self,
         over: &mut FxHashMap<String, Relation>,
@@ -760,47 +770,21 @@ impl IncrementalEvaluator {
         }
         let run = make_run(&self.edb, &self.indexes, &self.pool, self.reorder, gov);
         for s in 0..=self.max_stratum {
-            // Deterministic candidate order: relations by name, rows in
-            // over-deletion (insertion) order.
-            let mut pending: Vec<(String, Vec<Vec<Value>>)> = over
-                .iter()
-                .filter(|(name, _)| self.strata.get(name.as_str()) == Some(&s))
-                .map(|(name, rel)| {
-                    (
-                        name.clone(),
-                        rel.iter().map(|r| r.iter().collect()).collect(),
-                    )
-                })
-                .collect();
-            pending.sort_by(|a, b| a.0.cmp(&b.0));
             loop {
-                let mut changed = false;
-                for (name, rows) in pending.iter_mut() {
-                    let plans = self
-                        .rederive_by_rel
-                        .get(name.as_str())
-                        .map_or(&[][..], Vec::as_slice);
-                    let mut i = 0;
-                    while i < rows.len() {
-                        let ok = plans.iter().any(|&p| {
-                            rederivable(&run, &self.rederive[p], &rows[i], &mut self.idb)
-                        });
-                        if ok {
-                            let fact = rows.swap_remove(i);
-                            self.idb.insert(name, &fact);
-                            if let Some(o) = over.get_mut(name.as_str()) {
-                                o.remove(&fact);
-                            }
-                            changed = true;
-                        } else {
-                            i += 1;
-                        }
+                let specs = delta_specs(&self.rederive, s, |n| over.get(n));
+                if specs.is_empty() {
+                    break;
+                }
+                let batch = owned_facts(run.join_round(&specs, &mut self.idb)?);
+                drop(specs);
+                let mut reinstated = false;
+                for (rel, tuple) in batch {
+                    if over.get_mut(&rel).is_some_and(|o| o.remove(&tuple)) {
+                        self.idb.insert(&rel, &tuple);
+                        reinstated = true;
                     }
                 }
-                if let Some(gov) = gov {
-                    gov.check()?;
-                }
-                if !changed {
+                if !reinstated {
                     break;
                 }
             }
@@ -918,7 +902,7 @@ impl IncrementalEvaluator {
 
 /// One round's specs for stratum `s`: every delta variant of the
 /// stratum's rules whose delta relation has rows in `delta`. DRed's
-/// over-delete and insert rounds share it.
+/// over-delete, re-derive and insert rounds share it.
 fn delta_specs<'r>(
     compiled: &'r [CompiledRule],
     s: usize,
@@ -933,6 +917,20 @@ fn delta_specs<'r>(
                 let d = delta(&dv.relation)?;
                 (!d.is_empty()).then_some((rule, &dv.variant, Some(d)))
             })
+        })
+        .collect()
+}
+
+/// A join round's emitted facts as owned `(relation, tuple)` pairs. The
+/// round's output borrows its specs, and through them `over`, so DRed
+/// buffers the facts before editing `over`.
+fn owned_facts(per_job: JoinRoundOutput<'_>) -> Vec<(String, Vec<Value>)> {
+    per_job
+        .into_iter()
+        .flat_map(|(rule, derived)| {
+            derived
+                .into_iter()
+                .map(|(head_idx, tuple)| (rule.head(head_idx).to_string(), tuple))
         })
         .collect()
 }
@@ -958,124 +956,6 @@ fn diff(old: &Database, new: &Database) -> OutputDelta {
         }
     }
     OutputDelta { inserted, deleted }
-}
-
-// -------------------------------------------------------- re-derivation --
-
-/// Whether `fact` has a derivation via `plan` in the current database —
-/// DRed's per-fact alternative-support check. Prep mirrors a round's
-/// sequential prep phase: overlay indexes are registered (and caught up)
-/// and EDB index `Arc`s pinned before the recursive probe.
-fn rederivable(run: &EvalRun<'_>, plan: &RederivePlan, fact: &[Value], idb: &mut IdbState) -> bool {
-    if fact.len() != plan.head.len() {
-        return false;
-    }
-    let mut env: Vec<Option<Value>> = vec![None; plan.nvars];
-    for (term, v) in plan.head.iter().zip(fact) {
-        match term {
-            HeadTerm::Const(c) => {
-                if c != v {
-                    return false;
-                }
-            }
-            HeadTerm::Var(i) => match env[*i] {
-                Some(bound) if bound != *v => return false,
-                _ => env[*i] = Some(*v),
-            },
-        }
-    }
-    let edb_ix: Vec<Option<Arc<ColumnIndex>>> = plan
-        .body
-        .lits
-        .iter()
-        .map(|lit| match lit.access {
-            Access::Indexed => {
-                idb.ensure_index(&lit.rel, &lit.key_cols);
-                run.edb_index(&lit.rel, &lit.key_cols)
-            }
-            _ => None,
-        })
-        .collect();
-    body_holds(&plan.body.lits, 0, &mut env, run.edb, idb, &edb_ix)
-}
-
-/// Recursive existence check: can `env` be extended so that
-/// `lits[depth..]` all hold? Probes both storage sides (EDB snapshot and
-/// overlay) per literal; scan-mode literals check their constants per row
-/// via `try_tuple` (the point check touches few rows, so it never
-/// pre-filters).
-fn body_holds(
-    lits: &[LitPlan],
-    depth: usize,
-    env: &mut Vec<Option<Value>>,
-    edb: &Database,
-    idb: &IdbState,
-    edb_ix: &[Option<Arc<ColumnIndex>>],
-) -> bool {
-    let Some(lit) = lits.get(depth) else {
-        return true;
-    };
-    let mut newly: Vec<usize> = Vec::new();
-    match lit.access {
-        Access::Indexed => {
-            let key: Vec<Value> = lit
-                .slots
-                .iter()
-                .filter_map(|s| match s {
-                    Slot::Const(c) => Some(*c),
-                    Slot::Bound(v) => Some(env[*v].expect("bound by plan order")),
-                    _ => None,
-                })
-                .collect();
-            if let (Some(rel), Some(ix)) = (edb.relation(&lit.rel), edb_ix[depth].as_deref()) {
-                for &ti in ix.get(&key) {
-                    let row = rel.get(ti as usize).expect("index position in range");
-                    if try_tuple(env, &mut newly, &lit.slots, row) {
-                        if body_holds(lits, depth + 1, env, edb, idb, edb_ix) {
-                            return true;
-                        }
-                        for &n in &newly {
-                            env[n] = None;
-                        }
-                        newly.clear();
-                    }
-                }
-            }
-            if let Some((rel, ix)) = idb.indexed(&lit.rel, &lit.key_cols) {
-                for &ti in ix.get(&key) {
-                    let row = rel.get(ti as usize).expect("index position in range");
-                    if try_tuple(env, &mut newly, &lit.slots, row) {
-                        if body_holds(lits, depth + 1, env, edb, idb, edb_ix) {
-                            return true;
-                        }
-                        for &n in &newly {
-                            env[n] = None;
-                        }
-                        newly.clear();
-                    }
-                }
-            }
-        }
-        Access::Scan | Access::Prescan => {
-            for part in [edb.relation(&lit.rel), idb.relation(&lit.rel)]
-                .into_iter()
-                .flatten()
-            {
-                for row in part.iter() {
-                    if try_tuple(env, &mut newly, &lit.slots, row) {
-                        if body_holds(lits, depth + 1, env, edb, idb, edb_ix) {
-                            return true;
-                        }
-                        for &n in &newly {
-                            env[n] = None;
-                        }
-                        newly.clear();
-                    }
-                }
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -1285,6 +1165,30 @@ mod tests {
         }
         inc.apply_delta(&ins, &dels).unwrap();
         upkeep::take()
+    }
+
+    #[test]
+    fn from_parts_rejects_an_empty_overlay_relation_of_the_wrong_arity() {
+        let program = Program::parse("Path(x, y) :- Edge(x, y).").unwrap();
+        let mut edb = Database::new();
+        edb.insert("Edge", vec![Value::Int(1), Value::Int(2)]);
+        let mut overlay = Database::new();
+        overlay.relation_mut("Path", 3);
+        let restored = IncrementalEvaluator::from_parts(
+            program,
+            edb,
+            overlay,
+            pool::with_threads(Some(1)),
+            true,
+        );
+        assert!(matches!(
+            restored,
+            Err(EvalError::InputArity {
+                expected: 2,
+                got: 3,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use crate::hash::FxHashMap;
 use std::fmt;
@@ -103,18 +103,6 @@ impl Database {
             for t in rel.iter() {
                 dst.insert_row(t);
             }
-        }
-    }
-
-    /// Restricts to the named relations (used to slice synthesis outputs).
-    pub fn restrict_to(&self, names: &HashSet<&str>) -> Database {
-        Database {
-            relations: self
-                .relations
-                .iter()
-                .filter(|(n, _)| names.contains(n.as_str()))
-                .map(|(n, r)| (n.clone(), r.clone()))
-                .collect(),
         }
     }
 }

@@ -673,11 +673,6 @@ impl TupleStore {
             && self.iter().all(|r| other.contains_row(r))
     }
 
-    /// Returns the set of distinct values appearing in column `col`.
-    pub fn column_values(&self, col: usize) -> HashSet<Value> {
-        self.column(col).iter().collect()
-    }
-
     /// Projects onto the given columns, returning the set of projected
     /// rows. The gather is a contiguous sweep over the column streams.
     pub fn project(&self, cols: &[usize]) -> HashSet<Vec<Value>> {
@@ -1461,6 +1456,5 @@ mod tests {
         let p = s.project(&[0, 2]);
         assert_eq!(p.len(), 1);
         assert!(p.contains(&t(&[1, 3])));
-        assert_eq!(s.column_values(1).len(), 2);
     }
 }
