@@ -3,6 +3,8 @@
 //! (Dynamite-Enum, Mitra-like, Eirene-like), sensitivity-analysis and
 //! user-study harnesses.
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod benchmarks;
 pub mod curated;

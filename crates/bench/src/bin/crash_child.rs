@@ -21,6 +21,8 @@
 //! Exit codes: 0 = stream complete; 2 = bad usage; 3 = open/create
 //! failed; 4 = apply failed. Fault-point kills show up as SIGABRT.
 
+#![forbid(unsafe_code)]
+
 use std::process::exit;
 
 use dynamite_bench::crash_stream;

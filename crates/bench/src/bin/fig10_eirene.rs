@@ -2,6 +2,8 @@
 //! relational→relational benchmarks — synthesis time (10a) and mapping
 //! quality as redundant-predicate distance to the optimal mapping (10b).
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use dynamite_bench_suite::baselines::eirene::{distance_to_golden, synthesize_eirene};

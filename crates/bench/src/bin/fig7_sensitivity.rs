@@ -5,6 +5,8 @@
 //! (defaults: 10 trials, 20 s timeout, all 28 benchmarks; the paper uses
 //! 100 trials and a 10-minute timeout).
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use dynamite_bench_suite::sensitivity::{run, SensitivityOptions};

@@ -6,6 +6,8 @@
 //!
 //! Usage: `fig8_user_study [--participants N]` (default 5 per arm).
 
+#![forbid(unsafe_code)]
+
 use dynamite_bench_suite::by_name;
 use dynamite_bench_suite::user_study::{dynamite_arm, manual_arm};
 

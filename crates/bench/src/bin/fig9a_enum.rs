@@ -4,6 +4,8 @@
 //!
 //! Usage: `fig9a_enum [--timeout SECS]` (default 60; the paper uses 1 h).
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use dynamite_bench_suite::all_benchmarks;

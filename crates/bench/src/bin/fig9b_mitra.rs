@@ -3,6 +3,8 @@
 //!
 //! Usage: `fig9b_mitra [--timeout SECS]` (default 120).
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use dynamite_bench_suite::baselines::mitra::synthesize_mitra;

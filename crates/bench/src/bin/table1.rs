@@ -2,6 +2,8 @@
 //!
 //! Usage: `table1 [--scale N]` (default 4).
 
+#![forbid(unsafe_code)]
+
 use dynamite_bench_suite::datasets;
 
 fn main() {

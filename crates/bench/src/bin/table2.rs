@@ -1,6 +1,8 @@
 //! Regenerates Table 2: benchmark statistics (source/target type,
 //! number of record types, number of attributes).
 
+#![forbid(unsafe_code)]
+
 use dynamite_bench_suite::all_benchmarks;
 
 fn main() {

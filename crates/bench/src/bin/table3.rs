@@ -4,6 +4,8 @@
 //!
 //! Usage: `table3 [--scale N]` (migration instance scale, default 4).
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use dynamite_bench_suite::all_benchmarks;

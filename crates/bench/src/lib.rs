@@ -1,6 +1,8 @@
 //! Experiment harness library (shared helpers for the table/figure
 //! binaries). See the `bin/` targets and DESIGN.md's experiment index.
 
+#![forbid(unsafe_code)]
+
 pub mod util {
     //! Small shared helpers for experiment binaries.
 

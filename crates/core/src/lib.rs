@@ -19,6 +19,8 @@
 //! assert_eq!(result.program.rules.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod analyze;
 mod attr_map;
 mod example;

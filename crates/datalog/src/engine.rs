@@ -32,12 +32,11 @@
 //!   output cardinality from the EDB's incrementally maintained
 //!   [`ColumnStats`](dynamite_instance::ColumnStats) (delta literals stay
 //!   pinned outermost; `DYNAMITE_NO_REORDER=1` falls back to body order);
-//! - outermost literals bound only by constants take a columnar pre-scan
-//!   fast path: the constant columns' tag/payload streams are swept by
-//!   the batched, statistics-driven SIMD filter kernel
-//!   ([`TupleStore::filter_const_rows`](dynamite_instance::TupleStore::filter_const_rows))
-//!   into a candidate row-id list before the join descends (deeper
-//!   literals keep the cached index probe);
+//! - the outermost literal of every join order is a plain scan (range-
+//!   partitioned across workers when large) whose constants are checked
+//!   per row, exactly like the delta occurrence's; every deeper literal
+//!   with a constant or an earlier-bound variable probes a cached index
+//!   on those columns;
 //! - negated literals probe an index on their bound columns instead of
 //!   scanning the whole relation per emitted tuple.
 //!
@@ -704,24 +703,20 @@ impl EvalRun<'_> {
         let mut outer_rows = 0usize;
         let mut jobs = Vec::with_capacity(specs.len());
         for (spec, &(rule, variant, delta)) in specs.iter().enumerate() {
-            // Partitionable only when depth 0 is a scan (plain or
-            // constant-filtered); index-probed outer literals stay whole.
-            let rows = variant.lits.first().and_then(|lit| match lit.access {
-                Access::Scan | Access::Prescan => Some(match delta {
-                    Some(d) => d.len(),
-                    None => {
-                        self.edb.relation(&lit.rel).map_or(0, Relation::len)
-                            + idb.relation(&lit.rel).map_or(0, Relation::len)
-                    }
-                }),
-                Access::Indexed => None,
-            });
-            outer_rows += rows.unwrap_or(0);
-            let chunks = match rows {
-                Some(n) if threads > 1 && n >= PAR_MIN_ROWS => {
-                    (threads * 2).min(n / (PAR_MIN_ROWS / 2)).max(1)
+            // Depth 0 is always a scan (see `Variant::compile`), so every
+            // outer literal can be partitioned.
+            let rows = variant.lits.first().map_or(0, |lit| match delta {
+                Some(d) => d.len(),
+                None => {
+                    self.edb.relation(&lit.rel).map_or(0, Relation::len)
+                        + idb.relation(&lit.rel).map_or(0, Relation::len)
                 }
-                _ => 1,
+            });
+            outer_rows += rows;
+            let chunks = if threads > 1 && rows >= PAR_MIN_ROWS {
+                (threads * 2).min(rows / (PAR_MIN_ROWS / 2)).max(1)
+            } else {
+                1
             };
             if chunks <= 1 {
                 jobs.push(RoundJob {
@@ -732,14 +727,13 @@ impl EvalRun<'_> {
                     range: (0, usize::MAX),
                 });
             } else {
-                let n = rows.unwrap_or(0);
                 for c in 0..chunks {
                     jobs.push(RoundJob {
                         rule,
                         variant,
                         delta,
                         spec,
-                        range: (c * n / chunks, (c + 1) * n / chunks),
+                        range: (c * rows / chunks, (c + 1) * rows / chunks),
                     });
                 }
             }
@@ -754,12 +748,13 @@ impl EvalRun<'_> {
         let lit_edb = variant
             .lits
             .iter()
-            .map(|lit| match lit.access {
-                Access::Indexed => {
+            .map(|lit| {
+                if lit.key_cols.is_empty() {
+                    None
+                } else {
                     idb.ensure_index(&lit.rel, &lit.key_cols);
                     self.edb_index(&lit.rel, &lit.key_cols)
                 }
-                Access::Scan | Access::Prescan => None,
             })
             .collect();
         let neg_edb = rule
@@ -850,27 +845,23 @@ fn join_job(
             } else {
                 (0, usize::MAX)
             };
-            let parts = || -> [Option<&Relation>; 2] {
-                if depth == 0 && job.delta.is_some() {
-                    [job.delta, None]
-                } else {
-                    [edb.relation(&lit.rel), idb.relation(&lit.rel)]
-                }
-            };
-            let src = match lit.access {
-                Access::Scan => ScanSrc::Scan {
-                    parts: parts(),
-                    range,
-                },
-                Access::Prescan => ScanSrc::Filtered {
-                    parts: prescan(parts(), &lit.const_cols, range),
-                },
-                Access::Indexed => ScanSrc::Indexed {
+            let src = if !lit.key_cols.is_empty() {
+                ScanSrc::Indexed {
                     edb: edb_arc
                         .as_deref()
                         .and_then(|ix| Some((edb.relation(&lit.rel)?, ix))),
                     idb: idb.indexed(&lit.rel, &lit.key_cols),
-                },
+                }
+            } else if depth == 0 && job.delta.is_some() {
+                ScanSrc::Scan {
+                    parts: [job.delta, None],
+                    range,
+                }
+            } else {
+                ScanSrc::Scan {
+                    parts: [edb.relation(&lit.rel), idb.relation(&lit.rel)],
+                    range,
+                }
             };
             LitExec {
                 slots: &lit.slots,
@@ -911,33 +902,6 @@ fn join_job(
     };
     run.descend(0);
     run.results
-}
-
-/// The constant-filter pre-scan: runs the batched filter kernel
-/// ([`TupleStore::filter_const_rows`](dynamite_instance::TupleStore::filter_const_rows))
-/// over each part within `range` (concatenated row space), producing
-/// per-part candidate row-id lists before the join descends. The kernel
-/// sweeps the estimated most-selective constant's tag/payload streams
-/// first — a conditional scan for sparse hits (survivors re-checked
-/// against the remaining constants), the 64-row SIMD bitmask sweep for
-/// dense ones (remaining constants AND in their own masks) — and
-/// short-circuits entirely for constants outside a column's observed
-/// range; ids ascend within each part, so iteration order matches a
-/// plain scan's.
-fn prescan<'a>(
-    parts: [Option<&'a Relation>; 2],
-    const_cols: &[(usize, Value)],
-    range: (usize, usize),
-) -> [Option<(&'a Relation, Vec<u32>)>; 2] {
-    let (mut start, mut end) = range;
-    parts.map(|part| {
-        let part = part?;
-        let n = part.len();
-        let ids = part.filter_const_rows(const_cols, start.min(n), end.min(n));
-        start = start.saturating_sub(n);
-        end = end.saturating_sub(n);
-        Some((part, ids))
-    })
 }
 
 // ------------------------------------------------------------- planner --
@@ -1240,28 +1204,14 @@ pub(crate) struct Variant {
     lits: Vec<LitPlan>,
 }
 
-/// How a literal's tuples are reached at its join depth.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Access {
-    /// Full scan (delta occurrences and unconstrained literals).
-    Scan,
-    /// Constant-filter pre-scan: every key column is a constant, so the
-    /// candidate row ids are gathered once from the column slices.
-    Prescan,
-    /// Index probe on the bound key columns.
-    Indexed,
-}
-
 /// One positive literal in a join order.
 struct LitPlan {
     rel: String,
     slots: Vec<Slot>,
     /// Columns bound before this literal joins (consts and earlier-bound
-    /// variables, in column order) — the index key. Empty means scan.
+    /// variables, in column order) — the index key. Empty means scan,
+    /// as it always is at depth 0.
     key_cols: Vec<usize>,
-    /// Constant-bound columns, in column order (the pre-scan filter).
-    const_cols: Vec<(usize, Value)>,
-    access: Access,
 }
 
 enum Slot {
@@ -1466,14 +1416,14 @@ impl CompiledRule {
             .filter(|(_, l)| !l.negated)
             .collect();
 
-        let naive = Variant::compile(&positives, false, &var_index, nvars, &orders.naive);
+        let naive = Variant::compile(&positives, &var_index, nvars, &orders.naive);
         let deltas = positives
             .iter()
             .filter(|(_, l)| all_deltas || strata.get(&l.atom.relation).copied() == Some(stratum))
             .zip(&orders.deltas)
             .map(|(&(_, l), order)| DeltaVariant {
                 relation: l.atom.relation.clone(),
-                variant: Variant::compile(&positives, true, &var_index, nvars, order),
+                variant: Variant::compile(&positives, &var_index, nvars, order),
             })
             .collect();
 
@@ -1508,10 +1458,10 @@ impl CompiledRule {
             if i > 0 {
                 s.push_str(", ");
             }
-            let _ = match lit.access {
-                Access::Scan => write!(s, "{}[scan]", lit.rel),
-                Access::Prescan => write!(s, "{}[prescan]", lit.rel),
-                Access::Indexed => write!(s, "{}[index {:?}]", lit.rel, lit.key_cols),
+            let _ = if lit.key_cols.is_empty() {
+                write!(s, "{}[scan]", lit.rel)
+            } else {
+                write!(s, "{}[index {:?}]", lit.rel, lit.key_cols)
             };
         }
         for neg in &self.negs {
@@ -1523,13 +1473,11 @@ impl CompiledRule {
 
 impl Variant {
     /// Compiles one join order — the planner-chosen (or body-order)
-    /// permutation `order` of `positives`, with the delta occurrence (if
-    /// `delta_first`) already pinned at position 0 — into slot layouts,
-    /// per-literal index key columns, and the access path each literal
-    /// takes at its depth.
+    /// permutation `order` of `positives` (a delta variant's order
+    /// starts with its delta occurrence) — into slot layouts and
+    /// per-literal index key columns.
     fn compile(
         positives: &[(usize, &Literal)],
-        delta_first: bool,
         var_index: &FxHashMap<&str, usize>,
         nvars: usize,
         order: &[usize],
@@ -1560,19 +1508,12 @@ impl Variant {
                         }
                     })
                     .collect();
-                let const_cols: Vec<(usize, Value)> = slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(c, s)| match s {
-                        Slot::Const(v) => Some((c, *v)),
-                        _ => None,
-                    })
-                    .collect();
-                // The first literal in the join order is a scan when it is
-                // the delta occurrence; otherwise consts (and, for later
-                // literals, bound variables) form the index key.
-                let is_delta = join_i == 0 && delta_first;
-                let key_cols: Vec<usize> = if is_delta {
+                // The outermost literal runs once per job, so it scans and
+                // checks its constants per row in `try_tuple` (for a delta
+                // occurrence as for any other). Deeper literals run once
+                // per outer binding and probe an index keyed on their
+                // constants and earlier-bound variables.
+                let key_cols: Vec<usize> = if join_i == 0 {
                     Vec::new()
                 } else {
                     slots
@@ -1582,30 +1523,10 @@ impl Variant {
                         .map(|(c, _)| c)
                         .collect()
                 };
-                // Access path: the *outermost* literal executes exactly
-                // once per job, so when its key is made entirely of
-                // constants a one-off columnar pre-scan beats building a
-                // whole-relation index (the delta occurrence pre-scans
-                // its constants too). Deeper literals run once per outer
-                // binding and therefore keep the cached index probe even
-                // for all-constant keys.
-                let access = if is_delta || key_cols.is_empty() {
-                    if const_cols.is_empty() {
-                        Access::Scan
-                    } else {
-                        Access::Prescan
-                    }
-                } else if join_i == 0 && key_cols.len() == const_cols.len() {
-                    Access::Prescan
-                } else {
-                    Access::Indexed
-                };
                 LitPlan {
                     rel: lit.atom.relation.clone(),
                     slots,
                     key_cols,
-                    const_cols,
-                    access,
                 }
             })
             .collect();
@@ -1834,11 +1755,6 @@ enum ScanSrc<'a> {
         parts: [Option<&'a Relation>; 2],
         range: (usize, usize),
     },
-    /// Constant-filtered scan: per part, the pre-scanned candidate row
-    /// ids (already range-restricted, ascending).
-    Filtered {
-        parts: [Option<(&'a Relation, Vec<u32>)>; 2],
-    },
     /// Index probe on the key columns, each side with its own index.
     Indexed {
         edb: Option<(&'a Relation, &'a ColumnIndex)>,
@@ -2036,22 +1952,6 @@ impl JoinRun<'_> {
                     end = end.saturating_sub(n);
                 }
             }
-            ScanSrc::Filtered { parts } => {
-                for (rel, ids) in parts.iter().flatten() {
-                    for &i in ids {
-                        if self.should_stop() {
-                            break;
-                        }
-                        let t = rel.get(i as usize).expect("prescan in range");
-                        if try_tuple(&mut self.env, &mut newly, exec.slots, t) {
-                            self.descend(depth + 1);
-                            for &n in &newly {
-                                self.env[n] = None;
-                            }
-                        }
-                    }
-                }
-            }
             ScanSrc::Indexed { edb, idb } => {
                 let mut key = std::mem::take(&mut self.keys[depth]);
                 key.clear();
@@ -2137,12 +2037,10 @@ mod tests {
         let plans = planned.explain(&adversarial()).expect("explains");
         assert_eq!(plans.len(), 1);
         // Sel(z, 7) is by far the cheapest entry point (100 / 20 = 5
-        // estimated rows) and its key is all constants: prescan. Mid then
-        // joins on the bound z, Big last on the bound y.
-        assert_eq!(
-            plans[0],
-            "Out :- Sel[prescan], Mid[index [1]], Big[index [1]]"
-        );
+        // estimated rows); as the outermost literal it is scanned with
+        // its constant checked per row. Mid then joins on the bound z,
+        // Big last on the bound y.
+        assert_eq!(plans[0], "Out :- Sel[scan], Mid[index [1]], Big[index [1]]");
         // Body order, for contrast, scans Big first.
         let blind = fresh_ctx(&db, false);
         let plans = blind.explain(&adversarial()).expect("explains");
@@ -2171,9 +2069,9 @@ mod tests {
         let p = Program::parse("Out(x) :- Big(x, y), Sel(y, 999).").expect("parses");
         let planned = fresh_ctx(&db, true);
         // 999 is outside Sel's second column range: estimated zero rows,
-        // so the planner puts Sel first and the prescan short-circuits.
+        // so the planner puts Sel first and one sweep of Sel ends the join.
         let plans = planned.explain(&p).expect("explains");
-        assert!(plans[0].starts_with("Out :- Sel[prescan]"), "{}", plans[0]);
+        assert!(plans[0].starts_with("Out :- Sel[scan]"), "{}", plans[0]);
         assert!(planned
             .eval(&p)
             .expect("evaluates")
@@ -2243,11 +2141,7 @@ mod tests {
         let p = Program::parse("Out(x) :- Big(x, y), Mid(y, z), Guard(1, 2).").expect("parses");
         let planned = fresh_ctx(&db, true);
         let plans = planned.explain(&p).expect("explains");
-        assert!(
-            plans[0].starts_with("Out :- Guard[prescan]"),
-            "{}",
-            plans[0]
-        );
+        assert!(plans[0].starts_with("Out :- Guard[scan]"), "{}", plans[0]);
         // Present guard: same result as body order; absent guard: empty.
         let blind = fresh_ctx(&db, false);
         assert_eq!(

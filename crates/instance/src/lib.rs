@@ -9,8 +9,7 @@
 //!   storage in structure-of-arrays form (a tag byte-stream plus a
 //!   payload word-stream per column, row-hash dedup, borrowed row and
 //!   column views) with incremental per-column statistics
-//!   ([`ColumnStats`]) and a SIMD constant-filter kernel
-//!   ([`TupleStore::filter_const_rows`]);
+//!   ([`ColumnStats`]);
 //! - [`Database`] / [`Relation`]: named, insertion-ordered, deduplicated
 //!   tuple stores shared with the Datalog engine — `Relation` is the
 //!   columnar [`TupleStore`];

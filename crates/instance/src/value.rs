@@ -69,9 +69,8 @@ impl Value {
     /// variant's canonical 64-bit pattern. Two values are equal **iff**
     /// their tags and payloads are both equal, and both comparisons are
     /// plain integer compares — no discriminant branch, no string
-    /// resolution — which is what lets the columnar filter kernel
-    /// ([`TupleStore::filter_const_rows`](crate::TupleStore::filter_const_rows))
-    /// sweep the payload word stream as vectorizable code.
+    /// resolution — which is what lets [`TupleStore`](crate::TupleStore)'s
+    /// dedup probe compare raw stream words.
     #[inline(always)]
     pub fn to_raw(self) -> (u8, u64) {
         match self {

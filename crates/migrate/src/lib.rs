@@ -29,6 +29,8 @@
 //! assert_eq!(report.facts_in, 6);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -94,7 +94,7 @@ pub fn render_facts(db: &Database) -> BTreeMap<String, String> {
 fn csv_cell(v: &Value) -> String {
     match v {
         Value::Str(s) => {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
+            if s.contains([',', '"', '\n', '\r']) {
                 format!("\"{}\"", s.replace('"', "\"\""))
             } else {
                 s.to_string()
@@ -229,6 +229,9 @@ mod tests {
     #[test]
     fn quoted_cells_escape_quotes() {
         assert_eq!(csv_cell(&Value::str("a\"b")), "\"a\"\"b\"");
+        // A bare line break of either kind would end the record early.
+        assert_eq!(csv_cell(&Value::str("a\nb")), "\"a\nb\"");
+        assert_eq!(csv_cell(&Value::str("a\rb")), "\"a\rb\"");
         assert_eq!(csv_cell(&Value::Int(3)), "3");
     }
 }

@@ -22,6 +22,8 @@
 //! assert_eq!(schema.prim_type("count"), Some(PrimType::Int));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 mod dsl;
 mod error;

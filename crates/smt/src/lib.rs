@@ -22,6 +22,8 @@
 //! assert_ne!(model.value(x), model.value(y));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fd;
 pub mod sat;
 

@@ -18,6 +18,8 @@
 //! layout; `DESIGN.md` records the decisions behind each subsystem and
 //! `BENCHMARKS.md` how to run and read the `perfbench` benchmark.
 
+#![forbid(unsafe_code)]
+
 pub use dynamite_core as core;
 pub use dynamite_datalog as datalog;
 pub use dynamite_instance as instance;

@@ -10,8 +10,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dynamite::datalog::{
-    evaluate, legacy, reorder_default, Evaluator, IncrementalEvaluator, Program, RuleCacheHandle,
-    WorkerPool,
+    evaluate, legacy, reorder_default, Atom, Evaluator, IncrementalEvaluator, Literal, Program,
+    Rule, RuleCacheHandle, Term, WorkerPool,
 };
 use dynamite::instance::{from_facts, to_facts, Database, Instance, Record, TupleStore, Value};
 use dynamite::schema::Schema;
@@ -277,73 +277,6 @@ fn soa_adversarial_domain() -> Vec<Value> {
         Value::str("soa-tie2"),
         Value::str(""),
     ]
-}
-
-/// The filter kernel on the split layout agrees with a scalar sweep over
-/// materialized values for every `Value` variant and payload-tie pattern,
-/// in both the sparse (conditional) and dense (SIMD bitmask) regime and
-/// across chunk-unaligned ranges.
-#[test]
-fn soa_filter_kernel_matches_scalar_sweep_on_all_variants() {
-    let domain = soa_adversarial_domain();
-    for seed in 0..24u64 {
-        let mut rng = StdRng::seed_from_u64(12_000 + seed);
-        // Large stores hit the 64-row bitmask chunks; a unique second
-        // column keeps rows distinct so column 0's density is exactly
-        // the generator's, dedup notwithstanding.
-        let rows = if seed % 3 == 0 {
-            rng.gen_range(0..64)
-        } else {
-            rng.gen_range(1500..4500)
-        };
-        // Skew the draw so one value dominates (dense regime) while the
-        // rest stay sparse.
-        let hot = domain[rng.gen_range(0..domain.len())];
-        let mut store = TupleStore::new(2);
-        for i in 0..rows {
-            let v = if rng.gen_bool(0.4) {
-                hot
-            } else {
-                domain[rng.gen_range(0..domain.len())]
-            };
-            store.insert(&[v, Value::Int(i as i64)]);
-        }
-        for &probe in &domain {
-            let (lo, hi) = {
-                let a = rng.gen_range(0..store.len().max(1) + 10);
-                let b = rng.gen_range(0..store.len().max(1) + 10);
-                (a.min(b), a.max(b))
-            };
-            for (start, end) in [(0, usize::MAX), (lo, hi)] {
-                let expect: Vec<u32> = (start.min(store.len())..end.min(store.len()))
-                    .filter(|&i| store.column(0).value(i) == probe)
-                    .map(|i| i as u32)
-                    .collect();
-                assert_eq!(
-                    store.filter_const_rows(&[(0, probe)], start, end),
-                    expect,
-                    "seed {seed} probe {probe} range {start}..{end}"
-                );
-            }
-        }
-        // Two-constant probes: the second column ties every row id.
-        if !store.is_empty() {
-            let pick = rng.gen_range(0..store.len());
-            let consts = [
-                (0, store.column(0).value(pick)),
-                (1, Value::Int(pick as i64)),
-            ];
-            let expect: Vec<u32> = (0..store.len())
-                .filter(|&i| consts.iter().all(|&(c, v)| store.column(c).value(i) == v))
-                .map(|i| i as u32)
-                .collect();
-            assert_eq!(
-                store.filter_const_rows(&consts, 0, usize::MAX),
-                expect,
-                "seed {seed} two-const"
-            );
-        }
-    }
 }
 
 /// Tag/payload round trip over the adversarial domain: `to_raw` composed
@@ -1104,6 +1037,142 @@ fn differential_parallel_vs_legacy_evaluation() {
             via_parallel, via_legacy,
             "seed {seed} diverged (parallel vs legacy) on:\n{program}\nEDB:\n{edb}"
         );
+    }
+}
+
+/// A program whose rules carry every value of [`soa_adversarial_domain`]
+/// as a body constant, `c` at index `k` (heads are numbered by `k`):
+///
+/// - `A{k}(i) :- Big(c, i)` and `W{k}(i, w) :- Big(c, i), Side(i, w)`:
+///   the constant sits in the outermost literal of a scan over all of
+///   `Big` (partitioned across workers when large);
+/// - `D{k}(i, w) :- Side(i, w), Big(c, i)` and
+///   `X{k}(x, i) :- Small(x, d), Big(c, i)`: the constant sits in a deeper
+///   literal, probed through an index keyed on it (with and without a
+///   bound variable beside it);
+/// - `R{k}` and `T{k}`: recursive rules whose delta occurrence
+///   (`R{k}(c, x)`, `T{k}(c, i)`) carries the constant, so every fixpoint
+///   round scans the delta and checks it per row.
+fn constant_program(domain: &[Value]) -> Program {
+    let var = |v: &str| Term::var(v);
+    let lit = |rel: &str, terms: Vec<Term>| Literal::pos(Atom::new(rel, terms));
+    let head = |rel: &str, vars: &[&str]| Atom::new(rel, vars.iter().map(|&v| var(v)).collect());
+    let mut rules = Vec::new();
+    for (k, &c) in domain.iter().enumerate() {
+        let c = Term::Const(c);
+        let d = Term::Const(domain[(k + 1) % domain.len()]);
+        let big = |t: Term| lit("Big", vec![t, var("i")]);
+        let side = || lit("Side", vec![var("i"), var("w")]);
+        let (r, t) = (format!("R{k}"), format!("T{k}"));
+        rules.extend([
+            Rule::new(head(&format!("A{k}"), &["i"]), vec![big(c.clone())]),
+            Rule::new(
+                head(&format!("W{k}"), &["i", "w"]),
+                vec![big(c.clone()), side()],
+            ),
+            Rule::new(
+                head(&format!("D{k}"), &["i", "w"]),
+                vec![side(), big(c.clone())],
+            ),
+            Rule::new(
+                head(&format!("X{k}"), &["x", "i"]),
+                vec![lit("Small", vec![var("x"), d]), big(c.clone())],
+            ),
+            Rule::new(
+                head(&r, &["x", "y"]),
+                vec![lit("Small", vec![var("x"), var("y")])],
+            ),
+            Rule::new(
+                head(&r, &["x", "y"]),
+                vec![
+                    lit(&r, vec![c.clone(), var("x")]),
+                    lit("Small", vec![var("x"), var("y")]),
+                ],
+            ),
+            Rule::new(head(&t, &["v", "i"]), vec![big(var("v"))]),
+            Rule::new(
+                head(&t, &["w", "i"]),
+                vec![
+                    lit(&t, vec![c.clone(), var("i")]),
+                    lit("Small", vec![c, var("w")]),
+                ],
+            ),
+        ]);
+    }
+    Program::new(rules)
+}
+
+/// Body constants agree with the legacy interpreter on every `Value`
+/// variant and payload tie: `Id`/`Int`/`Bool` values sharing a payload
+/// word, extreme bit patterns and repeated interned symbols all appear as
+/// constants of an outermost literal over ≥ 1,500 rows (one hot value in
+/// ~40 % of them), of a deeper literal, and of a recursive rule's delta
+/// occurrence. Context evaluation at 1 and 4 workers, planner on and off,
+/// equals `legacy::evaluate`; both worker counts emit rows in the same
+/// order; and each outermost scan keeps exactly the rows a plain sweep of
+/// `Big` finds.
+#[test]
+fn body_constants_match_legacy_on_all_variants() {
+    let domain = soa_adversarial_domain();
+    let program = constant_program(&domain);
+    let pools = [Arc::new(WorkerPool::new(1)), Arc::new(WorkerPool::new(4))];
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(12_500 + seed);
+        let pick = |rng: &mut StdRng| domain[rng.gen_range(0..domain.len())];
+        let hot = pick(&mut rng);
+        let rows = rng.gen_range(1500..3000);
+        let mut edb = Database::new();
+        // A unique second column keeps `Big`'s rows distinct, so column
+        // 0's distribution is exactly the generator's.
+        for i in 0..rows {
+            let v = if rng.gen_bool(0.4) {
+                hot
+            } else {
+                pick(&mut rng)
+            };
+            edb.insert("Big", vec![v, Value::Int(i)]);
+            if rng.gen_bool(0.05) {
+                edb.insert("Side", vec![Value::Int(i), pick(&mut rng)]);
+            }
+        }
+        for _ in 0..40 {
+            edb.insert("Small", vec![pick(&mut rng), pick(&mut rng)]);
+        }
+        let big = edb.relation("Big").expect("big");
+        let via_legacy = legacy::evaluate(&program, &edb).expect("legacy evaluates");
+        for reorder in [true, false] {
+            let outs: Vec<Database> = pools
+                .iter()
+                .map(|pool| {
+                    Evaluator::with_config(
+                        edb.clone(),
+                        pool.clone(),
+                        RuleCacheHandle::default(),
+                        reorder,
+                    )
+                    .eval(&program)
+                    .expect("context evaluates")
+                })
+                .collect();
+            for (out, pool) in outs.iter().zip(&pools) {
+                assert_eq!(
+                    *out,
+                    via_legacy,
+                    "seed {seed}, {} threads, reorder {reorder}",
+                    pool.threads()
+                );
+            }
+            assert_identical_row_order(
+                &outs[0],
+                &outs[1],
+                &format!("seed {seed}, reorder {reorder}"),
+            );
+            for (k, &c) in domain.iter().enumerate() {
+                let expect = big.iter().filter(|r| r.at(0) == c).count();
+                let got = outs[1].relation(&format!("A{k}")).map_or(0, |r| r.len());
+                assert_eq!(got, expect, "seed {seed}, constant {c}");
+            }
+        }
     }
 }
 
