@@ -1,6 +1,7 @@
 //! Regenerates Table 3 (main results): per benchmark, example sizes,
 //! search-space size, synthesis time, rule statistics, distance to the
-//! golden program, and migration time on a generated instance.
+//! golden program, and migration time on a generated instance. A last
+//! line sums the synthesizer's per-phase times over all benchmarks.
 //!
 //! Usage: `table3 [--scale N]` (migration instance scale, default 4).
 
@@ -9,7 +10,7 @@
 use std::time::Duration;
 
 use dynamite_bench_suite::all_benchmarks;
-use dynamite_core::{synthesize, SynthesisConfig};
+use dynamite_core::{synthesize, PhaseTimes, SynthesisConfig};
 use dynamite_datalog::alpha_equivalent;
 use dynamite_migrate::migrate;
 
@@ -39,6 +40,7 @@ fn main() {
     let mut tot_optim = 0usize;
     let mut tot_dist = 0.0f64;
     let mut tot_migr = 0.0f64;
+    let mut phases = PhaseTimes::default();
     let bs = all_benchmarks();
     for b in &bs {
         let ex = b.example();
@@ -56,6 +58,7 @@ fn main() {
             }
         };
         let synth_s = result.stats.elapsed.as_secs_f64();
+        phases.add(&result.stats.phases());
         let n_rules = result.program.rules.len();
         let preds_per_rule = result.program.num_body_preds() as f64 / n_rules.max(1) as f64;
         // "# Optim Rules": synthesized rules α-equivalent to golden ones.
@@ -109,4 +112,5 @@ fn main() {
         tot_dist / n,
         tot_migr / n
     );
+    println!("Synthesis phases, total: {phases}");
 }

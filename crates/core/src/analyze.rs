@@ -13,16 +13,24 @@
 //!    all guaranteed-incorrect completions (Theorem 2); the caller adds
 //!    `¬ψ` as a blocking clause.
 //!
+//! The search runs on dictionary-encoded tables ([`IdTable`]): the
+//! synthesizer's candidate check already holds the actual and expected
+//! tables as `u32` rows of one [`FlatCodec`](dynamite_instance::FlatCodec),
+//! and [`mdp_set_ids`] takes those ids as given. [`mdp_set`] is the same
+//! search on [`FlatTable`]s, which it encodes first.
+//!
 //! A node `L` of the breadth-first search is decided without projecting
-//! either table. The rows of both tables (actual first) get dense `u32`
-//! value ids per column once per call; deciding `L` then refines one
-//! reused row partition of the two tables' union one column of `L` at a
-//! time — the stratified partition refinement of TANE (Huhtala et al.,
-//! Comput. J. 1999). The projections onto `L` agree iff every class of
-//! the final partition holds rows of both tables, and because refining
-//! only splits classes, the first one-sided class ends the node early.
-//! No partition is stored per queued node: a node costs `|L|` linear
-//! passes over the rows, and memory stays O(rows × columns).
+//! either table. Deciding `L` refines one reused row partition of the two
+//! tables' union one column of `L` at a time — the stratified partition
+//! refinement of TANE (Huhtala et al., Comput. J. 1999). The projections
+//! onto `L` agree iff every class of the final partition holds rows of
+//! both tables, and because refining only splits classes, the first
+//! one-sided class ends the node early. Each column's own partition is
+//! computed once per call; a node with a column whose partition has a
+//! one-sided class fails at once, and any other node copies its finest
+//! column's partition and refines it by the other `|L| − 1` columns. No
+//! partition is stored per queued node, so memory stays
+//! O(rows × columns + largest id).
 //!
 //! The pattern is expressed over hole indices ([`PatternLit`]) and lowered
 //! to solver literals by the synthesizer. Beyond the paper we must also
@@ -34,7 +42,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use dynamite_instance::hash::{FxHashMap, FxHashSet};
-use dynamite_instance::{FlatTable, Value};
+use dynamite_instance::{FlatTable, IdTable, Value};
 
 use crate::sketch::DomainElem;
 
@@ -55,12 +63,40 @@ pub struct MdpResult {
 /// Both tables must have the same columns. `budget` bounds the number of
 /// candidate projections dequeued; on exhaustion the full column set is
 /// returned as a (sound, maximally pinned) fallback.
+///
+/// This encodes both tables with one dictionary per column and runs
+/// [`mdp_set_ids`].
 pub fn mdp_set(actual: &FlatTable, expected: &FlatTable, budget: usize) -> MdpResult {
     assert_eq!(
         actual.columns, expected.columns,
         "flat tables must share columns"
     );
-    let ncols = actual.columns.len();
+    let mut dicts: Vec<FxHashMap<Value, u32>> = vec![FxHashMap::default(); actual.columns.len()];
+    let mut encode = |table: &FlatTable| {
+        let mut ids = Vec::with_capacity(table.rows.len() * dicts.len());
+        for row in &table.rows {
+            for (dict, v) in dicts.iter_mut().zip(row) {
+                let next = dict.len() as u32;
+                ids.push(*dict.entry(*v).or_insert(next));
+            }
+        }
+        IdTable::from_rows(dicts.len(), table.rows.len(), ids)
+    };
+    let actual = encode(actual);
+    let expected = encode(expected);
+    mdp_set_ids(&actual, &expected, budget)
+}
+
+/// [`mdp_set`] on dictionary-encoded tables: column `c` of both tables
+/// must hold ids of one dictionary (equal ids iff equal values), as the
+/// tables of one [`FlatCodec`](dynamite_instance::FlatCodec) do.
+pub fn mdp_set_ids(actual: &IdTable, expected: &IdTable, budget: usize) -> MdpResult {
+    assert_eq!(
+        actual.width(),
+        expected.width(),
+        "id tables must share columns"
+    );
+    let ncols = actual.width();
     let all: BTreeSet<usize> = (0..ncols).collect();
     if ncols == 0 {
         // Degenerate: tables differ only in row existence; the empty
@@ -125,15 +161,20 @@ pub fn mdp_set(actual: &FlatTable, expected: &FlatTable, budget: usize) -> MdpRe
     }
 }
 
-/// Decides [`mdp_set`]'s BFS nodes by partition refinement over the rows
-/// of `actual ∪ expected`: rows `0..n_actual` are the actual table's
-/// (in set order), the rest the expected table's.
+/// Decides [`mdp_set_ids`]' BFS nodes by partition refinement over the
+/// rows of `actual ∪ expected`: rows `0..n_actual` are the actual table's,
+/// the rest the expected table's.
 struct Partitioner {
     rows: usize,
     n_actual: u32,
-    /// Dense value ids, column-major: row `r`'s id in column `c` is
-    /// `ids[c * rows + r]`. Equal ids iff equal values.
+    /// The tables' ids, column-major: row `r`'s id in column `c` is
+    /// `ids[c * rows + r]`.
     ids: Vec<u32>,
+    /// Per column, the partition by that column alone, or `None` if it
+    /// has a one-sided class. A node's partition refines each of its
+    /// columns', so a `None` column decides a node, and a node starts
+    /// from its finest column's partition.
+    by_col: Vec<Option<ColumnPartition>>,
     /// The partition being refined: row numbers grouped by class. Each
     /// class is ascending (the scatter is stable and refinement starts
     /// from `0..rows`), so its actual rows come first.
@@ -142,52 +183,88 @@ struct Partitioner {
     bounds: Vec<u32>,
     next_perm: Vec<u32>,
     next_bounds: Vec<u32>,
-    /// Per value id: its row count in the class being split, then its
+    /// Per id: its row count in the class being split, then its
     /// sub-class's write position; zero between classes.
     slot: Vec<u32>,
-    /// The value ids of the class being split, in first-seen order.
+    /// The ids of the class being split, in first-seen order.
     seen: Vec<usize>,
 }
 
+/// [`Partitioner::perm`] and [`Partitioner::bounds`] after refining the
+/// one-class partition by one column.
+struct ColumnPartition {
+    perm: Vec<u32>,
+    bounds: Vec<u32>,
+}
+
 impl Partitioner {
-    fn new(actual: &FlatTable, expected: &FlatTable) -> Partitioner {
-        let ncols = actual.columns.len();
-        let rows = actual.rows.len() + expected.rows.len();
-        assert!(
-            u32::try_from(rows).is_ok(),
-            "row numbers and value ids are u32"
-        );
+    fn new(actual: &IdTable, expected: &IdTable) -> Partitioner {
+        let ncols = actual.width();
+        let rows = actual.len() + expected.len();
+        assert!(u32::try_from(rows).is_ok(), "row numbers are u32");
         let mut ids = vec![0u32; ncols * rows];
-        let mut dicts: Vec<FxHashMap<Value, u32>> = vec![FxHashMap::default(); ncols];
-        for (r, row) in actual.rows.iter().chain(&expected.rows).enumerate() {
-            for (c, dict) in dicts.iter_mut().enumerate() {
-                let next = dict.len() as u32;
-                ids[c * rows + r] = *dict.entry(row[c]).or_insert(next);
+        let mut max = 0;
+        for (r, row) in actual.rows().chain(expected.rows()).enumerate() {
+            for (c, &id) in row.iter().enumerate() {
+                ids[c * rows + r] = id;
+                max = max.max(id);
             }
         }
-        let distinct = dicts.iter().map(FxHashMap::len).max().unwrap_or(0);
-        Partitioner {
+        let mut parts = Partitioner {
             rows,
-            n_actual: actual.rows.len() as u32,
+            n_actual: actual.len() as u32,
             ids,
+            by_col: Vec::with_capacity(ncols),
             perm: Vec::with_capacity(rows),
             bounds: Vec::new(),
             next_perm: vec![0; rows],
             next_bounds: Vec::new(),
-            slot: vec![0; distinct],
+            slot: vec![0; max as usize + 1],
             seen: Vec::new(),
+        };
+        let whole_mixed = rows > 0 && parts.n_actual > 0 && (parts.n_actual as usize) < rows;
+        for c in 0..ncols {
+            parts.perm.clear();
+            parts.perm.extend(0..rows as u32);
+            parts.bounds.clear();
+            parts.bounds.extend([0, rows as u32]);
+            let part = (whole_mixed && parts.refine(c)).then(|| ColumnPartition {
+                perm: parts.perm.clone(),
+                bounds: parts.bounds.clone(),
+            });
+            parts.by_col.push(part);
         }
+        parts
     }
 
-    /// `actual.project(cols) == expected.project(cols)`: refines the
-    /// one-class partition by each column of `cols` and checks that every
-    /// class holds rows of both tables. Refinement only splits classes,
-    /// so the first one-sided class decides the node.
+    /// `actual.project(cols) == expected.project(cols)` (`cols` non-empty):
+    /// refines the partition of `cols`' finest column by the others and
+    /// checks that every class holds rows of both tables.
     fn projections_agree(&mut self, cols: &[usize]) -> bool {
-        let (n, na) = (self.rows, self.n_actual);
-        if n == 0 {
+        if self.rows == 0 {
             return true;
         }
+        let mut start: Option<(usize, &ColumnPartition)> = None;
+        for &c in cols {
+            let Some(part) = &self.by_col[c] else {
+                return false;
+            };
+            if start.is_none_or(|(_, s)| part.bounds.len() > s.bounds.len()) {
+                start = Some((c, part));
+            }
+        }
+        let (first, part) = start.expect("a node has a column");
+        self.perm.clone_from(&part.perm);
+        self.bounds.clone_from(&part.bounds);
+        cols.iter().all(|&c| c == first || self.refine(c))
+    }
+
+    /// Refines the current partition by column `c`. Returns `false`, with
+    /// the partition left unspecified, at the first class that holds rows
+    /// of only one table: refinement only splits classes, so that decides
+    /// the node.
+    fn refine(&mut self, c: usize) -> bool {
+        let (n, na) = (self.rows, self.n_actual);
         // Classes are ascending: one holds rows of both tables iff its
         // first row is an actual one and its last an expected one.
         let mixed = |class: &[u32]| class[0] < na && class[class.len() - 1] >= na;
@@ -201,53 +278,44 @@ impl Partitioner {
             seen,
             ..
         } = self;
-        perm.clear();
-        perm.extend(0..n as u32);
-        bounds.clear();
-        bounds.extend([0, n as u32]);
-        if !mixed(&perm[..]) {
-            return false;
-        }
-        for &c in cols {
-            let col = &ids[c * n..(c + 1) * n];
-            next_bounds.clear();
-            next_bounds.push(0);
-            for w in bounds.windows(2) {
-                let class = &perm[w[0] as usize..w[1] as usize];
-                seen.clear();
-                for &r in class {
-                    let v = col[r as usize] as usize;
-                    if slot[v] == 0 {
-                        seen.push(v);
-                    }
-                    slot[v] += 1;
+        let col = &ids[c * n..(c + 1) * n];
+        next_bounds.clear();
+        next_bounds.push(0);
+        for w in bounds.windows(2) {
+            let class = &perm[w[0] as usize..w[1] as usize];
+            seen.clear();
+            for &r in class {
+                let v = col[r as usize] as usize;
+                if slot[v] == 0 {
+                    seen.push(v);
                 }
-                let mut at = w[0];
-                for &v in seen.iter() {
-                    let count = slot[v];
-                    slot[v] = at;
-                    at += count;
-                    next_bounds.push(at);
-                }
-                for &r in class {
-                    let v = col[r as usize] as usize;
-                    next_perm[slot[v] as usize] = r;
-                    slot[v] += 1;
-                }
-                for &v in seen.iter() {
-                    slot[v] = 0;
-                }
-                let split = &next_bounds[next_bounds.len() - seen.len() - 1..];
-                if split
-                    .windows(2)
-                    .any(|s| !mixed(&next_perm[s[0] as usize..s[1] as usize]))
-                {
-                    return false;
-                }
+                slot[v] += 1;
             }
-            std::mem::swap(perm, next_perm);
-            std::mem::swap(bounds, next_bounds);
+            let mut at = w[0];
+            for &v in seen.iter() {
+                let count = slot[v];
+                slot[v] = at;
+                at += count;
+                next_bounds.push(at);
+            }
+            for &r in class {
+                let v = col[r as usize] as usize;
+                next_perm[slot[v] as usize] = r;
+                slot[v] += 1;
+            }
+            for &v in seen.iter() {
+                slot[v] = 0;
+            }
+            let split = &next_bounds[next_bounds.len() - seen.len() - 1..];
+            if split
+                .windows(2)
+                .any(|s| !mixed(&next_perm[s[0] as usize..s[1] as usize]))
+            {
+                return false;
+            }
         }
+        std::mem::swap(perm, next_perm);
+        std::mem::swap(bounds, next_bounds);
         true
     }
 }

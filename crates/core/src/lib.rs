@@ -30,7 +30,7 @@ mod sketch;
 mod synthesizer;
 pub mod test_fixtures;
 
-pub use analyze::{generalize, mdp_set, MdpResult, PatternLit};
+pub use analyze::{generalize, mdp_set, mdp_set_ids, MdpResult, PatternLit};
 pub use attr_map::{infer_attr_mapping, AttrMapping};
 pub use example::Example;
 pub use simplify::{simplify_program, simplify_rule};
@@ -39,6 +39,6 @@ pub use sketch::{
     RuleSketch, Sketch, SketchOptions,
 };
 pub use synthesizer::{
-    synthesize, CandidateLimits, RuleSolver, RuleStats, Strategy, SynthStats, Synthesis,
-    SynthesisConfig, SynthesisError, Synthesizer, TripCounts,
+    synthesize, CandidateLimits, PhaseTimes, RuleSolver, RuleStats, Strategy, SynthStats,
+    Synthesis, SynthesisConfig, SynthesisError, Synthesizer, TripCounts,
 };

@@ -20,11 +20,11 @@ use dynamite_datalog::{
     ResourceTrip, Rule, RuleCacheHandle,
 };
 use dynamite_instance::hash::FxHashMap;
-use dynamite_instance::{to_facts, Flattened};
+use dynamite_instance::{to_facts, EncodedFlat, FlatCodec};
 use dynamite_schema::Schema;
-use dynamite_smt::{ConstId, FdLit, FdSolver, FdVar};
+use dynamite_smt::{ConstId, FdLit, FdSolver, FdVar, SatStats};
 
-use crate::analyze::{generalize, mdp_set, PatternLit};
+use crate::analyze::{generalize, mdp_set_ids, PatternLit};
 use crate::attr_map::{infer_attr_mapping, AttrMapping};
 use crate::example::Example;
 use crate::simplify::simplify_rule;
@@ -192,6 +192,52 @@ pub struct RuleStats {
     pub holes: usize,
     /// ln of the rule's completion count.
     pub ln_space: f64,
+    /// The counters of the rule's SAT solver.
+    pub sat: SatStats,
+    /// Wall time per phase of the rule's search.
+    pub phases: PhaseTimes,
+}
+
+/// Wall time one rule's CEGIS loop spent per phase.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTimes {
+    /// SAT solving: sampling the next sketch completion.
+    pub solve: Duration,
+    /// Evaluating candidates on the example inputs.
+    pub eval: Duration,
+    /// Encoding candidate outputs into dictionary ids and comparing them
+    /// with the expected tables.
+    pub encode_compare: Duration,
+    /// Computing minimal distinguishing projections.
+    pub mdp: Duration,
+    /// Blocking: `generalize` plus lowering and adding the clauses.
+    pub block: Duration,
+}
+
+impl PhaseTimes {
+    /// The field-wise sum.
+    pub fn add(&mut self, other: &PhaseTimes) {
+        self.solve += other.solve;
+        self.eval += other.eval;
+        self.encode_compare += other.encode_compare;
+        self.mdp += other.mdp;
+        self.block += other.block;
+    }
+}
+
+impl fmt::Display for PhaseTimes {
+    /// `solve 0.812 s, eval 1.050 s, …`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "solve {:.3} s, eval {:.3} s, encode+compare {:.3} s, mdp {:.3} s, block {:.3} s",
+            self.solve.as_secs_f64(),
+            self.eval.as_secs_f64(),
+            self.encode_compare.as_secs_f64(),
+            self.mdp.as_secs_f64(),
+            self.block.as_secs_f64(),
+        )
+    }
 }
 
 /// Resource-limit trips tallied per kind (see [`ResourceTrip`]).
@@ -263,6 +309,15 @@ impl SynthStats {
         self.rules.iter().map(|r| r.iterations).sum()
     }
 
+    /// Phase times summed over the rules.
+    pub fn phases(&self) -> PhaseTimes {
+        let mut total = PhaseTimes::default();
+        for r in &self.rules {
+            total.add(&r.phases);
+        }
+        total
+    }
+
     /// Search-space size formatted like the paper (`5.1 × 10^39`).
     pub fn search_space_string(&self) -> String {
         let log10 = self.ln_search_space / std::f64::consts::LN_10;
@@ -313,7 +368,10 @@ pub struct Synthesizer {
     /// The worker pool shared by every context, sized by
     /// `SynthesisConfig::threads`.
     pool: Arc<WorkerPool>,
-    expected_flats: Vec<Flattened>,
+    /// The target's flat-table dictionaries, grown by the expected outputs.
+    codec: FlatCodec,
+    /// Each example's expected flattening, in `codec`'s ids.
+    expected: Vec<EncodedFlat>,
     psi: AttrMapping,
     sketch: Sketch,
     config: SynthesisConfig,
@@ -322,6 +380,10 @@ pub struct Synthesizer {
 impl Synthesizer {
     /// Prepares a synthesis problem: checks schema-name disjointness,
     /// infers `Ψ`, generates the sketch, and preprocesses the examples.
+    ///
+    /// # Panics
+    /// Panics if an example's output is not an instance of `target` (its
+    /// facts do not have the target relations' arities).
     pub fn new(
         source: Arc<Schema>,
         target: Arc<Schema>,
@@ -354,14 +416,23 @@ impl Synthesizer {
                 Evaluator::with_config(to_facts(&e.input), pool.clone(), rules.clone(), reorder)
             })
             .collect();
-        let expected_flats = examples.iter().map(|e| e.output.flatten()).collect();
+        let mut codec = FlatCodec::new(&target);
+        let expected = examples
+            .iter()
+            .map(|e| {
+                codec
+                    .learn(&to_facts(&e.output))
+                    .expect("example outputs are instances of the target schema")
+            })
+            .collect();
         Ok(Synthesizer {
             source,
             target,
             examples,
             input_contexts,
             pool,
-            expected_flats,
+            codec,
+            expected,
             psi,
             sketch,
             config,
@@ -475,27 +546,28 @@ impl Synthesizer {
             return simplified;
         }
         let prog = Program::new(vec![simplified.clone()]);
-        let record_types = &rule_record_types(rule);
-        for (ctx, expected) in self.input_contexts.iter().zip(&self.expected_flats) {
+        let tables = self.tables_of(rule.heads.iter().map(|h| h.relation.as_str()));
+        for (ctx, expected) in self.input_contexts.iter().zip(&self.expected) {
             let ok = ctx
                 .eval(&prog)
                 .ok()
-                .and_then(|out| Flattened::from_facts(&out, &self.target).ok())
-                .is_some_and(|actual| {
-                    record_types
-                        .iter()
-                        .all(|rt| actual.table(rt) == expected.table(rt))
-                });
+                .and_then(|out| self.codec.encode(&out).ok())
+                .is_some_and(|actual| tables.iter().all(|&k| actual.table(k) == expected.table(k)));
             if !ok {
                 return rule.clone();
             }
         }
         simplified
     }
-}
 
-fn rule_record_types(rule: &Rule) -> Vec<String> {
-    rule.heads.iter().map(|h| h.relation.clone()).collect()
+    /// The flat-table indices of the given record types (names that are
+    /// not target record types have no table and are skipped).
+    fn tables_of<'n>(&self, record_types: impl IntoIterator<Item = &'n str>) -> Vec<usize> {
+        record_types
+            .into_iter()
+            .filter_map(|rt| self.codec.table_index(rt))
+            .collect()
+    }
 }
 
 /// The sketch-completion loop for one rule (lines 4–10 of Algorithm 1).
@@ -506,11 +578,14 @@ pub struct RuleSolver<'a> {
     hole_vars: Vec<FdVar>,
     elem_of: FxHashMap<ConstId, DomainElem>,
     fixed_body_vars: HashSet<String>,
+    /// The flat-table indices of the sketch's record types.
+    tables: Vec<usize>,
     iterations: usize,
     blocking_clauses: usize,
     mdps_computed: usize,
     resource_skips: usize,
     skip_trips: TripCounts,
+    phases: PhaseTimes,
     /// Optional wall-clock deadline.
     pub deadline: Option<Instant>,
 }
@@ -609,11 +684,13 @@ impl<'a> RuleSolver<'a> {
             hole_vars,
             elem_of,
             fixed_body_vars,
+            tables: synth.tables_of(sketch.record_types.iter().map(String::as_str)),
             iterations: 0,
             blocking_clauses: 0,
             mdps_computed: 0,
             resource_skips: 0,
             skip_trips: TripCounts::default(),
+            phases: PhaseTimes::default(),
             deadline: None,
         })
     }
@@ -629,6 +706,8 @@ impl<'a> RuleSolver<'a> {
             resource_skip_kinds: self.skip_trips,
             holes: self.sketch.holes.len(),
             ln_space: self.sketch.ln_completions(),
+            sat: self.fd.sat_stats(),
+            phases: self.phases,
         }
     }
 
@@ -659,7 +738,10 @@ impl<'a> RuleSolver<'a> {
                     rule: self.sketch.target_record.clone(),
                 });
             }
-            let Some(model) = self.fd.solve() else {
+            let t = Instant::now();
+            let model = self.fd.solve();
+            self.phases.solve += t.elapsed();
+            let Some(model) = model else {
                 return Ok(None);
             };
             self.iterations += 1;
@@ -686,8 +768,10 @@ impl<'a> RuleSolver<'a> {
                         .iter()
                         .map(|s| s.to_string())
                         .collect();
+                    let t = Instant::now();
                     let psi = self.pattern_clause(&assignment, &all_attrs);
                     let _ = self.fd.add_clause(&psi);
+                    self.phases.block += t.elapsed();
                     self.blocking_clauses += 1;
                     return Ok(Some((rule, assignment)));
                 }
@@ -713,24 +797,28 @@ impl<'a> RuleSolver<'a> {
     /// first failure — the lowest failing index is the counterexample,
     /// so MDP blocking sees identical failures at any thread count.
     ///
-    /// On failure the expected flattening is handed back as a borrow of
-    /// the synthesizer's precomputed `expected_flats` — the CEGIS loop
-    /// rejects hundreds of candidates, and cloning the full expected
-    /// table set per rejection was pure overhead.
-    fn check(&self, rule: &Rule) -> CheckResult<'a> {
+    /// On failure the expected tables are handed back as a borrow of the
+    /// synthesizer's encoded expectation.
+    fn check(&mut self, rule: &Rule) -> CheckResult<'a> {
         let prog = Program::new(vec![rule.clone()]);
-        let contexts = &self.synth.input_contexts;
-        let expected = &self.synth.expected_flats;
-        let target = &self.synth.target;
-        let record_types = &self.sketch.record_types;
+        let synth = self.synth;
         // Resolved once per candidate so the per-candidate timeout slice
         // covers all example evaluations together; each evaluation still
         // gets a FRESH governor (fact/round counters are per-example, so
         // budgets behave identically at any thread count).
-        let limits = self.synth.config.candidate_limits.resolve(self.deadline);
+        let limits = synth.config.candidate_limits.resolve(self.deadline);
 
-        for (ctx, expected) in contexts.iter().zip(expected) {
-            match check_example(ctx, &prog, target, record_types, expected, limits) {
+        for (ctx, expected) in synth.input_contexts.iter().zip(&synth.expected) {
+            let verdict = check_example(
+                ctx,
+                &prog,
+                &synth.codec,
+                &self.tables,
+                expected,
+                limits,
+                &mut self.phases,
+            );
+            match verdict {
                 ExampleCheck::Pass => {}
                 ExampleCheck::Error => return CheckResult::Failed { actual: None },
                 ExampleCheck::Exhausted(trip) => return CheckResult::Exhausted(trip),
@@ -748,27 +836,31 @@ impl<'a> RuleSolver<'a> {
     fn block_failure(
         &mut self,
         assignment: &[DomainElem],
-        failure: Option<&(Flattened, &Flattened)>,
+        failure: Option<&(EncodedFlat, &EncodedFlat)>,
     ) {
         match (self.synth.config.strategy, failure) {
             (Strategy::MdpGuided, Some((actual, expected))) => {
                 let mut blocked_any = false;
-                for rt in &self.sketch.record_types {
-                    let (Some(at), Some(et)) = (actual.table(rt), expected.table(rt)) else {
-                        continue;
-                    };
+                for i in 0..self.tables.len() {
+                    let k = self.tables[i];
+                    let (at, et) = (actual.table(k), expected.table(k));
                     if at == et {
                         continue;
                     }
-                    let result = mdp_set(at, et, self.synth.config.mdp_budget);
+                    let t = Instant::now();
+                    let result = mdp_set_ids(at, et, self.synth.config.mdp_budget);
+                    self.phases.mdp += t.elapsed();
+                    let columns = self.synth.codec.columns(k);
                     for mdp in &result.mdps {
+                        let t = Instant::now();
                         self.mdps_computed += 1;
                         let pinned: BTreeSet<String> =
-                            mdp.iter().map(|&c| at.columns[c].clone()).collect();
+                            mdp.iter().map(|&c| columns[c].clone()).collect();
                         let clause = self.pattern_clause(assignment, &pinned);
                         let _ = self.fd.add_clause(&clause);
                         self.blocking_clauses += 1;
                         blocked_any = true;
+                        self.phases.block += t.elapsed();
                     }
                 }
                 if !blocked_any {
@@ -781,6 +873,7 @@ impl<'a> RuleSolver<'a> {
 
     /// Blocks exactly the failing model (Dynamite-Enum behaviour).
     fn block_exact(&mut self, assignment: &[DomainElem]) {
+        let t = Instant::now();
         let clause: Vec<FdLit> = assignment
             .iter()
             .enumerate()
@@ -791,6 +884,7 @@ impl<'a> RuleSolver<'a> {
             .collect();
         let _ = self.fd.add_clause(&clause);
         self.blocking_clauses += 1;
+        self.phases.block += t.elapsed();
     }
 
     /// Lowers `¬Generalize(σ, ϕ)` to a solver clause.
@@ -839,22 +933,27 @@ enum ExampleCheck {
     /// cap, or cancellation) before producing an output.
     Exhausted(ResourceTrip),
     /// The candidate's output differs from the expected flattening.
-    Mismatch(Flattened),
+    Mismatch(EncodedFlat),
 }
 
-/// Checks one candidate against one example.
+/// Checks one candidate against one example: evaluates it, encodes its
+/// output and compares the tables `tables` with `expected`, adding the
+/// time of each step to `phases`.
 fn check_example(
     ctx: &Evaluator,
     prog: &Program,
-    target: &Schema,
-    record_types: &[String],
-    expected: &Flattened,
+    codec: &FlatCodec,
+    tables: &[usize],
+    expected: &EncodedFlat,
     limits: Option<ResourceLimits>,
+    phases: &mut PhaseTimes,
 ) -> ExampleCheck {
+    let t = Instant::now();
     let result = match limits {
         Some(l) => ctx.eval_governed(prog, &Governor::new(l)),
         None => ctx.eval(prog),
     };
+    phases.eval += t.elapsed();
     let out = match result {
         Ok(out) => out,
         Err(e) => {
@@ -864,17 +963,16 @@ fn check_example(
             }
         }
     };
-    let Ok(actual) = Flattened::from_facts(&out, target) else {
-        return ExampleCheck::Error;
+    let t = Instant::now();
+    let verdict = match codec.encode(&out) {
+        Err(_) => ExampleCheck::Error,
+        Ok(actual) if tables.iter().any(|&k| actual.table(k) != expected.table(k)) => {
+            ExampleCheck::Mismatch(actual)
+        }
+        Ok(_) => ExampleCheck::Pass,
     };
-    if record_types
-        .iter()
-        .any(|rt| actual.table(rt) != expected.table(rt))
-    {
-        ExampleCheck::Mismatch(actual)
-    } else {
-        ExampleCheck::Pass
-    }
+    phases.encode_compare += t.elapsed();
+    verdict
 }
 
 enum CheckResult<'s> {
@@ -882,8 +980,8 @@ enum CheckResult<'s> {
     Failed {
         /// `(actual, expected)` flattenings of the first failing example,
         /// when the candidate evaluated cleanly; `expected` borrows the
-        /// synthesizer's precomputed flattening.
-        actual: Option<(Flattened, &'s Flattened)>,
+        /// synthesizer's encoded expectation.
+        actual: Option<(EncodedFlat, &'s EncodedFlat)>,
     },
     /// Some example evaluation tripped a per-candidate resource limit
     /// (of the carried kind); nothing is known about the candidate's

@@ -297,13 +297,16 @@ pub fn to_facts_with(instance: &Instance, gen: &mut IdGen) -> Database {
     db
 }
 
-/// The up-front arity check of [`from_facts`] (and of
-/// [`Flattened::from_facts`](crate::Flattened::from_facts)): every
-/// non-empty record relation must have the arity §3.3 dictates.
-pub(crate) fn check_arities(facts: &Database, schema: &Schema) -> Result<(), FactsError> {
-    for record in schema.records() {
+/// The up-front arity check of [`from_facts`] (and of the flat walk in
+/// `flatten.rs`): every non-empty relation of `records`, given as
+/// `(record type, fact arity)` in schema record order, must have the
+/// arity §3.3 dictates.
+pub(crate) fn check_arities<'a>(
+    facts: &Database,
+    records: impl IntoIterator<Item = (&'a str, usize)>,
+) -> Result<(), FactsError> {
+    for (record, expected) in records {
         if let Some(rel) = facts.relation(record) {
-            let expected = schema.fact_arity(record);
             if !rel.is_empty() && rel.arity() != expected {
                 return Err(FactsError::Arity {
                     relation: record.to_string(),
@@ -322,7 +325,7 @@ pub(crate) fn check_arities(facts: &Database, schema: &Schema) -> Result<(), Fac
 /// Relations missing from `facts` are treated as empty. Extra relations in
 /// `facts` that are not record types of `schema` are ignored.
 pub fn from_facts(facts: &Database, schema: Arc<Schema>) -> Result<Instance, FactsError> {
-    check_arities(facts, &schema)?;
+    check_arities(facts, schema.records().map(|r| (r, schema.fact_arity(r))))?;
 
     // Parent-id index for every nested record type (MongoDB substitute).
     let empty = Relation::new(0);

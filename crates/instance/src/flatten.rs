@@ -1,4 +1,5 @@
-//! Canonical, id-free flattening of instances.
+//! Canonical, id-free flattening of instances, and its dictionary-encoded
+//! form for the CEGIS candidate check.
 //!
 //! The paper compares the actual Datalog output `O′` against the expected
 //! output `O` (§4.1) and computes minimal distinguishing projections over
@@ -11,7 +12,26 @@
 //! paths. Two instances have equal flattenings iff they agree on all data
 //! and all parent/child groupings, independent of id values, record order,
 //! and duplicates.
+//!
+//! The synthesizer rejects almost every candidate, so it never builds
+//! [`Value`] rows for one. A [`FlatCodec`] holds one value dictionary per
+//! flat column name, i.e. per primitive attribute. A child table shares
+//! its ancestors' dictionaries, so a parent's ids are valid as the prefix
+//! of its children's rows. The expected outputs are encoded once, growing
+//! the dictionaries ([`FlatCodec::learn`]). [`FlatCodec::encode`] walks a
+//! candidate's output facts straight into [`IdTable`]s, whose rows are
+//! sorted and distinct. A value missing from a dictionary gets a fresh id
+//! for that call, past the dictionary's own ids. Ids are therefore
+//! injective per column, and two tables encoded by one codec are equal
+//! iff their id rows are. The MDP search (`dynamite_core::analyze`) takes
+//! the ids as given.
+//!
+//! There is one facts → flat walker. [`Flattened::from_facts`] is that
+//! walk, with empty dictionaries, followed by [`FlatCodec::decode`].
+//! [`flatten`] walks an [`Instance`]'s records instead; it is the oracle
+//! the walker is tested against.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -73,137 +93,437 @@ impl Flattened {
     /// `from_facts`'s validation order), without building the records.
     /// Child facts no parent reaches are ignored, as `BuildRecord` does.
     ///
-    /// This is the CEGIS candidate check's path from a candidate's output
-    /// to the comparison with the expected flattening: it collects each
-    /// table's rows and builds its row set in bulk.
+    /// This is [`FlatCodec::encode`] with empty dictionaries, decoded.
     pub fn from_facts(facts: &Database, schema: &Schema) -> Result<Flattened, FactsError> {
-        check_arities(facts, schema)?;
-        let names: Vec<&str> = schema.records().collect();
-        let plans: Vec<Plan<'_>> = names
-            .iter()
-            .map(|&name| Plan::new(facts, schema, &names, name))
-            .collect();
-        let mut rows: Vec<Vec<Vec<Value>>> = vec![Vec::new(); plans.len()];
-        for top in schema.top_level_records() {
-            let k = names.iter().position(|&n| n == top).expect("record type");
-            if let Some(rel) = plans[k].rel {
-                for tuple in rel.iter() {
-                    walk_facts(&plans, &mut rows, k, tuple, &[])?;
-                }
-            }
-        }
-        let tables = names
-            .iter()
-            .zip(rows)
-            .map(|(&name, rows)| {
-                let table = FlatTable {
-                    columns: flat_columns(schema, name),
-                    rows: rows.into_iter().collect(),
-                };
-                (name.to_string(), table)
-            })
-            .collect();
-        Ok(Flattened(tables))
+        let codec = FlatCodec::new(schema);
+        codec.encode(facts).map(|flat| codec.decode(&flat))
     }
 }
 
-/// One record type of a [`Flattened::from_facts`] walk.
-struct Plan<'a> {
-    name: &'a str,
-    /// The type's fact relation, if `facts` has one.
-    rel: Option<&'a Relation>,
-    /// 1 for nested types (column 0 holds the parent id), else 0.
-    first_col: usize,
-    attrs: Vec<(&'a str, Attr)>,
-    /// Nested types: the rows of `rel` by parent id, ascending (the
-    /// order `from_facts`'s parent-id index yields them in).
-    by_parent: FxHashMap<Value, Vec<usize>>,
+/// A flat table in dictionary ids: `len` distinct rows of `width` ids,
+/// row-major, in ascending lexicographic order. Column `c` holds the ids
+/// of one dictionary, so equal tables (of one [`FlatCodec`]) mean equal
+/// row sets.
+///
+/// The row count is stored, not derived from the ids: a zero-width table
+/// (a record type with no primitive attribute in its chain) has the one
+/// row `()` when the type has records and none when it has not.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IdTable {
+    width: usize,
+    len: usize,
+    ids: Vec<u32>,
+}
+
+impl IdTable {
+    /// The canonical table of `len` rows of `width` ids each, given
+    /// row-major in any order, duplicates allowed. The rows are sorted on
+    /// packed `u64` keys when the columns' bit widths (of their largest
+    /// ids) sum to at most 64, else on the id slices.
+    ///
+    /// # Panics
+    /// Panics if `ids.len() != width * len`.
+    pub fn from_rows(width: usize, len: usize, ids: Vec<u32>) -> IdTable {
+        assert_eq!(ids.len(), width * len, "row-major ids of `len` rows");
+        if width == 0 {
+            return IdTable {
+                width,
+                len: len.min(1),
+                ids,
+            };
+        }
+        let mut max = vec![0u32; width];
+        for row in ids.chunks_exact(width) {
+            for (m, &id) in max.iter_mut().zip(row) {
+                *m = (*m).max(id);
+            }
+        }
+        let bits: Vec<u32> = max.iter().map(|m| u32::BITS - m.leading_zeros()).collect();
+        if bits.iter().sum::<u32>() <= u64::BITS {
+            let mut keys: Vec<u64> = ids
+                .chunks_exact(width)
+                .map(|row| {
+                    row.iter()
+                        .zip(&bits)
+                        .fold(0, |key, (&id, &b)| (key << b) | u64::from(id))
+                })
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let mut ids = ids;
+            ids.truncate(keys.len() * width);
+            for (row, mut key) in ids.chunks_exact_mut(width).zip(keys.iter().copied()) {
+                for (id, &b) in row.iter_mut().zip(&bits).rev() {
+                    *id = (key & ((1 << b) - 1)) as u32;
+                    key >>= b;
+                }
+            }
+            return IdTable {
+                width,
+                len: keys.len(),
+                ids,
+            };
+        }
+        let row = |i: usize| &ids[i * width..(i + 1) * width];
+        let mut order: Vec<usize> = (0..len).collect();
+        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        order.dedup_by(|a, b| row(*a) == row(*b));
+        IdTable {
+            width,
+            len: order.len(),
+            ids: order.iter().flat_map(|&i| row(i)).copied().collect(),
+        }
+    }
+
+    /// The number of columns.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Row `i`'s ids.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    pub fn row(&self, i: usize) -> &[u32] {
+        assert!(i < self.len, "row {i} of {}", self.len);
+        &self.ids[i * self.width..(i + 1) * self.width]
+    }
+
+    /// The rows in ascending order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        (0..self.len).map(|i| self.row(i))
+    }
+}
+
+/// The flat tables of one instance in a [`FlatCodec`]'s ids.
+#[derive(Debug, Clone)]
+pub struct EncodedFlat {
+    /// One table per record type, in the codec's order.
+    tables: Vec<IdTable>,
+    /// Per dictionary, the values of the fresh ids this encoding assigned,
+    /// in id order (after the dictionary's own ids).
+    fresh: Vec<Vec<Value>>,
+}
+
+impl EncodedFlat {
+    /// The table of record type `k` (see [`FlatCodec::table_index`]).
+    pub fn table(&self, k: usize) -> &IdTable {
+        &self.tables[k]
+    }
+}
+
+/// Value dictionaries for the flat tables of one schema, one per flat
+/// column name (see the module docs).
+#[derive(Debug, Clone)]
+pub struct FlatCodec {
+    /// One shape per record type, in [`Schema::records`] order.
+    tables: Vec<Shape>,
+    /// The top-level record types, in declaration order.
+    roots: Vec<usize>,
+    /// One dictionary per primitive attribute, in
+    /// [`Schema::prim_attrs`] order.
+    dicts: Vec<Dict>,
+}
+
+/// One record type of a [`FlatCodec`].
+#[derive(Debug, Clone)]
+struct Shape {
+    name: String,
+    nested: bool,
+    attrs: Vec<(String, Attr)>,
+    /// The flat table's columns, as in [`FlatTable::columns`].
+    columns: Vec<String>,
+    /// Each column's dictionary.
+    dicts: Vec<usize>,
 }
 
 /// What one attribute's fact column holds.
+#[derive(Debug, Clone, Copy)]
 enum Attr {
-    /// A primitive value of this type.
-    Prim(PrimType),
-    /// The id the children's facts hold in column 0; the children are
-    /// of the record type `plans[i]` walks.
+    /// A primitive value of this type, encoded in dictionary `.1`.
+    Prim(PrimType, usize),
+    /// The id the children's facts hold in column 0; the children are of
+    /// record type `tables[.0]`.
     Record(usize),
 }
 
-impl<'a> Plan<'a> {
-    fn new(facts: &'a Database, schema: &'a Schema, names: &[&str], name: &'a str) -> Plan<'a> {
-        let rel = facts.relation(name);
-        let nested = schema.is_nested(name);
-        let attrs = schema
-            .attrs(name)
+/// Values and their dense ids, in first-seen order.
+#[derive(Debug, Clone, Default)]
+struct Dict {
+    ids: FxHashMap<Value, u32>,
+    values: Vec<Value>,
+}
+
+impl Dict {
+    fn intern(&mut self, v: Value) -> u32 {
+        match self.ids.entry(v) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                self.values.push(v);
+                *e.insert(self.values.len() as u32 - 1)
+            }
+        }
+    }
+}
+
+impl FlatCodec {
+    /// A codec for `schema`'s flat tables, with empty dictionaries.
+    pub fn new(schema: &Schema) -> FlatCodec {
+        let names: Vec<&str> = schema.records().collect();
+        let table_of = |name: &str| names.iter().position(|&n| n == name).expect("record type");
+        let prims = schema.prim_attrs();
+        let dict_of = |attr: &str| prims.iter().position(|&a| a == attr).expect("prim attr");
+        let tables = names
             .iter()
-            .map(|a| {
-                let kind = match schema.def(a).expect("schemas define every attribute") {
-                    TypeDef::Record(_) => {
-                        Attr::Record(names.iter().position(|n| n == a).expect("record type"))
-                    }
-                    TypeDef::Prim(t) => Attr::Prim(*t),
-                };
-                (a.as_str(), kind)
+            .map(|&name| {
+                let attrs = schema
+                    .attrs(name)
+                    .iter()
+                    .map(|a| {
+                        let kind = match schema.def(a).expect("schemas define every attribute") {
+                            TypeDef::Record(_) => Attr::Record(table_of(a)),
+                            TypeDef::Prim(t) => Attr::Prim(*t, dict_of(a)),
+                        };
+                        (a.clone(), kind)
+                    })
+                    .collect();
+                let columns = flat_columns(schema, name);
+                Shape {
+                    name: name.to_string(),
+                    nested: schema.is_nested(name),
+                    attrs,
+                    dicts: columns.iter().map(|c| dict_of(c)).collect(),
+                    columns,
+                }
             })
             .collect();
-        let mut by_parent: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
-        if let Some(rel) = rel.filter(|r| nested && !r.is_empty()) {
-            for (i, parent) in rel.column(0).iter().enumerate() {
-                by_parent.entry(parent).or_default().push(i);
+        FlatCodec {
+            tables,
+            roots: schema.top_level_records().map(table_of).collect(),
+            dicts: vec![Dict::default(); prims.len()],
+        }
+    }
+
+    /// The index of record type `name`'s table, if the schema has it.
+    pub fn table_index(&self, name: &str) -> Option<usize> {
+        self.tables.iter().position(|t| t.name == name)
+    }
+
+    /// Table `k`'s column names, as in [`FlatTable::columns`].
+    pub fn columns(&self, k: usize) -> &[String] {
+        &self.tables[k].columns
+    }
+
+    /// Encodes the flattening of `facts`, adding every value it meets to
+    /// the dictionaries (so the result has no fresh ids). Errors as
+    /// [`Flattened::from_facts`] does; the dictionaries may then hold
+    /// values of the failed walk, which leaves ids injective.
+    pub fn learn(&mut self, facts: &Database) -> Result<EncodedFlat, FactsError> {
+        let dicts = &mut self.dicts;
+        let tables = walk_facts(&self.tables, &self.roots, facts, |d, v| dicts[d].intern(v))?;
+        Ok(EncodedFlat {
+            tables,
+            fresh: vec![Vec::new(); dicts.len()],
+        })
+    }
+
+    /// Encodes the flattening of `facts`, giving each value missing from
+    /// a dictionary a fresh id for this call. Errors as
+    /// [`Flattened::from_facts`] does.
+    pub fn encode(&self, facts: &Database) -> Result<EncodedFlat, FactsError> {
+        let mut fresh = vec![Dict::default(); self.dicts.len()];
+        let tables = walk_facts(&self.tables, &self.roots, facts, |d, v| {
+            let dict = &self.dicts[d];
+            match dict.ids.get(&v) {
+                Some(&id) => id,
+                None => dict.values.len() as u32 + fresh[d].intern(v),
+            }
+        })?;
+        Ok(EncodedFlat {
+            tables,
+            fresh: fresh.into_iter().map(|d| d.values).collect(),
+        })
+    }
+
+    /// The value rows of `flat`, which this codec returned with no
+    /// [`learn`](Self::learn) since (a later `learn` reuses the ids
+    /// `flat`'s fresh values took).
+    pub fn decode(&self, flat: &EncodedFlat) -> Flattened {
+        let value = |d: usize, id: u32| {
+            let own = &self.dicts[d].values;
+            match own.get(id as usize) {
+                Some(&v) => v,
+                None => flat.fresh[d][id as usize - own.len()],
+            }
+        };
+        let tables = self
+            .tables
+            .iter()
+            .zip(&flat.tables)
+            .map(|(shape, table)| {
+                let rows = table
+                    .rows()
+                    .map(|row| row.iter().zip(&shape.dicts).map(|(&id, &d)| value(d, id)))
+                    .map(Iterator::collect)
+                    .collect();
+                let table = FlatTable {
+                    columns: shape.columns.clone(),
+                    rows,
+                };
+                (shape.name.clone(), table)
+            })
+            .collect();
+        Flattened(tables)
+    }
+}
+
+/// End of a child list in [`Plan::next`].
+const NO_ROW: u32 = u32::MAX;
+
+/// One record type of a [`walk_facts`] walk.
+struct Plan<'a> {
+    shape: &'a Shape,
+    /// The type's fact relation, if `facts` has one.
+    rel: Option<&'a Relation>,
+    /// Nested types: the first row of `rel` with each parent id; `next`
+    /// links each row to the next with the same parent, ascending (the
+    /// order `from_facts`'s parent-id index yields them in).
+    first: FxHashMap<Value, u32>,
+    next: Vec<u32>,
+}
+
+impl<'a> Plan<'a> {
+    fn new(facts: &'a Database, shape: &'a Shape) -> Plan<'a> {
+        let rel = facts.relation(&shape.name);
+        let mut first: FxHashMap<Value, u32> = FxHashMap::default();
+        let mut next = Vec::new();
+        if let Some(rel) = rel.filter(|r| shape.nested && !r.is_empty()) {
+            let parents = rel.column(0);
+            next.resize(parents.len(), NO_ROW);
+            for i in (0..parents.len()).rev() {
+                if let Some(later) = first.insert(parents.value(i), i as u32) {
+                    next[i] = later;
+                }
             }
         }
         Plan {
-            name,
+            shape,
             rel,
-            first_col: usize::from(nested),
-            attrs,
-            by_parent,
+            first,
+            next,
         }
     }
+}
+
+/// The state of one [`walk_facts`] walk.
+struct Walk<F> {
+    /// Per record type: its rows so far (row-major ids) and their count.
+    out: Vec<(Vec<u32>, usize)>,
+    /// The ids of the current root-to-record path.
+    path: Vec<u32>,
+    /// The id of a value in a dictionary.
+    id_of: F,
+}
+
+/// The one facts → flat walk: encodes every root-to-record path of
+/// `facts` through `id_of(dictionary, value)`, after the arity check of
+/// [`from_facts`](crate::from_facts).
+fn walk_facts<F: FnMut(usize, Value) -> u32>(
+    tables: &[Shape],
+    roots: &[usize],
+    facts: &Database,
+    id_of: F,
+) -> Result<Vec<IdTable>, FactsError> {
+    let arities = tables
+        .iter()
+        .map(|t| (t.name.as_str(), t.attrs.len() + usize::from(t.nested)));
+    check_arities(facts, arities)?;
+    let plans: Vec<Plan<'_>> = tables.iter().map(|t| Plan::new(facts, t)).collect();
+    let out = plans
+        .iter()
+        .map(|p| {
+            let rows = p.rel.map_or(0, Relation::len);
+            (Vec::with_capacity(rows * p.shape.columns.len()), 0)
+        })
+        .collect();
+    let mut walk = Walk {
+        out,
+        path: Vec::new(),
+        id_of,
+    };
+    for &k in roots {
+        if let Some(rel) = plans[k].rel {
+            for tuple in rel.iter() {
+                visit(&plans, &mut walk, k, tuple)?;
+            }
+        }
+    }
+    Ok(walk
+        .out
+        .into_iter()
+        .zip(tables)
+        .map(|((ids, len), t)| IdTable::from_rows(t.columns.len(), len, ids))
+        .collect())
 }
 
 /// Emits the flat row of `tuple` (a fact of record type `plans[k]`) and,
 /// depth first, its children's, validating in `from_facts`'s order: the
 /// attributes in schema order, each record-typed one's children before
 /// the next attribute.
-fn walk_facts(
+fn visit<F: FnMut(usize, Value) -> u32>(
     plans: &[Plan<'_>],
-    rows: &mut [Vec<Vec<Value>>],
+    walk: &mut Walk<F>,
     k: usize,
     tuple: RowRef<'_>,
-    prefix: &[Value],
 ) -> Result<(), FactsError> {
-    let plan = &plans[k];
-    let mut row = prefix.to_vec();
-    for (i, (_, attr)) in plan.attrs.iter().enumerate() {
-        if let Attr::Prim(_) = attr {
-            row.push(tuple.at(plan.first_col + i));
+    let shape = plans[k].shape;
+    let first_col = usize::from(shape.nested);
+    let base = walk.path.len();
+    for (i, (_, attr)) in shape.attrs.iter().enumerate() {
+        if let Attr::Prim(_, d) = *attr {
+            let id = (walk.id_of)(d, tuple.at(first_col + i));
+            walk.path.push(id);
         }
     }
-    for (i, (name, attr)) in plan.attrs.iter().enumerate() {
-        let v = tuple.at(plan.first_col + i);
-        match attr {
-            Attr::Prim(t) => {
-                if v.prim_type() != Some(*t) {
+    for (i, (name, attr)) in shape.attrs.iter().enumerate() {
+        let v = tuple.at(first_col + i);
+        match *attr {
+            Attr::Prim(t, _) => {
+                if v.prim_type() != Some(t) {
                     return Err(FactsError::Validation(InstanceError::FieldType {
-                        record: plan.name.to_string(),
-                        attr: name.to_string(),
+                        record: shape.name.clone(),
+                        attr: name.clone(),
                     }));
                 }
             }
             Attr::Record(j) => {
-                let child = &plans[*j];
-                let (Some(rel), Some(ids)) = (child.rel, child.by_parent.get(&v)) else {
+                let child = &plans[j];
+                let Some(rel) = child.rel else {
                     continue;
                 };
-                for &c in ids {
-                    let fact = rel.get(c).expect("index in range");
-                    walk_facts(plans, rows, *j, fact, &row)?;
+                let mut c = child.first.get(&v).copied().unwrap_or(NO_ROW);
+                while c != NO_ROW {
+                    let fact = rel.get(c as usize).expect("row in range");
+                    visit(plans, walk, j, fact)?;
+                    c = child.next[c as usize];
                 }
             }
         }
     }
-    rows[k].push(row);
+    let (ids, len) = &mut walk.out[k];
+    ids.extend_from_slice(&walk.path);
+    *len += 1;
+    walk.path.truncate(base);
     Ok(())
 }
 
@@ -363,5 +683,79 @@ mod tests {
         let proj = admit.project(&[c]);
         assert_eq!(proj.len(), 2);
         assert!(proj.contains(&vec![Value::Int(10)]));
+    }
+
+    /// `from_rows` sorts and deduplicates, on packed keys (narrow ids) and
+    /// on id slices (ids too wide to pack), into the same order.
+    #[test]
+    fn id_rows_are_sorted_and_distinct_on_both_paths() {
+        let rows: Vec<[u32; 3]> = vec![[2, 0, 1], [0, 5, 5], [2, 0, 1], [0, 5, 4], [1, 0, 0]];
+        for scale in [1u32, 1 << 28] {
+            let scaled: Vec<Vec<u32>> = rows
+                .iter()
+                .map(|r| r.iter().map(|&id| id * scale).collect())
+                .collect();
+            let table = IdTable::from_rows(3, scaled.len(), scaled.concat());
+            let want: BTreeSet<Vec<u32>> = scaled.into_iter().collect();
+            assert_eq!(table.len(), want.len(), "scale {scale}");
+            assert!(
+                table.rows().eq(want.iter().map(Vec::as_slice)),
+                "scale {scale}"
+            );
+        }
+    }
+
+    /// A record type with no primitive attribute in its chain flattens to
+    /// `{()}` when it has records and to `{}` when it has none; the
+    /// encoded table keeps that distinction.
+    #[test]
+    fn zero_width_tables_keep_row_existence() {
+        let schema = Arc::new(Schema::parse("@document A { B { x: Int } }").unwrap());
+        let mut some = Database::new();
+        some.insert("A", vec![Value::Id(0)]);
+        some.insert("A", vec![Value::Id(1)]);
+        some.insert("B", vec![Value::Id(0), Value::Int(5)]);
+        let none = Database::new();
+        let mut codec = FlatCodec::new(&schema);
+        let learned = codec.learn(&some).unwrap();
+        let a = codec.table_index("A").unwrap();
+        assert_eq!(codec.columns(a), &[] as &[String]);
+        for (db, rows) in [(&some, 1), (&none, 0)] {
+            let want = crate::from_facts(db, schema.clone()).unwrap().flatten();
+            assert_eq!(want.table("A").unwrap().rows.len(), rows);
+            assert_eq!(Flattened::from_facts(db, &schema).unwrap(), want);
+            let encoded = codec.encode(db).unwrap();
+            assert_eq!(encoded.table(a).width(), 0);
+            assert_eq!(encoded.table(a).len(), rows);
+            assert_eq!(encoded.table(a) == learned.table(a), rows == 1);
+            assert_eq!(codec.decode(&encoded), want);
+        }
+    }
+
+    /// Values outside the dictionaries get fresh ids per call: equal
+    /// values share one, and decoding restores them.
+    #[test]
+    fn fresh_ids_decode_to_their_values() {
+        let schema = schema();
+        let mut known = Instance::new(schema.clone());
+        known.insert("Univ", univ(1, "U1", &[(2, 50)])).unwrap();
+        let mut codec = FlatCodec::new(&schema);
+        let learned = codec.learn(&crate::to_facts(&known)).unwrap();
+        let mut other = Instance::new(schema.clone());
+        other
+            .insert("Univ", univ(1, "U9", &[(2, 50), (3, 50)]))
+            .unwrap();
+        let encoded = codec.encode(&crate::to_facts(&other)).unwrap();
+        assert_eq!(codec.decode(&encoded), flatten(&other));
+        let admit = codec.table_index("Admit").unwrap();
+        assert_ne!(encoded.table(admit), learned.table(admit));
+        // `U9` is fresh in `name`; `50` is known in `count`.
+        let rows: Vec<&[u32]> = encoded.table(admit).rows().collect();
+        assert_eq!(rows[0][1], rows[1][1]);
+        assert_eq!(rows[0][3], learned.table(admit).row(0)[3]);
+        assert_eq!(
+            codec.encode(&crate::to_facts(&known)).unwrap().table(admit),
+            learned.table(admit)
+        );
     }
 }

@@ -18,9 +18,11 @@
 //! - [`to_facts`] / [`from_facts`]: the instance ⇄ fact translation of
 //!   §3.3, including the `BuildRecord` parent-chasing procedure;
 //! - [`Instance::flatten`]: a canonical, id-free flattening used to compare
-//!   instances and to drive MDP analysis, and [`Flattened::from_facts`],
-//!   the same flattening read straight off the facts `from_facts` would
-//!   rebuild an instance from (the synthesizer's candidate check).
+//!   instances and to drive MDP analysis;
+//! - [`FlatCodec`]: the same flattening read straight off the facts
+//!   `from_facts` would rebuild an instance from, as dictionary-encoded
+//!   [`IdTable`]s (the synthesizer's candidate check compares and analyzes
+//!   these). [`Flattened::from_facts`] is that walk, decoded.
 //!
 //! For how this crate fits the rest of the workspace (crate DAG, data
 //! flow, a diagram of the tag/payload column streams) see
@@ -78,7 +80,7 @@ pub use database::{ColumnIndex, Database, Relation};
 pub use facts::{
     from_facts, parse_facts, parse_facts_files, to_facts, FactsError, FactsParseError, IdGen,
 };
-pub use flatten::{FlatTable, Flattened};
+pub use flatten::{EncodedFlat, FlatCodec, FlatTable, Flattened, IdTable};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::Symbol;
 pub use json::{parse_document, write_document, JsonError};

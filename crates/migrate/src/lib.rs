@@ -714,6 +714,8 @@ mod tests {
                     },
                     holes: 2,
                     ln_space: 10.0,
+                    sat: Default::default(),
+                    phases: Default::default(),
                 }],
                 ..Default::default()
             },

@@ -3,7 +3,8 @@
 //! golden program on a fresh, larger instance (the Table 3 protocol).
 //!
 //! Each synthesis also pins its search path: the candidates sampled, the
-//! MDPs computed and the printed program must equal the recorded counts
+//! MDPs computed, the SAT conflicts of the rules' solvers and the printed
+//! program must equal the recorded counts
 //! in `perfbench/expected/synth-table3.counts`, at any thread count, in
 //! either planner mode, and under the CI legs' injected faults and
 //! default fact budget (no Table-3 candidate comes near that budget, and
@@ -48,20 +49,28 @@ fn assert_search_path(b: &Benchmark, synthesis: &Synthesis) {
         .find(|l| l.split_whitespace().next() == Some(b.name))
         .unwrap_or_else(|| panic!("{}: no recorded counts", b.name));
     let fields: Vec<&str> = line.split_whitespace().collect();
-    let [_, candidates, mdps, _conflicts, hash] = fields[..] else {
+    let [_, candidates, mdps, conflicts, hash] = fields[..] else {
         panic!("malformed counts line {line:?}");
     };
     let program = synthesis.program.to_string();
-    let got_mdps: usize = synthesis.stats.rules.iter().map(|r| r.mdps_computed).sum();
+    let rules = &synthesis.stats.rules;
+    let got_mdps: usize = rules.iter().map(|r| r.mdps_computed).sum();
+    let got_conflicts: u64 = rules.iter().map(|r| r.sat.conflicts).sum();
     assert_eq!(
         (
             synthesis.stats.total_iterations().to_string(),
             got_mdps.to_string(),
+            got_conflicts.to_string(),
             format!("{:016x}", fnv1a64(program.as_bytes())),
         ),
-        (candidates.to_string(), mdps.to_string(), hash.to_string()),
-        "{}: search path (candidates, mdps, program hash) differs from the recorded \
-         counts; program:\n{program}",
+        (
+            candidates.to_string(),
+            mdps.to_string(),
+            conflicts.to_string(),
+            hash.to_string()
+        ),
+        "{}: search path (candidates, mdps, sat conflicts, program hash) differs from the \
+         recorded counts; program:\n{program}",
         b.name
     );
 }

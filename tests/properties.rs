@@ -600,6 +600,195 @@ fn flattened_from_facts_hand_built_cases() {
     }
 }
 
+/// A random nested schema: 1–3 top-level record types nested up to three
+/// deep, each with 0–3 primitive attributes of random types before,
+/// between and after its 0–2 nested types. A record type may have no
+/// primitive attribute (its table is zero-width when its ancestors have
+/// none either).
+fn random_nested_schema(rng: &mut StdRng) -> Arc<Schema> {
+    fn record(rng: &mut StdRng, depth: usize, names: &mut usize, out: &mut String) {
+        *names += 1;
+        out.push_str(&format!("R{names} {{ "));
+        let mut prims = rng.gen_range(0..=3usize);
+        let mut nested = if depth < 3 {
+            rng.gen_range(0..=2usize)
+        } else {
+            0
+        };
+        if prims + nested == 0 {
+            prims = 1;
+        }
+        while prims + nested > 0 {
+            if rng.gen_range(0..prims + nested) < prims {
+                prims -= 1;
+                *names += 1;
+                let ty = ["Int", "String", "Bool"][rng.gen_range(0..3)];
+                out.push_str(&format!("a{names}: {ty}, "));
+            } else {
+                nested -= 1;
+                record(rng, depth + 1, names, out);
+                out.push_str(", ");
+            }
+        }
+        out.push_str("} ");
+    }
+    let mut text = String::from("@document ");
+    let mut names = 0;
+    for _ in 0..rng.gen_range(1..=3) {
+        record(rng, 0, &mut names, &mut text);
+    }
+    Arc::new(Schema::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}")))
+}
+
+/// Random facts over `schema`'s record relations: up to `rows` rows each,
+/// values from `ints` and `strs`, and `noise` as the share of cells of the
+/// wrong kind and of relations with a wrong arity. Record-typed and
+/// parent columns hold ids below 4.
+fn random_schema_facts(
+    rng: &mut StdRng,
+    schema: &Schema,
+    rows: usize,
+    noise: f64,
+    ints: i64,
+    strs: &[&str],
+) -> Database {
+    use dynamite::schema::PrimType;
+    let mut db = Database::new();
+    for record in schema.records() {
+        if rng.gen_bool(0.1) {
+            continue;
+        }
+        let mut kinds: Vec<Option<PrimType>> = Vec::new();
+        if schema.is_nested(record) {
+            kinds.push(None);
+        }
+        kinds.extend(schema.attrs(record).iter().map(|a| schema.prim_type(a)));
+        let mut arity = kinds.len();
+        if rng.gen_bool(noise / 2.0) {
+            arity = if rng.gen_bool(0.5) || arity == 0 {
+                arity + 1
+            } else {
+                arity - 1
+            };
+        }
+        let rel = db.relation_mut(record, arity);
+        for _ in 0..rng.gen_range(0..=rows) {
+            let row: Vec<Value> = (0..arity)
+                .map(|c| {
+                    let kind = if rng.gen_bool(noise) {
+                        rng.gen_range(0..4)
+                    } else {
+                        match kinds.get(c).copied().flatten() {
+                            Some(PrimType::Int) => 0,
+                            Some(PrimType::Str) => 1,
+                            Some(PrimType::Bool) => 2,
+                            None => 3,
+                        }
+                    };
+                    match kind {
+                        0 => Value::Int(rng.gen_range(0..ints)),
+                        1 => Value::str(strs[rng.gen_range(0..strs.len())]),
+                        2 => Value::Bool(rng.gen_bool(0.5)),
+                        _ => Value::Id(rng.gen_range(0..4)),
+                    }
+                })
+                .collect();
+            rel.insert(&row);
+        }
+    }
+    db
+}
+
+/// The candidate check's encoded path over random nested schemas (with
+/// zero-width tables) and random facts (ill-typed values, wrong arities,
+/// orphan and shared children), against a codec whose dictionaries were
+/// learned from other facts, so many values are out of dictionary:
+/// - decoding the encoded walk equals `from_facts(..).flatten()` and
+///   `Flattened::from_facts`, the same error included;
+/// - a learned encoding's tables equal another encoding's iff their flat
+///   tables are equal;
+/// - `mdp_set_ids` on the id tables equals `mdp_set` on the flat tables
+///   and the by-projection reference, at every budget up to the column
+///   count plus an ample one.
+#[test]
+fn encoded_walk_and_mdps_match_flat_tables_on_random_schemas() {
+    use dynamite::core::{mdp_set, mdp_set_ids};
+    use dynamite::instance::{FlatCodec, Flattened};
+    for seed in 0..300u64 {
+        let mut rng = StdRng::seed_from_u64(9000 + seed);
+        let schema = random_nested_schema(&mut rng);
+        let mut codec = FlatCodec::new(&schema);
+        let train = random_schema_facts(&mut rng, &schema, 4, 0.0, 3, &["a", "b"]);
+        let learned = codec.learn(&train).expect("well-typed facts flatten");
+        let want = from_facts(&train, schema.clone()).map(|i| i.flatten());
+        assert_eq!(Ok(codec.decode(&learned)), want, "seed {seed}: learn");
+
+        let noise = [0.0, 0.0, 0.03, 0.15][(seed % 4) as usize];
+        let strs = ["a", "b", "é", "z"];
+        let a = random_schema_facts(&mut rng, &schema, 6, noise, 6, &strs);
+        // `b`: `a` with a row or two removed or added.
+        let mut b = a.clone();
+        let names: Vec<&str> = schema.records().collect();
+        for _ in 0..rng.gen_range(1..=2) {
+            let name = names[rng.gen_range(0..names.len())];
+            let Some(rel) = b.relation(name) else {
+                continue;
+            };
+            if !rel.is_empty() && rng.gen_bool(0.5) {
+                let row = rel.get(rng.gen_range(0..rel.len())).expect("row").to_vec();
+                b.relation_mut(name, row.len()).remove(&row);
+            } else {
+                let extra = random_schema_facts(&mut rng, &schema, 2, noise, 6, &strs);
+                if let Some(rows) = extra.relation(name) {
+                    let arity = rel.arity();
+                    for row in rows.iter().filter(|r| r.len() == arity) {
+                        b.relation_mut(name, arity).insert_row(row);
+                    }
+                }
+            }
+        }
+
+        // The candidate check's roles: `b` is learned like an expected
+        // output, `a` encoded like a candidate's (fresh ids and all).
+        for (db, what) in [(&a, "a"), (&b, "b")] {
+            let want = from_facts(db, schema.clone()).map(|i| i.flatten());
+            let got = codec.encode(db).map(|e| codec.decode(&e));
+            assert_eq!(got, want, "seed {seed}, {what}\nfacts:\n{db}");
+            assert_eq!(
+                Flattened::from_facts(db, &schema),
+                want,
+                "seed {seed}, {what}"
+            );
+        }
+        let mut codec = codec.clone();
+        let (Ok(eb), Ok(fb)) = (codec.learn(&b), from_facts(&b, schema.clone())) else {
+            continue;
+        };
+        let (Ok(ea), Ok(fa)) = (codec.encode(&a), from_facts(&a, schema.clone())) else {
+            continue;
+        };
+        let flats = [fa.flatten(), fb.flatten()];
+        assert_eq!(codec.decode(&eb), flats[1], "seed {seed}: learned b");
+        assert_eq!(codec.decode(&ea), flats[0], "seed {seed}: a after b");
+        for name in &names {
+            let k = codec.table_index(name).expect("record type");
+            let (ta, tb) = (ea.table(k), eb.table(k));
+            let (fa, fb) = (&flats[0].0[*name], &flats[1].0[*name]);
+            assert_eq!(ta == tb, fa == fb, "seed {seed}, table {name}");
+            for budget in (0..=ta.width() + 1).chain([10_000]) {
+                let ids = mdp_set_ids(ta, tb, budget);
+                let (mdps, exhausted) = reference_mdp_set(fa, fb, budget);
+                assert_eq!(
+                    (&ids.mdps, ids.budget_exhausted),
+                    (&mdps, exhausted),
+                    "seed {seed}, table {name}, budget {budget}"
+                );
+                assert_eq!(ids, mdp_set(fa, fb, budget), "seed {seed}, table {name}");
+            }
+        }
+    }
+}
+
 /// Positive Datalog is monotone: adding input facts never removes output
 /// facts.
 #[test]
