@@ -25,12 +25,10 @@
 //! refinement of TANE (Huhtala et al., Comput. J. 1999). The projections
 //! onto `L` agree iff every class of the final partition holds rows of
 //! both tables, and because refining only splits classes, the first
-//! one-sided class ends the node early. Each column's own partition is
-//! computed once per call; a node with a column whose partition has a
-//! one-sided class fails at once, and any other node copies its finest
-//! column's partition and refines it by the other `|L| − 1` columns. No
-//! partition is stored per queued node, so memory stays
-//! O(rows × columns + largest id).
+//! one-sided class ends the node early. A node that contains a known MDP
+//! distinguishes too, so it is dropped before any refinement. No
+//! partition is stored per queued node: a node costs `|L|` linear passes
+//! over the rows, and memory stays O(rows × columns + largest id).
 //!
 //! The pattern is expressed over hole indices ([`PatternLit`]) and lowered
 //! to solver literals by the synthesizer. Beyond the paper we must also
@@ -41,8 +39,8 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use dynamite_instance::hash::{FxHashMap, FxHashSet};
-use dynamite_instance::{FlatTable, IdTable, Value};
+use dynamite_instance::hash::FxHashSet;
+use dynamite_instance::{FlatTable, IdTable};
 
 use crate::sketch::DomainElem;
 
@@ -64,26 +62,10 @@ pub struct MdpResult {
 /// candidate projections dequeued; on exhaustion the full column set is
 /// returned as a (sound, maximally pinned) fallback.
 ///
-/// This encodes both tables with one dictionary per column and runs
+/// This encodes both tables with [`IdTable::encode_flat`] and runs
 /// [`mdp_set_ids`].
 pub fn mdp_set(actual: &FlatTable, expected: &FlatTable, budget: usize) -> MdpResult {
-    assert_eq!(
-        actual.columns, expected.columns,
-        "flat tables must share columns"
-    );
-    let mut dicts: Vec<FxHashMap<Value, u32>> = vec![FxHashMap::default(); actual.columns.len()];
-    let mut encode = |table: &FlatTable| {
-        let mut ids = Vec::with_capacity(table.rows.len() * dicts.len());
-        for row in &table.rows {
-            for (dict, v) in dicts.iter_mut().zip(row) {
-                let next = dict.len() as u32;
-                ids.push(*dict.entry(*v).or_insert(next));
-            }
-        }
-        IdTable::from_rows(dicts.len(), table.rows.len(), ids)
-    };
-    let actual = encode(actual);
-    let expected = encode(expected);
+    let [actual, expected] = IdTable::encode_flat([actual, expected]);
     mdp_set_ids(&actual, &expected, budget)
 }
 
@@ -132,6 +114,11 @@ pub fn mdp_set_ids(actual: &IdTable, expected: &IdTable, budget: usize) -> MdpRe
                 budget_exhausted: true,
             };
         }
+        // A superset of a distinguishing projection distinguishes, and is
+        // not minimal.
+        if delta.iter().any(|d| d.is_subset(&l)) {
+            continue;
+        }
         let cols: Vec<usize> = l.iter().copied().collect();
         if parts.projections_agree(&cols) {
             for c in 0..ncols {
@@ -144,7 +131,7 @@ pub fn mdp_set_ids(actual: &IdTable, expected: &IdTable, budget: usize) -> MdpRe
                     }
                 }
             }
-        } else if !delta.iter().any(|d| d.is_subset(&l)) {
+        } else {
             delta.push(l);
         }
     }
@@ -170,11 +157,6 @@ struct Partitioner {
     /// The tables' ids, column-major: row `r`'s id in column `c` is
     /// `ids[c * rows + r]`.
     ids: Vec<u32>,
-    /// Per column, the partition by that column alone, or `None` if it
-    /// has a one-sided class. A node's partition refines each of its
-    /// columns', so a `None` column decides a node, and a node starts
-    /// from its finest column's partition.
-    by_col: Vec<Option<ColumnPartition>>,
     /// The partition being refined: row numbers grouped by class. Each
     /// class is ascending (the scatter is stable and refinement starts
     /// from `0..rows`), so its actual rows come first.
@@ -190,13 +172,6 @@ struct Partitioner {
     seen: Vec<usize>,
 }
 
-/// [`Partitioner::perm`] and [`Partitioner::bounds`] after refining the
-/// one-class partition by one column.
-struct ColumnPartition {
-    perm: Vec<u32>,
-    bounds: Vec<u32>,
-}
-
 impl Partitioner {
     fn new(actual: &IdTable, expected: &IdTable) -> Partitioner {
         let ncols = actual.width();
@@ -210,61 +185,28 @@ impl Partitioner {
                 max = max.max(id);
             }
         }
-        let mut parts = Partitioner {
+        Partitioner {
             rows,
             n_actual: actual.len() as u32,
             ids,
-            by_col: Vec::with_capacity(ncols),
             perm: Vec::with_capacity(rows),
             bounds: Vec::new(),
             next_perm: vec![0; rows],
             next_bounds: Vec::new(),
             slot: vec![0; max as usize + 1],
             seen: Vec::new(),
-        };
-        let whole_mixed = rows > 0 && parts.n_actual > 0 && (parts.n_actual as usize) < rows;
-        for c in 0..ncols {
-            parts.perm.clear();
-            parts.perm.extend(0..rows as u32);
-            parts.bounds.clear();
-            parts.bounds.extend([0, rows as u32]);
-            let part = (whole_mixed && parts.refine(c)).then(|| ColumnPartition {
-                perm: parts.perm.clone(),
-                bounds: parts.bounds.clone(),
-            });
-            parts.by_col.push(part);
         }
-        parts
     }
 
-    /// `actual.project(cols) == expected.project(cols)` (`cols` non-empty):
-    /// refines the partition of `cols`' finest column by the others and
-    /// checks that every class holds rows of both tables.
+    /// `actual.project(cols) == expected.project(cols)`: refines the
+    /// one-class partition by each column of `cols` and checks that every
+    /// class holds rows of both tables. Refinement only splits classes,
+    /// so the first one-sided class decides the node.
     fn projections_agree(&mut self, cols: &[usize]) -> bool {
-        if self.rows == 0 {
+        let (n, na) = (self.rows, self.n_actual);
+        if n == 0 {
             return true;
         }
-        let mut start: Option<(usize, &ColumnPartition)> = None;
-        for &c in cols {
-            let Some(part) = &self.by_col[c] else {
-                return false;
-            };
-            if start.is_none_or(|(_, s)| part.bounds.len() > s.bounds.len()) {
-                start = Some((c, part));
-            }
-        }
-        let (first, part) = start.expect("a node has a column");
-        self.perm.clone_from(&part.perm);
-        self.bounds.clone_from(&part.bounds);
-        cols.iter().all(|&c| c == first || self.refine(c))
-    }
-
-    /// Refines the current partition by column `c`. Returns `false`, with
-    /// the partition left unspecified, at the first class that holds rows
-    /// of only one table: refinement only splits classes, so that decides
-    /// the node.
-    fn refine(&mut self, c: usize) -> bool {
-        let (n, na) = (self.rows, self.n_actual);
         // Classes are ascending: one holds rows of both tables iff its
         // first row is an actual one and its last an expected one.
         let mixed = |class: &[u32]| class[0] < na && class[class.len() - 1] >= na;
@@ -278,44 +220,53 @@ impl Partitioner {
             seen,
             ..
         } = self;
-        let col = &ids[c * n..(c + 1) * n];
-        next_bounds.clear();
-        next_bounds.push(0);
-        for w in bounds.windows(2) {
-            let class = &perm[w[0] as usize..w[1] as usize];
-            seen.clear();
-            for &r in class {
-                let v = col[r as usize] as usize;
-                if slot[v] == 0 {
-                    seen.push(v);
-                }
-                slot[v] += 1;
-            }
-            let mut at = w[0];
-            for &v in seen.iter() {
-                let count = slot[v];
-                slot[v] = at;
-                at += count;
-                next_bounds.push(at);
-            }
-            for &r in class {
-                let v = col[r as usize] as usize;
-                next_perm[slot[v] as usize] = r;
-                slot[v] += 1;
-            }
-            for &v in seen.iter() {
-                slot[v] = 0;
-            }
-            let split = &next_bounds[next_bounds.len() - seen.len() - 1..];
-            if split
-                .windows(2)
-                .any(|s| !mixed(&next_perm[s[0] as usize..s[1] as usize]))
-            {
-                return false;
-            }
+        perm.clear();
+        perm.extend(0..n as u32);
+        bounds.clear();
+        bounds.extend([0, n as u32]);
+        if !mixed(&perm[..]) {
+            return false;
         }
-        std::mem::swap(perm, next_perm);
-        std::mem::swap(bounds, next_bounds);
+        for &c in cols {
+            let col = &ids[c * n..(c + 1) * n];
+            next_bounds.clear();
+            next_bounds.push(0);
+            for w in bounds.windows(2) {
+                let class = &perm[w[0] as usize..w[1] as usize];
+                seen.clear();
+                for &r in class {
+                    let v = col[r as usize] as usize;
+                    if slot[v] == 0 {
+                        seen.push(v);
+                    }
+                    slot[v] += 1;
+                }
+                let mut at = w[0];
+                for &v in seen.iter() {
+                    let count = slot[v];
+                    slot[v] = at;
+                    at += count;
+                    next_bounds.push(at);
+                }
+                for &r in class {
+                    let v = col[r as usize] as usize;
+                    next_perm[slot[v] as usize] = r;
+                    slot[v] += 1;
+                }
+                for &v in seen.iter() {
+                    slot[v] = 0;
+                }
+                let split = &next_bounds[next_bounds.len() - seen.len() - 1..];
+                if split
+                    .windows(2)
+                    .any(|s| !mixed(&next_perm[s[0] as usize..s[1] as usize]))
+                {
+                    return false;
+                }
+            }
+            std::mem::swap(perm, next_perm);
+            std::mem::swap(bounds, next_bounds);
+        }
         true
     }
 }

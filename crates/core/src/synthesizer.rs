@@ -20,7 +20,7 @@ use dynamite_datalog::{
     ResourceTrip, Rule, RuleCacheHandle,
 };
 use dynamite_instance::hash::FxHashMap;
-use dynamite_instance::{to_facts, EncodedFlat, FlatCodec};
+use dynamite_instance::{to_facts, EncodedFlat, FactsError, FlatCodec};
 use dynamite_schema::Schema;
 use dynamite_smt::{ConstId, FdLit, FdSolver, FdVar, SatStats};
 
@@ -149,6 +149,9 @@ pub enum SynthesisError {
     Timeout { rule: String },
     /// Iteration cap reached while completing `rule`.
     IterationLimit { rule: String },
+    /// Example `example`'s output is not an instance of the target schema:
+    /// its facts fail the target's arity or type checks.
+    BadExample { example: usize, error: FactsError },
 }
 
 impl fmt::Display for SynthesisError {
@@ -165,6 +168,12 @@ impl fmt::Display for SynthesisError {
             }
             SynthesisError::IterationLimit { rule } => {
                 write!(f, "iteration limit synthesizing rule for `{rule}`")
+            }
+            SynthesisError::BadExample { example, error } => {
+                write!(
+                    f,
+                    "example {example}'s output is not a target instance: {error}"
+                )
             }
         }
     }
@@ -378,12 +387,9 @@ pub struct Synthesizer {
 }
 
 impl Synthesizer {
-    /// Prepares a synthesis problem: checks schema-name disjointness,
-    /// infers `Ψ`, generates the sketch, and preprocesses the examples.
-    ///
-    /// # Panics
-    /// Panics if an example's output is not an instance of `target` (its
-    /// facts do not have the target relations' arities).
+    /// Prepares a synthesis problem: checks schema-name disjointness and
+    /// that each example's output is an instance of `target`, infers `Ψ`,
+    /// generates the sketch, and preprocesses the examples.
     pub fn new(
         source: Arc<Schema>,
         target: Arc<Schema>,
@@ -400,6 +406,16 @@ impl Synthesizer {
         if !overlap.is_empty() {
             return Err(SynthesisError::SchemaOverlap(overlap));
         }
+        let mut codec = FlatCodec::new(&target);
+        let expected = examples
+            .iter()
+            .enumerate()
+            .map(|(example, e)| {
+                codec
+                    .learn(&to_facts(&e.output))
+                    .map_err(|error| SynthesisError::BadExample { example, error })
+            })
+            .collect::<Result<_, _>>()?;
         let psi = infer_attr_mapping(&source, &target, &examples);
         let sketch = generate_sketch(&psi, &source, &target, &examples, &config.sketch);
         let pool = pool::with_threads(config.threads);
@@ -414,15 +430,6 @@ impl Synthesizer {
             .iter()
             .map(|e| {
                 Evaluator::with_config(to_facts(&e.input), pool.clone(), rules.clone(), reorder)
-            })
-            .collect();
-        let mut codec = FlatCodec::new(&target);
-        let expected = examples
-            .iter()
-            .map(|e| {
-                codec
-                    .learn(&to_facts(&e.output))
-                    .expect("example outputs are instances of the target schema")
             })
             .collect();
         Ok(Synthesizer {
@@ -1085,6 +1092,63 @@ mod tests {
         let err =
             synthesize(&source, &source.clone(), &[ex], &SynthesisConfig::default()).unwrap_err();
         assert!(matches!(err, SynthesisError::SchemaOverlap(_)));
+    }
+
+    #[test]
+    fn example_outputs_off_the_target_schema_are_rejected() {
+        use dynamite_instance::{Instance, InstanceError, Record, Value};
+        use dynamite_schema::Schema;
+        // Same record name as the target's `Admission`, but one attribute
+        // short (an arity error) or with `num` a string (a type error).
+        let (source, target, ex) = motivating();
+        let output = |schema: &str, num: Value| {
+            let schema = Arc::new(Schema::parse(schema).unwrap());
+            let mut values = vec!["U1".into(), "U2".into()];
+            values.extend(schema.attrs("Admission").get(2).map(|_| num));
+            let mut inst = Instance::new(schema);
+            inst.insert("Admission", Record::from_values(values))
+                .unwrap();
+            Example::new(ex.input.clone(), inst)
+        };
+        let short = output(
+            "@document Admission { grad: String, ug: String }",
+            Value::Int(0),
+        );
+        let mistyped = output(
+            "@document Admission { grad: String, ug: String, num: String }",
+            Value::str("50"),
+        );
+        let err = Synthesizer::new(
+            source.clone(),
+            target.clone(),
+            vec![ex.clone(), short],
+            SynthesisConfig::default(),
+        )
+        .err()
+        .expect("an arity error");
+        assert_eq!(
+            err,
+            SynthesisError::BadExample {
+                example: 1,
+                error: FactsError::Arity {
+                    relation: "Admission".into(),
+                    expected: 3,
+                    got: 2,
+                },
+            }
+        );
+        let err =
+            synthesize(&source, &target, &[mistyped], &SynthesisConfig::default()).unwrap_err();
+        assert_eq!(
+            err,
+            SynthesisError::BadExample {
+                example: 0,
+                error: FactsError::Validation(InstanceError::FieldType {
+                    record: "Admission".into(),
+                    attr: "num".into(),
+                }),
+            }
+        );
     }
 
     #[test]

@@ -175,6 +175,28 @@ impl IdTable {
         }
     }
 
+    /// Encodes flat tables that share columns with one dictionary per
+    /// column, shared by all of them: two tables' ids in a column are
+    /// equal iff their values are.
+    ///
+    /// # Panics
+    /// Panics if the tables' columns differ.
+    pub fn encode_flat<const N: usize>(tables: [&FlatTable; N]) -> [IdTable; N] {
+        let width = tables.first().map_or(0, |t| t.columns.len());
+        assert!(
+            tables.iter().all(|t| t.columns == tables[0].columns),
+            "flat tables must share columns"
+        );
+        let mut dicts = vec![Dict::default(); width];
+        tables.map(|table| {
+            let mut ids = Vec::with_capacity(table.rows.len() * width);
+            for row in &table.rows {
+                ids.extend(dicts.iter_mut().zip(row).map(|(d, &v)| d.intern(v)));
+            }
+            IdTable::from_rows(width, table.rows.len(), ids)
+        })
+    }
+
     /// The number of columns.
     pub fn width(&self) -> usize {
         self.width
