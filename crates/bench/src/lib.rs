@@ -1,20 +1,8 @@
-//! Experiment harness library (shared helpers for the table/figure
-//! binaries). See the `bin/` targets and DESIGN.md's experiment index.
+//! Experiment harness library: the durable workload shared by the crash
+//! harness and its child binary. The table/figure binaries are the
+//! `bin/` targets; DESIGN.md indexes the experiments.
 
 #![forbid(unsafe_code)]
-
-pub mod util {
-    //! Small shared helpers for experiment binaries.
-
-    /// Formats a natural-log-scaled count like the paper's Table 3
-    /// ("5.1 × 10^39" rendered as `5.1e39`).
-    pub fn format_ln_as_pow10(ln: f64) -> String {
-        let log10 = ln / std::f64::consts::LN_10;
-        let exp = log10.floor();
-        let mantissa = 10f64.powf(log10 - exp);
-        format!("{mantissa:.1}e{exp:.0}")
-    }
-}
 
 pub mod crash_stream {
     //! The deterministic durable workload shared by the out-of-process

@@ -47,11 +47,10 @@ pub enum Strategy {
 ///
 /// Each limit bounds ONE candidate evaluation on ONE example; the
 /// synthesizer builds a fresh [`Governor`] per example evaluation, so
-/// budgets are deterministic regardless of how candidate checks are
-/// scheduled across worker threads. A candidate that trips a limit is
-/// rejected and blocked like any other failing candidate (after a
-/// bounded number of retries, to absorb transient trips) — it does not
-/// sink the whole synthesis call. The global
+/// budgets are deterministic at every thread count. A candidate that
+/// trips a limit is rejected and blocked like any other failing
+/// candidate (after a bounded number of retries, to absorb transient
+/// trips) — it does not sink the whole synthesis call. The global
 /// [`SynthesisConfig::timeout`] still aborts the call as a whole.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CandidateLimits {
@@ -73,7 +72,7 @@ impl CandidateLimits {
     /// `DYNAMITE_FACT_BUDGET` env var governs evaluations even when the
     /// config leaves every field `None`.
     pub fn resolve(&self, outer_deadline: Option<Instant>) -> Option<ResourceLimits> {
-        let per_candidate = self.timeout.map(|t| Instant::now() + t);
+        let per_candidate = self.timeout.and_then(|t| Instant::now().checked_add(t));
         let deadline = match (outer_deadline, per_candidate) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -106,10 +105,11 @@ pub struct SynthesisConfig {
     pub mdp_budget: usize,
     /// Apply basic simplification to accepted rules (§2).
     pub simplify: bool,
-    /// Worker threads for candidate checking and fixpoint evaluation.
-    /// `None` defers to the `DYNAMITE_THREADS` environment variable (or,
-    /// absent that, the available parallelism); the env var overrides an
-    /// explicit setting either way. `1` is the fully sequential path.
+    /// Worker threads for fixpoint evaluation. Candidates are checked
+    /// one at a time; only large fixpoint rounds fan out. `None` defers
+    /// to the `DYNAMITE_THREADS` environment variable (or, absent that,
+    /// the available parallelism); the env var overrides an explicit
+    /// setting either way. `1` is the fully sequential path.
     pub threads: Option<usize>,
     /// Whether candidate evaluation uses the cost-based join planner.
     /// `None` defers to the `DYNAMITE_NO_REORDER` environment variable
@@ -471,7 +471,8 @@ impl Synthesizer {
         &self.examples
     }
 
-    /// The worker pool candidate checks and evaluations fan out on.
+    /// The worker pool whose thread budget every example's fixpoint
+    /// rounds fan out on.
     pub fn pool(&self) -> &Arc<WorkerPool> {
         &self.pool
     }
@@ -494,7 +495,7 @@ impl Synthesizer {
     /// report how far the search got.
     pub fn synthesize_partial(&self) -> Result<Synthesis, (SynthesisError, SynthStats)> {
         let start = Instant::now();
-        let deadline = self.config.timeout.map(|t| start + t);
+        let deadline = self.config.timeout.and_then(|t| start.checked_add(t));
         let mut rules = Vec::new();
         let mut stats = SynthStats {
             ln_search_space: self.sketch.ln_search_space(),
@@ -1335,6 +1336,40 @@ mod tests {
         assert_eq!(
             plain.stats.total_iterations(),
             governed.stats.total_iterations()
+        );
+    }
+
+    #[test]
+    fn an_unrepresentable_timeout_means_no_deadline() {
+        use dynamite_datalog::fault;
+        let _guard = fault::test_lock();
+        fault::reset();
+        // `Instant + Duration::MAX` overflows; both timeouts must fall
+        // back to "no deadline" instead of panicking.
+        let (source, target, ex) = motivating();
+        let plain = synthesize(
+            &source,
+            &target,
+            std::slice::from_ref(&ex),
+            &SynthesisConfig::default(),
+        )
+        .unwrap();
+        let cfg = SynthesisConfig {
+            timeout: Some(Duration::MAX),
+            candidate_limits: CandidateLimits {
+                timeout: Some(Duration::MAX),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let unbounded = synthesize(&source, &target, std::slice::from_ref(&ex), &cfg).unwrap();
+        assert_eq!(
+            format!("{}", plain.program),
+            format!("{}", unbounded.program)
+        );
+        assert_eq!(
+            CandidateLimits::default().resolve(None),
+            cfg.candidate_limits.resolve(None)
         );
     }
 

@@ -1,6 +1,6 @@
 //! Reusable evaluation contexts with persistent, incrementally maintained
 //! join indexes over columnar tuple storage, and a parallel semi-naive
-//! fixpoint over a scoped worker pool.
+//! fixpoint over scoped worker threads.
 //!
 //! [`Evaluator`] is constructed once per fact database and amortizes all
 //! per-database work across every program evaluated against it — the
@@ -151,18 +151,9 @@ struct EdbContext {
     /// planning pass entirely and pay exactly what the pre-planner
     /// memo paid: one key build and one map probe per rule.
     plans: RwLock<FxHashMap<RuleKey, Arc<CompiledRule>>>,
-    pool: ContextPool,
+    pool: Arc<WorkerPool>,
     /// Whether the cost-based join planner reorders body literals.
     reorder: bool,
-}
-
-/// Which pool a context fans out on. `Global` defers to the process-wide
-/// pool *lazily* — worker threads are only spawned if an evaluation
-/// actually reaches the fan-out gate, so ambient contexts over small
-/// databases stay thread-free.
-enum ContextPool {
-    Ready(Arc<WorkerPool>),
-    Global,
 }
 
 /// The `DYNAMITE_NO_REORDER` environment override: `Some(true)` disables
@@ -198,14 +189,12 @@ pub fn resolve_reorder(requested: Option<bool>) -> bool {
 
 impl Evaluator {
     /// Builds a context that owns `edb` as its immutable snapshot and
-    /// evaluates on the process-wide shared pool (sized by
-    /// `DYNAMITE_THREADS`, defaulting to the available parallelism). The
-    /// global pool is instantiated lazily, on the first round that
-    /// actually fans out.
+    /// fans rounds out on as many threads as `DYNAMITE_THREADS` says,
+    /// defaulting to the available parallelism.
     pub fn new(edb: Database) -> Evaluator {
-        Evaluator::build(
+        Evaluator::with_config(
             edb,
-            ContextPool::Global,
+            pool::with_threads(None),
             RuleCacheHandle::default(),
             reorder_default(),
         )
@@ -229,10 +218,6 @@ impl Evaluator {
         rules: RuleCacheHandle,
         reorder: bool,
     ) -> Evaluator {
-        Evaluator::build(edb, ContextPool::Ready(pool), rules, reorder)
-    }
-
-    fn build(edb: Database, pool: ContextPool, rules: RuleCacheHandle, reorder: bool) -> Evaluator {
         Evaluator {
             ctx: Arc::new(EdbContext {
                 edb,
@@ -250,13 +235,9 @@ impl Evaluator {
         &self.ctx.edb
     }
 
-    /// The worker pool this context's evaluations fan out on
-    /// (instantiates the global pool if this context defers to it).
+    /// The worker pool this context's evaluations fan out on.
     pub fn pool(&self) -> &Arc<WorkerPool> {
-        match &self.ctx.pool {
-            ContextPool::Ready(p) => p,
-            ContextPool::Global => pool::global(),
-        }
+        &self.ctx.pool
     }
 
     /// Evaluates `program`, returning the derived intensional relations
@@ -343,10 +324,7 @@ impl Evaluator {
             indexes: &self.ctx.indexes,
             rules: Some(&self.ctx.rules.inner),
             plans: Some(&self.ctx.plans),
-            pool: match &self.ctx.pool {
-                ContextPool::Ready(p) => PoolSource::Ready(p),
-                ContextPool::Global => PoolSource::Lazy,
-            },
+            pool: &self.ctx.pool,
             reorder: self.ctx.reorder,
             gov: None,
             demand: None,
@@ -368,7 +346,7 @@ pub(crate) struct EvalRun<'e> {
     /// The owning context's per-context plan cache (fast path), absent
     /// for maintenance runs.
     pub(crate) plans: Option<&'e RwLock<FxHashMap<RuleKey, Arc<CompiledRule>>>>,
-    pub(crate) pool: PoolSource<'e>,
+    pub(crate) pool: &'e WorkerPool,
     /// Whether join orders come from the cost-based planner (`true`) or
     /// follow body order (`false`).
     pub(crate) reorder: bool,
@@ -381,32 +359,6 @@ pub(crate) struct EvalRun<'e> {
     /// relations — see [`CostModel::estimate`]. Absent everywhere except
     /// the query-serving path.
     pub(crate) demand: Option<&'e std::collections::HashSet<String>>,
-}
-
-/// The pool an evaluation fans out on. Ambient contexts resolve the
-/// process-global pool *lazily* — only when a round actually fans out —
-/// so a small `evaluate()` call never spawns worker threads.
-pub(crate) enum PoolSource<'e> {
-    Ready(&'e WorkerPool),
-    Lazy,
-}
-
-impl PoolSource<'_> {
-    /// The worker count without forcing pool creation.
-    fn threads(&self) -> usize {
-        match self {
-            PoolSource::Ready(p) => p.threads(),
-            PoolSource::Lazy => pool::default_threads(),
-        }
-    }
-
-    /// The pool itself (instantiating the global pool if lazy).
-    fn get(&self) -> &WorkerPool {
-        match self {
-            PoolSource::Ready(p) => p,
-            PoolSource::Lazy => pool::global(),
-        }
-    }
 }
 
 /// One variant of one rule scheduled into a round, before partitioning.
@@ -665,23 +617,18 @@ impl EvalRun<'_> {
 
         // Immutable join phase: every job sees the same frozen overlay
         // and emits into its own buffer. Fan out only when the round has
-        // enough outer rows to amortize the dispatch (tiny rounds — the
-        // bulk of CEGIS candidate evals — run inline, in the same job
+        // enough outer rows to amortize the thread spawns (tiny rounds —
+        // the bulk of CEGIS candidate evals — run inline, in the same job
         // order, so results are identical either way).
         let edb = self.edb;
         let idb_frozen: &IdbState = idb;
         let gov = self.gov;
-        let fan_out = jobs.len() > 1 && self.pool.threads() > 1 && outer_rows >= PAR_MIN_ROWS;
         let preps = &preps;
-        let results: Vec<Vec<(usize, Vec<Value>)>> = if fan_out {
-            self.pool.get().run(
-                jobs.iter()
-                    .map(|job| move || join_job(edb, job, &preps[job.spec], idb_frozen, gov)),
-            )
+        let run_job = |job: &RoundJob| join_job(edb, job, &preps[job.spec], idb_frozen, gov);
+        let results: Vec<Vec<(usize, Vec<Value>)>> = if outer_rows >= PAR_MIN_ROWS {
+            self.pool.run(jobs.iter().map(|job| move || run_job(job)))
         } else {
-            jobs.iter()
-                .map(|job| join_job(edb, job, &preps[job.spec], idb_frozen, gov))
-                .collect()
+            jobs.iter().map(run_job).collect()
         };
 
         // A trip during the join phase (deadline, external cancel) leaves
@@ -2423,8 +2370,8 @@ mod tests {
         let _g = fault::test_lock();
         fault::reset();
         // Fan out (threads=4, 4000 outer rows) so the injected panic
-        // lands on a pool job; the pool's barrier must not deadlock and
-        // the panic must resume on the caller.
+        // lands on a pool job; the batch must not deadlock and the panic
+        // must resume on the caller.
         let db = skewed_db();
         let ctx = ctx_with_threads(&db, 4);
         let p = Program::parse("Out(x) :- Big(x, _).").expect("parses");

@@ -50,9 +50,10 @@ impl ResourceLimits {
         ResourceLimits::default()
     }
 
-    /// Sets the deadline `timeout` from now.
+    /// Sets the deadline `timeout` from now. A timeout too long for an
+    /// `Instant` to represent (such as `Duration::MAX`) means no deadline.
     pub fn with_timeout(mut self, timeout: Duration) -> ResourceLimits {
-        self.deadline = Some(Instant::now() + timeout);
+        self.deadline = Instant::now().checked_add(timeout);
         self
     }
 
@@ -312,6 +313,17 @@ mod tests {
         assert!(g.check().is_ok());
         assert_eq!(g.facts_counted(), 10_000);
         assert_eq!(g.rounds_started(), 100);
+    }
+
+    #[test]
+    fn an_unrepresentable_timeout_means_no_deadline() {
+        assert!(ResourceLimits::none()
+            .with_timeout(Duration::MAX)
+            .is_unlimited());
+        assert!(ResourceLimits::none()
+            .with_timeout(Duration::from_secs(1))
+            .deadline
+            .is_some());
     }
 
     #[test]

@@ -77,8 +77,7 @@ use dynamite_instance::{Database, Relation, Value};
 
 use crate::ast::{Literal, Program, Rule};
 use crate::engine::{
-    CompiledRule, CostModel, EvalRun, IdbState, IndexCache, JoinRoundOutput, PlanOrders,
-    PoolSource, Spec,
+    CompiledRule, CostModel, EvalRun, IdbState, IndexCache, JoinRoundOutput, PlanOrders, Spec,
 };
 use crate::eval::{check_arities, check_delta, present_rows, stratify, EdbEdit, EvalError};
 use crate::fault;
@@ -242,7 +241,7 @@ fn make_run<'e>(
         indexes,
         rules: None,
         plans: None,
-        pool: PoolSource::Ready(pool),
+        pool,
         reorder,
         gov,
         demand: None,

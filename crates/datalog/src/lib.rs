@@ -34,6 +34,8 @@
 //! assert_eq!(out.relation("Path").unwrap().len(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod ast;
 pub mod durable;
 mod engine;

@@ -1,54 +1,35 @@
-//! A hand-rolled scoped worker pool over `std::thread`.
+//! A thread budget for fanning one batch of borrowing jobs out over
+//! `std::thread::scope`.
 //!
 //! The build environment has no crates.io access, so instead of `rayon`
-//! this module provides the minimal primitive the engine needs: run a
-//! batch of borrowing closures across persistent worker threads and block
-//! until every one of them has finished ([`WorkerPool::run`]). The
-//! completion barrier is what makes the borrows sound — no job can
-//! outlive the call that submitted it, exactly like `std::thread::scope`,
-//! but without paying a thread spawn per fixpoint round.
+//! this module provides the one primitive the engine needs: run a batch
+//! of closures that borrow from the caller's stack across several threads
+//! and return once every one of them has finished ([`WorkerPool::run`]).
+//! Only the semi-naive fixpoint fans out, and only for rounds with enough
+//! outer rows to amortise a thread spawn, so threads are spawned per
+//! batch and nothing persists between batches.
 //!
 //! Design points:
 //!
-//! - **Persistent workers.** `WorkerPool::new(threads)` spawns
-//!   `threads - 1` workers that sleep on a condvar between batches; the
-//!   calling thread is the remaining worker — it drains the queue itself
-//!   before blocking on the completion barrier, so `threads == 1` means
-//!   no worker threads, no queue traffic, and jobs running inline in
-//!   submission order (the sequential fallback).
-//! - **Deterministic results.** Each job writes into its own result slot,
-//!   so `run` returns results in submission order no matter which worker
-//!   ran what.
-//! - **Re-entrant.** A job may itself call `run` on the same pool: the
-//!   inner call participates in draining the shared queue, so nested
-//!   batches (the synthesizer checks candidates in parallel and each
-//!   check runs a parallel fixpoint) cannot deadlock — a caller only
-//!   blocks once the queue is empty, and every queued task terminates.
-//! - **Panic-transparent.** A panicking job is caught on the worker,
-//!   carried back in its result slot, and resumed on the calling thread.
+//! - **The caller works too.** A batch of `n` jobs spawns
+//!   `min(threads, n) - 1` scoped threads; together with the calling
+//!   thread they claim jobs through one atomic counter. `threads == 1`
+//!   (or a single job) spawns nothing and runs the jobs inline, in
+//!   submission order: the sequential fallback.
+//! - **Deterministic results.** Results come back in submission order,
+//!   no matter which thread ran which job.
+//! - **Re-entrant.** A job may itself call `run`; the inner batch simply
+//!   spawns its own scoped threads.
+//! - **Panic-transparent.** Each job runs under `catch_unwind`. Once the
+//!   whole batch has finished, the first panic in submission order is
+//!   resumed on the calling thread.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread;
 
-/// A type-erased job. Lifetime-erased by [`WorkerPool::run`], which is
-/// sound because `run` does not return until the job has completed.
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-struct Queue {
-    tasks: VecDeque<Task>,
-    shutdown: bool,
-}
-
-struct Shared {
-    queue: Mutex<Queue>,
-    /// Signals workers that tasks arrived (or shutdown began).
-    work_ready: Condvar,
-}
-
-/// A fixed-size pool of worker threads executing borrowed job batches.
+/// A thread budget for batches of borrowed jobs.
 ///
 /// ```
 /// use dynamite_datalog::pool::WorkerPool;
@@ -62,39 +43,15 @@ struct Shared {
 /// assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 /// ```
 pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
     threads: usize,
 }
 
 impl WorkerPool {
-    /// Creates a pool with `threads` total workers (including the calling
-    /// thread), spawning `threads - 1` background threads. `threads` is
-    /// clamped to at least 1; if the OS refuses a spawn the pool degrades
-    /// to the threads it got.
+    /// A budget of `threads` total workers per batch, the calling thread
+    /// included. `threads` is clamped to at least 1.
     pub fn new(threads: usize) -> WorkerPool {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue {
-                tasks: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-        });
-        let workers: Vec<JoinHandle<()>> = (1..threads)
-            .map_while(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("dynamite-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .ok()
-            })
-            .collect();
-        let threads = workers.len() + 1;
         WorkerPool {
-            shared,
-            workers,
-            threads,
+            threads: threads.max(1),
         }
     }
 
@@ -105,9 +62,11 @@ impl WorkerPool {
     }
 
     /// Runs every job in `jobs`, returning their results in submission
-    /// order. Blocks until all jobs have completed — jobs may therefore
-    /// borrow from the caller's stack. If a job panics, the panic is
-    /// resumed on the calling thread after the batch drains.
+    /// order. Returns only after all jobs have completed, so jobs may
+    /// borrow from the caller's stack. If a job panics, the first panic
+    /// in submission order is resumed on the calling thread after the
+    /// whole batch has run. If the OS refuses a thread, the batch runs
+    /// on the threads it got.
     pub fn run<'scope, T, F, I>(&self, jobs: I) -> Vec<T>
     where
         T: Send + 'scope,
@@ -115,138 +74,55 @@ impl WorkerPool {
         I: IntoIterator<Item = F>,
     {
         let jobs: Vec<F> = jobs.into_iter().collect();
-        if self.threads == 1 || jobs.len() <= 1 {
+        let n = jobs.len();
+        if self.threads == 1 || n <= 1 {
             return jobs.into_iter().map(|f| f()).collect();
         }
-        let n = jobs.len();
-        // Per-job result slots (submission-ordered) and the completion
-        // barrier. Both live behind `Arc`s so tasks never borrow this
-        // stack frame: the lifetime being erased below is exactly the
-        // borrows *inside* the jobs, which `run` scopes by blocking.
-        let slots: Arc<Vec<Mutex<Option<std::thread::Result<T>>>>> =
-            Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let barrier = Arc::new(DoneBarrier {
-            pending: AtomicUsize::new(n),
-            lock: Mutex::new(()),
-            done: Condvar::new(),
-        });
-        {
-            let mut q = self.shared.queue.lock().expect("pool queue poisoned");
-            for (i, job) in jobs.into_iter().enumerate() {
-                let slots = slots.clone();
-                let barrier = barrier.clone();
-                let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(job));
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                    // Drop every handle to scoped data *before* signalling
-                    // completion, so the caller's return implies no worker
-                    // still holds a borrow.
-                    drop(slots);
-                    barrier.complete_one();
-                });
-                // SAFETY: `run` blocks until `pending` reaches zero, i.e.
-                // until every submitted task has finished executing and
-                // dropped its captures, so no `'scope` borrow inside the
-                // task outlives this call. `T: Send` and `F: Send` make
-                // the cross-thread moves sound; the transmute only erases
-                // the lifetime.
-                let task: Task =
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task) };
-                q.tasks.push_back(task);
-            }
-            self.shared.work_ready.notify_all();
-        }
-        // The calling thread is a worker too: drain tasks (possibly other
-        // batches' — any queued task terminates, so helping is always
-        // sound) until this batch has completed or the queue is empty,
-        // then wait for stragglers. The pending check bounds helping to
-        // the batch's own lifetime — once our results are in, we return
-        // instead of picking up foreign work.
-        while barrier.pending.load(Ordering::Acquire) > 0 {
-            let task = {
-                let mut q = self.shared.queue.lock().expect("pool queue poisoned");
-                q.tasks.pop_front()
-            };
-            match task {
-                Some(t) => t(),
-                None => break,
-            }
-        }
-        barrier.wait();
-        let results: Vec<std::thread::Result<T>> = slots
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("result slot poisoned")
+        // A job's slot is emptied by the one thread whose claim on the
+        // counter returned its index; the lock is never held while a job
+        // runs, so it is uncontended. The counter can be `Relaxed`: it
+        // publishes no data (jobs travel through their slot's mutex,
+        // results through the scope's joins).
+        let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|f| Mutex::new(Some(f))).collect();
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = jobs.get(i) else {
+                    return done;
+                };
+                let job = slot
+                    .lock()
+                    .expect("job slot poisoned")
                     .take()
-                    .expect("completed job left its slot empty")
-            })
-            .collect();
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|panic| resume_unwind(panic)))
+                    .expect("each job is claimed once");
+                done.push((i, catch_unwind(AssertUnwindSafe(job))));
+            }
+        };
+        let mut done = thread::scope(|s| {
+            let workers: Vec<_> = (1..self.threads.min(n))
+                .filter_map(|i| {
+                    thread::Builder::new()
+                        .name(format!("dynamite-worker-{i}"))
+                        .spawn_scoped(s, work)
+                        .ok()
+                })
+                .collect();
+            let mut done = work();
+            for w in workers {
+                done.extend(w.join().expect("job panics are caught"));
+            }
+            done
+        });
+        // Every index was claimed exactly once, so sorting restores
+        // submission order.
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter()
+            .map(|(_, r)| r.unwrap_or_else(|panic| resume_unwind(panic)))
             .collect()
     }
 }
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().expect("pool queue poisoned");
-            q.shutdown = true;
-        }
-        self.shared.work_ready.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-/// Counts outstanding tasks of one batch; the submitting thread blocks in
-/// [`DoneBarrier::wait`] until the count reaches zero.
-struct DoneBarrier {
-    pending: AtomicUsize,
-    lock: Mutex<()>,
-    done: Condvar,
-}
-
-impl DoneBarrier {
-    fn complete_one(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Pair the notify with the mutex so a waiter cannot check the
-            // counter and block between our decrement and our notify.
-            let _g = self.lock.lock().expect("barrier poisoned");
-            self.done.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut g = self.lock.lock().expect("barrier poisoned");
-        while self.pending.load(Ordering::Acquire) > 0 {
-            g = self.done.wait(g).expect("barrier poisoned");
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let task = {
-            let mut q = shared.queue.lock().expect("pool queue poisoned");
-            loop {
-                if let Some(t) = q.tasks.pop_front() {
-                    break t;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = shared.work_ready.wait(q).expect("pool queue poisoned");
-            }
-        };
-        task();
-    }
-}
-
-// -------------------------------------------------------- global pool --
 
 /// The `DYNAMITE_THREADS` environment override, if it is set to a valid
 /// positive integer (anything else — unset, unparseable, zero — is
@@ -264,58 +140,44 @@ fn env_threads() -> Option<usize> {
     })
 }
 
-/// The number of workers requested by the environment: a valid
-/// `DYNAMITE_THREADS`, otherwise the machine's available parallelism.
-/// Cached — lazy contexts consult this every round, and
-/// `available_parallelism` is a syscall.
-pub fn default_threads() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        env_threads().unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
-    })
-}
-
 /// Resolves a configured thread count: a *valid* `DYNAMITE_THREADS`
-/// environment override wins, then the explicit request, then available
-/// parallelism.
+/// environment override wins, then the explicit request, then the
+/// machine's available parallelism (read once per process).
 pub fn resolve_threads(requested: Option<usize>) -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     if let Some(n) = env_threads() {
         return n;
     }
-    requested.map_or_else(default_threads, |n| n.max(1))
+    requested.map_or_else(
+        || *AVAILABLE.get_or_init(|| thread::available_parallelism().map_or(1, usize::from)),
+        |n| n.max(1),
+    )
 }
 
-/// The process-wide shared pool, sized by [`default_threads`]. Contexts
-/// that do not ask for a specific thread count share this pool, so
-/// ambient `Evaluator`s never multiply worker threads.
-pub fn global() -> &'static Arc<WorkerPool> {
-    static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(WorkerPool::new(default_threads())))
-}
-
-/// A pool with `requested` workers: the [`global`] pool when the resolved
-/// count matches its size (no extra threads), a fresh pool otherwise.
+/// A pool with `requested` workers, resolved by [`resolve_threads`].
 pub fn with_threads(requested: Option<usize>) -> Arc<WorkerPool> {
-    let n = resolve_threads(requested);
-    // Size check before touching `global()`: resolving a count that
-    // differs from the global pool's must not instantiate (i.e. spawn)
-    // the global pool as a side effect.
-    if n == default_threads() {
-        global().clone()
-    } else {
-        Arc::new(WorkerPool::new(n))
-    }
+    Arc::new(WorkerPool::new(resolve_threads(requested)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `(threads, jobs)`: more threads than jobs, as many threads as
+    /// jobs, and many more jobs than threads.
+    const SHAPES: [(usize, usize); 4] = [(8, 3), (4, 4), (4, 64), (3, 1000)];
+
     #[test]
     fn results_come_back_in_submission_order() {
-        let pool = WorkerPool::new(4);
-        let out = pool.run((0..64usize).map(|i| move || i * 2));
-        assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
+        for (threads, jobs) in SHAPES {
+            let pool = WorkerPool::new(threads);
+            let out = pool.run((0..jobs).map(|i| move || i * 2));
+            assert_eq!(
+                out,
+                (0..jobs).map(|i| i * 2).collect::<Vec<_>>(),
+                "{threads} threads, {jobs} jobs"
+            );
+        }
     }
 
     #[test]
@@ -329,10 +191,16 @@ mod tests {
 
     #[test]
     fn jobs_may_borrow_caller_data() {
-        let pool = WorkerPool::new(3);
-        let data: Vec<String> = (0..32).map(|i| format!("row-{i}")).collect();
-        let lens = pool.run(data.iter().map(|s| move || s.len()));
-        assert_eq!(lens, data.iter().map(String::len).collect::<Vec<_>>());
+        for (threads, jobs) in SHAPES {
+            let pool = WorkerPool::new(threads);
+            let data: Vec<String> = (0..jobs).map(|i| format!("row-{i}")).collect();
+            let lens = pool.run(data.iter().map(|s| move || s.len()));
+            assert_eq!(
+                lens,
+                data.iter().map(String::len).collect::<Vec<_>>(),
+                "{threads} threads, {jobs} jobs"
+            );
+        }
     }
 
     #[test]
@@ -388,10 +256,10 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_deadlock_and_siblings_still_complete() {
-        // The completion barrier counts a panicked job as done (the
-        // catch_unwind result lands in its slot like any other), so the
-        // caller neither deadlocks nor abandons sibling jobs: every
-        // non-panicking job runs to completion before the panic resumes.
+        // A panicked job's caught result comes back like any other, so
+        // the caller neither deadlocks nor abandons sibling
+        // jobs: every non-panicking job runs to completion before the
+        // panic resumes.
         let pool = WorkerPool::new(4);
         let completed = AtomicUsize::new(0);
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -411,8 +279,8 @@ mod tests {
 
     #[test]
     fn first_panic_in_submission_order_is_the_one_resumed() {
-        // With several panicking jobs, the batch still drains fully and
-        // the caller observes the earliest slot's panic payload —
+        // With several panicking jobs, the whole batch still runs and
+        // the caller observes the earliest job's panic payload —
         // deterministic regardless of which worker ran what.
         let pool = WorkerPool::new(4);
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {

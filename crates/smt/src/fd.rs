@@ -78,7 +78,6 @@ impl fmt::Display for FdError {
 impl std::error::Error for FdError {}
 
 struct VarInfo {
-    name: String,
     domain: Vec<ConstId>,
     /// Atom literal for "this variable takes domain[k]".
     atoms: Vec<Lit>,
@@ -206,7 +205,6 @@ impl FdSolver {
         let by_const = dom.iter().enumerate().map(|(i, &c)| (c, i)).collect();
         let v = FdVar(self.vars.len() as u32);
         self.vars.push(VarInfo {
-            name: name.to_string(),
             domain: dom,
             atoms,
             by_const,
@@ -217,11 +215,6 @@ impl FdSolver {
     /// The declared domain of `x`.
     pub fn domain(&self, x: FdVar) -> &[ConstId] {
         &self.vars[x.0 as usize].domain
-    }
-
-    /// The declared name of `x`.
-    pub fn var_name(&self, x: FdVar) -> &str {
-        &self.vars[x.0 as usize].name
     }
 
     /// Number of declared variables.
@@ -326,14 +319,6 @@ impl FdSolver {
             .map(|&l| self.lower(l))
             .collect::<Result<_, _>>()?;
         self.sat.add_clause(&lits);
-        Ok(())
-    }
-
-    /// Adds a conjunction of literals as individual unit clauses.
-    pub fn add_all(&mut self, conj: &[FdLit]) -> Result<(), FdError> {
-        for &l in conj {
-            self.add_clause(&[l])?;
-        }
         Ok(())
     }
 

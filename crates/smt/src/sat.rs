@@ -128,11 +128,6 @@ impl SatSolver {
         self.assign.len()
     }
 
-    /// Number of problem clauses added (excluding learnt clauses).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len() - self.stats.learnt as usize
-    }
-
     /// Solver statistics.
     pub fn stats(&self) -> SatStats {
         self.stats
