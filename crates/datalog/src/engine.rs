@@ -7,10 +7,10 @@
 //! repeated-candidate workload of the synthesis loop (§4.1 evaluates
 //! hundreds of candidates against the same example input):
 //!
-//! - the extensional database is held behind an `Arc` snapshot and is
-//!   **never cloned** per evaluation; derived facts live in a per-call
-//!   overlay, so each relation is the union of an immutable EDB part and
-//!   a growing IDB part (copy-on-write layering);
+//! - the context owns the extensional database, which is **never
+//!   cloned** per evaluation; derived facts live in a per-call overlay,
+//!   so each relation is the union of an immutable EDB part and a
+//!   growing IDB part (copy-on-write layering);
 //! - relations are columnar ([`TupleStore`](dynamite_instance::TupleStore)),
 //!   each column a structure-of-arrays tag/payload stream pair
 //!   ([`ColumnSlices`](dynamite_instance::ColumnSlices)): index builds
@@ -24,8 +24,8 @@
 //!   index of a relation as each delta tuple lands, so recursion-heavy
 //!   workloads never re-scan the overlay per rule variant (an index first
 //!   requested mid-evaluation is built once over the rows so far);
-//! - compiled rules are memoized **across** evaluations by a normalized
-//!   rule key, so CEGIS candidates sharing rule bodies skip recompilation;
+//! - compiled rules are memoized **across** evaluations in one memo
+//!   ([`RuleCacheHandle`]), keyed by the rule and its planned join orders;
 //! - positive body literals are **reordered by a cost-based planner**
 //!   ([`CostModel`]): machine-generated candidate bodies arrive in
 //!   arbitrary order, so each join order is chosen greedily by estimated
@@ -63,11 +63,12 @@
 //!   (c) absorption in fixed job order. Breaking any of the three
 //!   breaks the `tests/properties.rs` row-order pins.
 //! - **Memo-key soundness**: everything [`CompiledRule`] depends on is
-//!   in [`RuleKey`] — rule text (length-prefixed names, debug-tagged
-//!   constants), stratum, same-stratum delta mask, and the planned join
-//!   orders. If compilation starts depending on anything else, that
-//!   something must go into the key, or contexts sharing a
-//!   [`RuleCacheHandle`] will serve each other wrong plans.
+//!   in [`RuleKey`] — the rule, its stratum and its planned join orders
+//!   (each delta order starts with its delta occurrence, so the orders
+//!   also say which literals are same-stratum). If compilation starts
+//!   depending on anything else, that something must go into the key,
+//!   or contexts sharing a [`RuleCacheHandle`] will serve each other
+//!   wrong plans.
 //! - **Delta-first**: every semi-naive delta variant keeps its delta
 //!   occurrence outermost; the planner may permute only the rest.
 //! - **Indexes equal a fresh build**: every cached EDB index and every
@@ -85,16 +86,19 @@ use std::sync::{Arc, OnceLock, RwLock};
 use dynamite_instance::hash::FxHashMap;
 use dynamite_instance::{ColumnIndex, Database, Relation, RowChange, RowRef, Value};
 
-use crate::ast::{Atom, Literal, Program, Rule, Term};
+use crate::ast::{Literal, Program, Rule, Term};
 use crate::eval::{check_arities, rule_stratum, stratify, EdbEdit, EvalError};
 use crate::fault;
 use crate::governor::Governor;
 use crate::pool::{self, WorkerPool};
 
-/// A reusable evaluation context over one fact database.
+/// A reusable evaluation context over one fact database: it owns the EDB
+/// snapshot, the snapshot's join-index cache, a handle on the
+/// compiled-rule memo, the worker pool and the planner switch.
 ///
-/// Cloning is cheap (the EDB snapshot and index cache are shared), so a
-/// context can be handed to several consumers of the same example input.
+/// Evaluations take `&self`, so one context serves many programs, and
+/// many threads at once (the synthesizer checks candidates in parallel
+/// against one context per example).
 ///
 /// ```
 /// use dynamite_datalog::{Evaluator, Program};
@@ -111,49 +115,33 @@ use crate::pool::{self, WorkerPool};
 /// assert_eq!(ctx.eval(&p1).unwrap().relation("Q").unwrap().len(), 1);
 /// assert_eq!(ctx.eval(&p2).unwrap().relation("Q").unwrap().len(), 2);
 /// ```
-#[derive(Clone)]
 pub struct Evaluator {
-    ctx: Arc<EdbContext>,
+    edb: Database,
+    indexes: RwLock<IndexCache>,
+    rules: RuleCacheHandle,
+    pool: Arc<WorkerPool>,
+    /// Whether the cost-based join planner reorders body literals.
+    reorder: bool,
 }
 
 /// `relation → column-set → index`: nesting keeps the hot lookup path on
 /// borrowed keys only (no per-probe allocation).
 pub(crate) type IndexCache = FxHashMap<String, FxHashMap<Vec<usize>, Arc<ColumnIndex>>>;
 
-/// Compiled rules memoized across evaluations, keyed by normalized rule
-/// identity (see [`RuleKey`]).
-pub(crate) type RuleCache = FxHashMap<RuleKey, Arc<CompiledRule>>;
-
 /// Entry cap for a [`RuleCacheHandle`]: a CEGIS run rejecting thousands
 /// of distinct candidates must not grow the memo without bound. Past the
 /// cap, rules still compile — they just are not retained.
 const RULE_CACHE_CAP: usize = 4096;
 
-/// A shareable compiled-rule memo. Compiled plans depend only on the
-/// rule and its stratification — never on the fact database — so one
-/// cache can safely serve every [`Evaluator`] of a synthesis problem
-/// (one per example), turning each candidate's recompilation on examples
-/// 2..N into cache hits.
+/// A shareable compiled-rule memo, the engine's one cache of compiled
+/// rules, keyed by the rule, its stratum and its planned join orders. A
+/// compiled plan depends on the fact database only through those orders,
+/// so one memo can serve every [`Evaluator`] of a synthesis problem (one
+/// per example): contexts whose statistics plan the same orders share
+/// one compilation, and the others never see each other's plans.
 #[derive(Clone, Default)]
 pub struct RuleCacheHandle {
-    inner: Arc<RwLock<RuleCache>>,
-}
-
-/// The shared, immutable EDB snapshot plus its lazily built caches and
-/// the worker pool its evaluations fan out on.
-struct EdbContext {
-    edb: Database,
-    indexes: RwLock<IndexCache>,
-    rules: RuleCacheHandle,
-    /// Per-context plan cache, keyed by *order-free* rule identity.
-    /// Within one context the statistics — and therefore the planned
-    /// join orders — are fixed, so a repeat evaluation can skip the
-    /// planning pass entirely and pay exactly what the pre-planner
-    /// memo paid: one key build and one map probe per rule.
-    plans: RwLock<FxHashMap<RuleKey, Arc<CompiledRule>>>,
-    pool: Arc<WorkerPool>,
-    /// Whether the cost-based join planner reorders body literals.
-    reorder: bool,
+    inner: Arc<RwLock<FxHashMap<RuleKey, Arc<CompiledRule>>>>,
 }
 
 /// The `DYNAMITE_NO_REORDER` environment override: `Some(true)` disables
@@ -188,9 +176,9 @@ pub fn resolve_reorder(requested: Option<bool>) -> bool {
 }
 
 impl Evaluator {
-    /// Builds a context that owns `edb` as its immutable snapshot and
-    /// fans rounds out on as many threads as `DYNAMITE_THREADS` says,
-    /// defaulting to the available parallelism.
+    /// Builds a context that owns `edb` as its snapshot and fans rounds
+    /// out on as many threads as `DYNAMITE_THREADS` says, defaulting to
+    /// the available parallelism.
     pub fn new(edb: Database) -> Evaluator {
         Evaluator::with_config(
             edb,
@@ -206,11 +194,10 @@ impl Evaluator {
     ///
     /// The synthesizer hands one memo to every example's context, so a
     /// candidate compiled for example 1 is a cache hit on examples 2..N
-    /// (sound under the cost-based planner because each plan's join
-    /// orders are part of its memo key). `reorder = false` pins
-    /// body-order plans. Unlike [`Evaluator::new`] this is **not**
-    /// overridden by `DYNAMITE_NO_REORDER` — like an explicit
-    /// [`WorkerPool`] size, an explicit choice here is deliberate
+    /// whenever their statistics plan the same join orders.
+    /// `reorder = false` pins body-order plans. Unlike [`Evaluator::new`]
+    /// this is **not** overridden by `DYNAMITE_NO_REORDER` — like an
+    /// explicit [`WorkerPool`] size, an explicit choice here is deliberate
     /// (benchmarks compare the two modes side by side).
     pub fn with_config(
         edb: Database,
@@ -219,25 +206,17 @@ impl Evaluator {
         reorder: bool,
     ) -> Evaluator {
         Evaluator {
-            ctx: Arc::new(EdbContext {
-                edb,
-                indexes: RwLock::new(FxHashMap::default()),
-                rules,
-                plans: RwLock::new(FxHashMap::default()),
-                pool,
-                reorder,
-            }),
+            edb,
+            indexes: RwLock::new(FxHashMap::default()),
+            rules,
+            pool,
+            reorder,
         }
     }
 
     /// The extensional snapshot this context evaluates against.
     pub fn database(&self) -> &Database {
-        &self.ctx.edb
-    }
-
-    /// The worker pool this context's evaluations fan out on.
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.ctx.pool
+        &self.edb
     }
 
     /// Evaluates `program`, returning the derived intensional relations
@@ -246,7 +225,7 @@ impl Evaluator {
     /// Extensional relations missing from the snapshot are treated as
     /// empty.
     pub fn eval(&self, program: &Program) -> Result<Database, EvalError> {
-        self.run().eval(program)
+        self.run(None, None).eval(program)
     }
 
     /// Like [`Evaluator::eval`], but checked cooperatively against `gov`:
@@ -261,9 +240,7 @@ impl Evaluator {
     /// every thread count. The governor only scopes this one call —
     /// reusing one governor across calls accumulates its counters.
     pub fn eval_governed(&self, program: &Program, gov: &Governor) -> Result<Database, EvalError> {
-        let mut run = self.run();
-        run.gov = Some(gov);
-        run.eval(program)
+        self.run(Some(gov), None).eval(program)
     }
 
     /// Renders the join plan the planner picks for each rule of `program`
@@ -272,93 +249,74 @@ impl Evaluator {
     /// (`EXPLAIN` for the cost-based planner). Goes through the same
     /// compile path (and rule memo) as [`Evaluator::eval`].
     pub fn explain(&self, program: &Program) -> Result<Vec<String>, EvalError> {
-        self.run().explain(program)
+        self.run(None, None).explain(program)
     }
 
-    /// This context with a validated batch applied to its snapshot by
+    /// Applies a validated batch to the snapshot in place through
     /// [`EdbEdit::apply`], which repairs the changed relations' cached
-    /// indexes in place. The pool, rule memo, planner mode and every
-    /// index carry over; the plan cache restarts, since statistics moved.
-    /// The snapshot is moved, never copied, so this handle must be the
-    /// context's sole owner.
-    pub(crate) fn apply_delta(self, inserts: &Database, deletes: &Database) -> Evaluator {
-        let Ok(mut ctx) = Arc::try_unwrap(self.ctx) else {
-            panic!("an edited evaluation context must have one owner");
-        };
-        let indexes = ctx.indexes.get_mut().expect("index cache poisoned");
-        EdbEdit::apply(&mut ctx.edb, indexes, inserts, deletes);
-        ctx.plans.get_mut().expect("plan cache poisoned").clear();
-        Evaluator { ctx: Arc::new(ctx) }
+    /// indexes rather than rebuilding them. The returned edit can be
+    /// reverted with [`Evaluator::undo`].
+    pub(crate) fn edit(&mut self, inserts: &Database, deletes: &Database) -> EdbEdit {
+        let (edb, indexes) = self.edb_mut();
+        EdbEdit::apply(edb, indexes, inserts, deletes)
+    }
+
+    /// Reverts an edit made by [`Evaluator::edit`].
+    pub(crate) fn undo(&mut self, edit: &EdbEdit) {
+        let (edb, indexes) = self.edb_mut();
+        edit.undo(edb, indexes);
+    }
+
+    fn edb_mut(&mut self) -> (&mut Database, &mut IndexCache) {
+        let indexes = self.indexes.get_mut().expect("index cache poisoned");
+        (&mut self.edb, indexes)
     }
 
     /// Whether this context plans join orders (`true`) or follows body
     /// order. The query rewriter aligns its sideways-information-passing
     /// order with this flag so adornment and join order agree.
     pub(crate) fn reorder(&self) -> bool {
-        self.ctx.reorder
+        self.reorder
     }
 
-    /// Evaluates a magic-sets-rewritten program (see [`crate::query`]):
-    /// like [`Evaluator::eval`]/[`Evaluator::eval_governed`], but the
-    /// planner costs every relation in `demand` as a tiny demand guard
+    /// One evaluation over this context, under `gov` when given. The
+    /// magic-sets path of [`crate::query`] passes the rewrite's `demand`
+    /// relations, which the planner costs as tiny demand guards
     /// ([`DEMAND_ROWS`]) instead of the generic [`UNKNOWN_ROWS`], so
-    /// magic guards order outermost in delta plans. Sound to mix with
-    /// unhinted evaluations on the same context: the hint only changes
-    /// estimates of `magic_*` relations, which unhinted programs never
-    /// mention, so any rule text both paths share plans identically.
-    pub(crate) fn eval_demand(
-        &self,
-        program: &Program,
-        demand: &std::collections::HashSet<String>,
-        gov: Option<&Governor>,
-    ) -> Result<Database, EvalError> {
-        let mut run = self.run();
-        run.demand = Some(demand);
-        run.gov = gov;
-        run.eval(program)
-    }
-
-    fn run(&self) -> EvalRun<'_> {
+    /// magic guards order outermost in delta plans. That is sound to mix
+    /// with unhinted evaluations on the same context: the hint only
+    /// changes estimates of `magic_*` relations, which unhinted programs
+    /// never mention.
+    pub(crate) fn run<'e>(
+        &'e self,
+        gov: Option<&'e Governor>,
+        demand: Option<&'e std::collections::HashSet<String>>,
+    ) -> EvalRun<'e> {
         EvalRun {
-            edb: &self.ctx.edb,
-            indexes: &self.ctx.indexes,
-            rules: Some(&self.ctx.rules.inner),
-            plans: Some(&self.ctx.plans),
-            pool: &self.ctx.pool,
-            reorder: self.ctx.reorder,
-            gov: None,
-            demand: None,
+            ev: self,
+            gov,
+            demand,
         }
     }
 }
 
-/// One evaluation of one program: a borrowed EDB, its index cache, an
-/// optional cross-evaluation rule memo, and the pool to fan rounds out on.
+/// One evaluation of one program over an [`Evaluator`]'s snapshot, its
+/// index cache, rule memo and pool.
 ///
-/// The incremental-maintenance module assembles these directly (from its
-/// own persistent EDB, index cache, and pool) to drive individual rounds
-/// and fallback full evaluations, so the struct and the round-level entry
-/// points are crate-visible.
+/// The incremental-maintenance module drives individual rounds and
+/// fallback full evaluations through these too, so the struct and the
+/// round-level entry points are crate-visible.
 pub(crate) struct EvalRun<'e> {
-    pub(crate) edb: &'e Database,
-    pub(crate) indexes: &'e RwLock<IndexCache>,
-    pub(crate) rules: Option<&'e RwLock<RuleCache>>,
-    /// The owning context's per-context plan cache (fast path), absent
-    /// for maintenance runs.
-    pub(crate) plans: Option<&'e RwLock<FxHashMap<RuleKey, Arc<CompiledRule>>>>,
-    pub(crate) pool: &'e WorkerPool,
-    /// Whether join orders come from the cost-based planner (`true`) or
-    /// follow body order (`false`).
-    pub(crate) reorder: bool,
+    ev: &'e Evaluator,
     /// Cooperative resource limits for this evaluation, absent on the
     /// ungoverned paths (which then pay no per-tuple bookkeeping beyond a
     /// predictable `None` branch).
-    pub(crate) gov: Option<&'e Governor>,
+    gov: Option<&'e Governor>,
     /// Relations the planner should cost as demand guards (the `magic_*`
     /// seed relations of a query rewrite) rather than unknown IDB
     /// relations — see [`CostModel::estimate`]. Absent everywhere except
     /// the query-serving path.
-    pub(crate) demand: Option<&'e std::collections::HashSet<String>>,
+    demand: Option<&'e std::collections::HashSet<String>>,
 }
 
 /// One variant of one rule scheduled into a round, before partitioning.
@@ -378,16 +336,16 @@ impl EvalRun<'_> {
             gov.check()?;
         }
         program.check_well_formed()?;
-        let arities = check_arities(program, self.edb)?;
+        let arities = check_arities(program, &self.ev.edb)?;
         let idb: Vec<&str> = program.intensional().into_iter().collect();
         let strata = stratify(program, &idb)?;
         let max_stratum = strata.values().copied().max().unwrap_or(0);
 
         // Compile every rule (variable layout, planner-chosen join orders
         // for the naive variant and each same-stratum delta variant,
-        // index column sets, negation probes) — served from the
-        // cross-evaluation memo when an earlier candidate already
-        // compiled an identical rule *with identical join orders*.
+        // index column sets, negation probes) — served from the rule
+        // memo when an earlier evaluation already compiled an identical
+        // rule *with identical join orders*.
         let compiled = self.compile_program(program, &strata);
 
         let mut idb_state = IdbState::new(idb.iter().map(|&r| (r, arities[r])));
@@ -422,8 +380,8 @@ impl EvalRun<'_> {
         program: &Program,
         strata: &std::collections::HashMap<String, usize>,
     ) -> Vec<Arc<CompiledRule>> {
-        let model = self.reorder.then_some(CostModel {
-            edb: self.edb,
+        let model = self.ev.reorder.then_some(CostModel {
+            edb: &self.ev.edb,
             demand: self.demand,
         });
         program
@@ -436,7 +394,7 @@ impl EvalRun<'_> {
     /// Renders each rule's naive-variant plan (see [`Evaluator::explain`]).
     fn explain(&self, program: &Program) -> Result<Vec<String>, EvalError> {
         program.check_well_formed()?;
-        check_arities(program, self.edb)?;
+        check_arities(program, &self.ev.edb)?;
         let idb: Vec<&str> = program.intensional().into_iter().collect();
         let strata = stratify(program, &idb)?;
         Ok(self
@@ -446,61 +404,29 @@ impl EvalRun<'_> {
             .collect())
     }
 
-    /// Returns the compiled form of `rule`.
-    ///
-    /// Two cache layers sit in front of compilation:
-    ///
-    /// - the **per-context plan cache**, keyed by order-free rule
-    ///   identity. A context's statistics are fixed, so its planned
-    ///   orders are too — a hit skips even the planning pass, making a
-    ///   repeat evaluation cost exactly what the pre-planner memo cost
-    ///   (one key build, one probe);
-    /// - the **shared cross-context memo**, keyed by rule identity
-    ///   *plus* the planned orders (planned before the lookup). A
-    ///   context whose statistics would order a join differently
-    ///   produces a different key and can never be served another
-    ///   context's plan, while contexts that agree on the orders (the
-    ///   common cross-example case) still share one compilation.
+    /// Returns the compiled form of `rule`, from the context's memo when
+    /// a rule with the same stratum and the same planned join orders was
+    /// compiled before. The orders are planned first, on every call: a
+    /// context whose statistics order a join differently builds a
+    /// different key, so it is never served another context's plan.
     fn compiled(
         &self,
         rule: &Rule,
         strata: &std::collections::HashMap<String, usize>,
         model: Option<&CostModel<'_>>,
     ) -> Arc<CompiledRule> {
-        let base = RuleKey::of(rule, strata);
-        if let (Some(plans), Some(base)) = (self.plans, &base) {
-            if let Some(c) = plans.read().expect("plan cache poisoned").get(base) {
-                return c.clone();
-            }
-        }
         let orders = PlanOrders::of(rule, strata, model);
-        let Some(base) = base else {
-            return Arc::new(CompiledRule::compile(rule, strata, &orders));
-        };
-        let context_key = self.plans.map(|_| base.clone());
-        let mut key = base;
-        orders.encode_into(&mut key.text);
-        let built = match self.rules {
-            None => Arc::new(CompiledRule::compile(rule, strata, &orders)),
-            Some(lock) => 'shared: {
-                if let Some(c) = lock.read().expect("rule cache poisoned").get(&key) {
-                    break 'shared c.clone();
-                }
-                let built = Arc::new(CompiledRule::compile(rule, strata, &orders));
-                let mut w = lock.write().expect("rule cache poisoned");
-                if w.len() >= RULE_CACHE_CAP && !w.contains_key(&key) {
-                    break 'shared built; // full: serve uncached rather than grow
-                }
-                w.entry(key).or_insert(built).clone()
-            }
-        };
-        if let (Some(plans), Some(k)) = (self.plans, context_key) {
-            let mut w = plans.write().expect("plan cache poisoned");
-            if w.len() < RULE_CACHE_CAP {
-                w.entry(k).or_insert_with(|| built.clone());
-            }
+        let key = RuleKey::new(rule, rule_stratum(rule, strata), orders);
+        let memo = &self.ev.rules.inner;
+        if let Some(c) = memo.read().expect("rule cache poisoned").get(&key) {
+            return c.clone();
         }
-        built
+        let built = Arc::new(CompiledRule::compile(rule, key.stratum, &key.orders));
+        let mut w = memo.write().expect("rule cache poisoned");
+        if w.len() >= RULE_CACHE_CAP && !w.contains_key(&key) {
+            return built; // full: serve uncached rather than grow
+        }
+        w.entry(key).or_insert(built).clone()
     }
 
     /// Semi-naive fixpoint for one stratum, evaluated round-by-round:
@@ -575,7 +501,7 @@ impl EvalRun<'_> {
         // Deterministic merge: absorb in job order.
         let mut any = false;
         for (rule, derived) in per_job {
-            if absorb(rule, derived, self.edb, idb, delta_out, self.gov)? {
+            if absorb(rule, derived, &self.ev.edb, idb, delta_out, self.gov)? {
                 any = true;
             }
         }
@@ -620,13 +546,15 @@ impl EvalRun<'_> {
         // enough outer rows to amortize the thread spawns (tiny rounds —
         // the bulk of CEGIS candidate evals — run inline, in the same job
         // order, so results are identical either way).
-        let edb = self.edb;
+        let edb = &self.ev.edb;
         let idb_frozen: &IdbState = idb;
         let gov = self.gov;
         let preps = &preps;
         let run_job = |job: &RoundJob| join_job(edb, job, &preps[job.spec], idb_frozen, gov);
         let results: Vec<Vec<(usize, Vec<Value>)>> = if outer_rows >= PAR_MIN_ROWS {
-            self.pool.run(jobs.iter().map(|job| move || run_job(job)))
+            self.ev
+                .pool
+                .run(jobs.iter().map(|job| move || run_job(job)))
         } else {
             jobs.iter().map(run_job).collect()
         };
@@ -646,7 +574,7 @@ impl EvalRun<'_> {
     /// never affect the result (partitions tile the scan in ascending
     /// order), so the chunk count is free to depend on the pool size.
     fn partition_jobs<'r>(&self, specs: &[Spec<'r>], idb: &IdbState) -> (Vec<RoundJob<'r>>, usize) {
-        let threads = self.pool.threads();
+        let threads = self.ev.pool.threads();
         let mut outer_rows = 0usize;
         let mut jobs = Vec::with_capacity(specs.len());
         for (spec, &(rule, variant, delta)) in specs.iter().enumerate() {
@@ -655,7 +583,7 @@ impl EvalRun<'_> {
             let rows = variant.lits.first().map_or(0, |lit| match delta {
                 Some(d) => d.len(),
                 None => {
-                    self.edb.relation(&lit.rel).map_or(0, Relation::len)
+                    self.ev.edb.relation(&lit.rel).map_or(0, Relation::len)
                         + idb.relation(&lit.rel).map_or(0, Relation::len)
                 }
             });
@@ -722,8 +650,9 @@ impl EvalRun<'_> {
     /// Returns (building and caching on first use) the EDB-side index of
     /// `rel` on `cols`; `None` when the snapshot has no such relation.
     fn edb_index(&self, rel: &str, cols: &[usize]) -> Option<Arc<ColumnIndex>> {
-        let relation = self.edb.relation(rel)?;
+        let relation = self.ev.edb.relation(rel)?;
         if let Some(idx) = self
+            .ev
             .indexes
             .read()
             .expect("index cache poisoned")
@@ -735,7 +664,7 @@ impl EvalRun<'_> {
         #[cfg(test)]
         upkeep::count_edb_build();
         let built = Arc::new(ColumnIndex::build(relation, cols));
-        let mut w = self.indexes.write().expect("index cache poisoned");
+        let mut w = self.ev.indexes.write().expect("index cache poisoned");
         Some(
             w.entry(rel.to_string())
                 .or_default()
@@ -1040,7 +969,8 @@ impl CostModel<'_> {
 /// list, one permutation for the naive variant and one per same-stratum
 /// delta occurrence (delta pinned first). This is everything the planner
 /// contributes to compilation, and therefore exactly what [`RuleKey`]
-/// must carry for the cross-evaluation memo to stay sound.
+/// must carry for the rule memo to stay sound.
+#[derive(PartialEq, Eq, Hash)]
 pub(crate) struct PlanOrders {
     naive: Vec<usize>,
     /// In the order the delta occurrences appear in the body.
@@ -1111,19 +1041,6 @@ impl PlanOrders {
             },
         }
     }
-
-    /// Appends a flat textual encoding to a memo-key string (no extra
-    /// allocation; literal counts are ≤ 64 — see [`RuleKey::of`] — so
-    /// two decimal digits per index always suffice).
-    fn encode_into(&self, text: &mut String) {
-        use std::fmt::Write;
-        for order in std::iter::once(&self.naive).chain(&self.deltas) {
-            text.push('|');
-            for &i in order {
-                let _ = write!(text, "{i},");
-            }
-        }
-    }
 }
 
 // ------------------------------------------------------------ compiled --
@@ -1188,120 +1105,99 @@ enum NegTerm {
     Wild,
 }
 
-/// Normalized identity of a compiled rule: everything
-/// [`CompiledRule::compile`] depends on. Two AST rules with equal keys
-/// compile to interchangeable plans, so the key gates the
-/// cross-evaluation memo. `Value` constants are identified by their debug
-/// form (interned symbol ids are process-global, so the text is stable
-/// and collision-free across variants of the `Value` enum).
+/// The rule memo's key: everything [`CompiledRule::compile`] depends on.
+/// The statistics reach compilation only through the planned join
+/// orders, so two contexts that plan the same orders share one compiled
+/// rule. Each delta order starts with its delta occurrence, so the orders
+/// also record which body literals are same-stratum.
 ///
-/// Since the cost-based planner, compiled plans also depend on the
-/// database statistics *through* the chosen join orders. [`RuleKey::of`]
-/// builds the *order-free* identity (the per-context plan cache's key —
-/// orders are a function of the context); the shared cross-context memo
-/// appends the planned [`PlanOrders`] to `text` (the statistics' entire
-/// footprint on compilation), so a context whose statistics would order
-/// a join differently can never be served another context's plan, while
-/// contexts that agree on the orders (the usual cross-example case, and
-/// trivially all body-order plans) still share one compilation.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// The rule is held flat, in at most three allocations: a copy of the
+/// `Rule` costs one allocation per name, and a full memo of such copies
+/// raised the synthesis benchmark's peak memory. Variables are numbered
+/// by first occurrence, heads first, which is how compilation numbers
+/// them, so rules that differ only in variable names share an entry.
+#[derive(PartialEq, Eq, Hash)]
 pub(crate) struct RuleKey {
-    /// Serialized heads and body; the shared memo appends the planned
-    /// [`PlanOrders`].
-    text: String,
+    /// Every atom's relation name, heads first, then the body in order.
+    relations: String,
+    /// Per atom, its kind and the length of its name in `relations`,
+    /// then one token per term.
+    tokens: Vec<KeyToken>,
+    /// The values of the `Const` tokens, in order.
+    consts: Vec<Value>,
     stratum: usize,
-    /// Bit `i` set ⇔ body literal `i` ranges over a same-stratum relation
-    /// (and therefore gets a delta variant).
-    delta_mask: u64,
+    orders: PlanOrders,
+}
+
+#[derive(PartialEq, Eq, Hash)]
+enum KeyToken {
+    Atom(AtomKind, u32),
+    Var(u32),
+    Const,
+    Wild,
+}
+
+#[derive(PartialEq, Eq, Hash)]
+enum AtomKind {
+    Head,
+    Pos,
+    Neg,
 }
 
 impl RuleKey {
-    fn of(rule: &Rule, strata: &std::collections::HashMap<String, usize>) -> Option<RuleKey> {
-        use std::fmt::Write;
-        if rule.body.len() > 64 {
-            return None; // mask would overflow; compile uncached
-        }
-        let stratum = rule_stratum(rule, strata);
-        let mut delta_mask = 0u64;
-        for (i, l) in rule.body.iter().enumerate() {
-            if !l.negated && strata.get(&l.atom.relation).copied() == Some(stratum) {
-                delta_mask |= 1 << i;
-            }
-        }
-        let mut text = String::new();
-        // Names are length-prefixed so the serialization is injective
-        // even for programmatically built rules whose names contain the
-        // delimiter characters (`Rule`'s fields are public).
-        let name = |text: &mut String, n: &str| {
-            let _ = write!(text, "{}#{}", n.len(), n);
+    fn new(rule: &Rule, stratum: usize, orders: PlanOrders) -> RuleKey {
+        let small = |n: usize| u32::try_from(n).expect("rule sizes fit in u32");
+        let atoms = || {
+            let body = rule.body.iter().map(|l| match l.negated {
+                true => (AtomKind::Neg, &l.atom),
+                false => (AtomKind::Pos, &l.atom),
+            });
+            rule.heads.iter().map(|h| (AtomKind::Head, h)).chain(body)
         };
-        let atom = move |text: &mut String, a: &Atom| {
-            name(text, &a.relation);
-            text.push('(');
-            for t in &a.terms {
-                match t {
-                    Term::Const(v) => {
-                        let _ = write!(text, "{v:?}");
-                    }
-                    Term::Var(v) => {
-                        text.push('$');
-                        name(text, v);
-                    }
-                    Term::Wildcard => text.push('_'),
-                }
-                text.push(',');
-            }
-            text.push(')');
-        };
-        for h in &rule.heads {
-            atom(&mut text, h);
-            text.push(';');
-        }
-        text.push_str(":-");
-        for l in &rule.body {
-            if l.negated {
-                text.push('!');
-            }
-            atom(&mut text, &l.atom);
-            text.push(';');
-        }
-        Some(RuleKey {
-            text,
+        // Sized up front: an entry lives as long as the memo.
+        let mut key = RuleKey {
+            relations: String::with_capacity(atoms().map(|(_, a)| a.relation.len()).sum()),
+            tokens: Vec::with_capacity(atoms().map(|(_, a)| 1 + a.terms.len()).sum()),
+            consts: Vec::new(),
             stratum,
-            delta_mask,
-        })
+            orders,
+        };
+        let mut vars: Vec<&str> = Vec::new();
+        for (kind, atom) in atoms() {
+            key.relations.push_str(&atom.relation);
+            let name = KeyToken::Atom(kind, small(atom.relation.len()));
+            key.tokens.push(name);
+            for t in &atom.terms {
+                key.tokens.push(match t {
+                    Term::Var(v) => {
+                        let i = vars.iter().position(|w| w == v).unwrap_or_else(|| {
+                            vars.push(v);
+                            vars.len() - 1
+                        });
+                        KeyToken::Var(small(i))
+                    }
+                    Term::Const(c) => {
+                        key.consts.push(*c);
+                        KeyToken::Const
+                    }
+                    Term::Wildcard => KeyToken::Wild,
+                });
+            }
+        }
+        key
     }
 }
 
 impl CompiledRule {
-    fn compile(
-        rule: &Rule,
-        strata: &std::collections::HashMap<String, usize>,
-        orders: &PlanOrders,
-    ) -> CompiledRule {
-        Self::compile_impl(rule, strata, orders, false)
-    }
-
-    /// Like `compile`, but emits a delta variant for **every** positive
-    /// occurrence (paired with [`PlanOrders::of_maintenance`]). Used only
-    /// by the incremental maintainer, which bypasses the shared rule memo
-    /// — maintenance plans must never be served to (or from) the
-    /// same-stratum-only evaluation path.
-    pub(crate) fn compile_maintenance(
-        rule: &Rule,
-        strata: &std::collections::HashMap<String, usize>,
-        orders: &PlanOrders,
-    ) -> CompiledRule {
-        Self::compile_impl(rule, strata, orders, true)
-    }
-
-    fn compile_impl(
-        rule: &Rule,
-        strata: &std::collections::HashMap<String, usize>,
-        orders: &PlanOrders,
-        all_deltas: bool,
-    ) -> CompiledRule {
-        let stratum = rule_stratum(rule, strata);
+    /// Compiles `rule`, of stratum `stratum`, with the join orders
+    /// `orders`: one delta variant per delta order, for the occurrence
+    /// the order starts with. The evaluation path plans delta orders for
+    /// same-stratum occurrences only; the incremental maintainer plans
+    /// one for every positive occurrence
+    /// ([`PlanOrders::of_maintenance`]) and compiles outside the memo.
+    pub(crate) fn compile(rule: &Rule, stratum: usize, orders: &PlanOrders) -> CompiledRule {
+        #[cfg(test)]
+        upkeep::count_rule_build();
         // Dense variable numbering: first occurrence order.
         let mut var_index: FxHashMap<&str, usize> = FxHashMap::default();
         for v in rule.all_vars() {
@@ -1364,12 +1260,11 @@ impl CompiledRule {
             .collect();
 
         let naive = Variant::compile(&positives, &var_index, nvars, &orders.naive);
-        let deltas = positives
+        let deltas = orders
+            .deltas
             .iter()
-            .filter(|(_, l)| all_deltas || strata.get(&l.atom.relation).copied() == Some(stratum))
-            .zip(&orders.deltas)
-            .map(|(&(_, l), order)| DeltaVariant {
-                relation: l.atom.relation.clone(),
+            .map(|order| DeltaVariant {
+                relation: positives[order[0]].1.atom.relation.clone(),
                 variant: Variant::compile(&positives, &var_index, nvars, order),
             })
             .collect();
@@ -1502,7 +1397,7 @@ pub(crate) fn repair_index(
 pub(crate) struct IdbState {
     rels: FxHashMap<String, Relation>,
     /// `relation → column-set → index`, borrowed-key lookups on the hot
-    /// path (see [`EdbContext::indexes`]). Every index is current: built
+    /// path (see [`IndexCache`]). Every index is current: built
     /// whole when registered, then kept equal to a fresh build by every
     /// insert and removal.
     indexes: FxHashMap<String, FxHashMap<Vec<usize>, ColumnIndex>>,
@@ -2072,6 +1967,101 @@ mod tests {
         // Re-explaining is stable (second lookup is the memo hit path).
         assert_eq!(ctx_a.explain(&p).expect("explains")[0], plan_a);
         assert_eq!(ctx_b.explain(&p).expect("explains")[0], plan_b);
+    }
+
+    #[test]
+    fn a_repeat_evaluation_compiles_nothing() {
+        let ctx = fresh_ctx(&cyclic_edges(20), true);
+        let p = Program::parse(TC).expect("parses");
+        upkeep::take();
+        let first = ctx.eval(&p).expect("evaluates");
+        assert_eq!(upkeep::take().rule_builds, 2);
+        assert_eq!(ctx.eval(&p).expect("evaluates"), first);
+        assert_eq!(upkeep::take().rule_builds, 0);
+        // Compilation numbers variables by first occurrence, so renaming
+        // them changes nothing the memo keys on.
+        let renamed = Program::parse(&TC.replace('x', "a").replace('z', "c")).expect("parses");
+        assert_eq!(ctx.eval(&renamed).expect("evaluates"), first);
+        assert_eq!(upkeep::take().rule_builds, 0);
+    }
+
+    #[test]
+    fn memo_keys_tell_apart_rules_that_compile_differently() {
+        let mut db = Database::new();
+        for (a, b) in [(1, 2), (2, 3), (3, 1), (2, 2), (4, 1)] {
+            db.insert("R", vec![Value::Int(a), Value::Int(b)]);
+            db.insert("S", vec![Value::Int(b), Value::Int(a)]);
+        }
+        for (rel, a) in [("AB", 1), ("C", 1), ("A", 2), ("BC", 2)] {
+            db.insert(rel, vec![Value::Int(a)]);
+        }
+        // Each program differs from the one before it in one thing the
+        // compiled rule depends on; the relation names `AB`/`C` and
+        // `A`/`BC` spell the same letters.
+        let programs = [
+            "Q(x) :- R(x, 1).",
+            "Q(x) :- R(x, 2).",
+            "Q(x) :- R(x, x).",
+            "Q(x) :- R(x, y).",
+            "Q(y) :- R(x, y).",
+            "Q(x) :- R(x, _), S(x, _).",
+            "Q(x) :- R(x, _), !S(x, _).",
+            "Q(x) :- R(x, y), S(y, x).",
+            "Q(x) :- S(x, y), R(y, x).",
+            "Q(x) :- AB(x), C(x).",
+            "Q(x) :- A(x), BC(x).",
+        ];
+        let shared = fresh_ctx(&db, true);
+        for src in programs {
+            let p = Program::parse(src).expect("parses");
+            let fresh = fresh_ctx(&db, true).eval(&p).expect("evaluates");
+            assert_eq!(shared.eval(&p).expect("evaluates"), fresh, "{src}");
+        }
+    }
+
+    #[test]
+    fn a_served_query_after_a_batch_compiles_nothing() {
+        let program = Program::parse(TC).expect("parses");
+        let pool = Arc::new(WorkerPool::new(1));
+        let mut served =
+            crate::ServedEvaluator::with_config(program, cyclic_edges(50), pool, true).unwrap();
+        let bindings = [Some(Value::Int(3)), None];
+        let answer = |served: &crate::ServedEvaluator| {
+            let mut rows: Vec<Vec<Value>> = served
+                .query("Path", &bindings)
+                .expect("answers")
+                .iter()
+                .map(|r| r.to_vec())
+                .collect();
+            rows.sort();
+            rows
+        };
+        upkeep::take();
+        assert_eq!(answer(&served).len(), 50);
+        assert!(upkeep::take().rule_builds > 0);
+        // One more edge moves the statistics but no planned join order,
+        // so the recomputed answer is served entirely from the memo.
+        let mut ins = Database::new();
+        ins.insert("Edge", vec![Value::Int(3), Value::Int(60)]);
+        served.apply_delta(&ins, &Database::new()).expect("applies");
+        let after = answer(&served);
+        assert_eq!(upkeep::take().rule_builds, 0);
+        assert!(after.contains(&vec![Value::Int(3), Value::Int(60)]));
+    }
+
+    #[test]
+    fn contexts_with_equal_statistics_share_one_compilation() {
+        let db = skewed_db();
+        let pool = Arc::new(WorkerPool::new(1));
+        let rules = RuleCacheHandle::default();
+        let a = Evaluator::with_config(db.clone(), pool.clone(), rules.clone(), true);
+        let b = Evaluator::with_config(db, pool, rules, true);
+        upkeep::take();
+        assert_eq!(
+            a.eval(&adversarial()).expect("evaluates"),
+            b.eval(&adversarial()).expect("evaluates")
+        );
+        assert_eq!(upkeep::take().rule_builds, 1);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Test-build instrumentation of index upkeep: per-thread counts of index
-//! builds (per side) and of index entries repaired, and checks that
-//! cached indexes equal fresh builds. Every counted site runs on the
-//! thread that drives the evaluation (round prep, absorb, batch edits).
+//! Test-build instrumentation of index upkeep and rule compilation:
+//! per-thread counts of index builds (per side), of index entries
+//! repaired and of compiled-rule builds, and checks that cached indexes
+//! equal fresh builds. Every counted site runs on the thread that drives
+//! the evaluation (compilation, round prep, absorb, batch edits).
 
 use std::cell::Cell;
 
@@ -11,6 +12,7 @@ thread_local! {
     static EDB_BUILDS: Cell<usize> = const { Cell::new(0) };
     static OVERLAY_BUILDS: Cell<usize> = const { Cell::new(0) };
     static TOUCHES: Cell<usize> = const { Cell::new(0) };
+    static RULE_BUILDS: Cell<usize> = const { Cell::new(0) };
 }
 
 pub(crate) fn count_edb_build() {
@@ -25,6 +27,10 @@ pub(crate) fn count_touch() {
     TOUCHES.with(|c| c.set(c.get() + 1));
 }
 
+pub(crate) fn count_rule_build() {
+    RULE_BUILDS.with(|c| c.set(c.get() + 1));
+}
+
 /// Upkeep work on this thread since the last call.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Work {
@@ -32,6 +38,8 @@ pub(crate) struct Work {
     pub(crate) overlay_builds: usize,
     /// Index entries appended, removed or renumbered.
     pub(crate) touches: usize,
+    /// Rules compiled (memo misses and maintenance compiles).
+    pub(crate) rule_builds: usize,
 }
 
 /// Returns and resets this thread's counters.
@@ -40,6 +48,7 @@ pub(crate) fn take() -> Work {
         edb_builds: EDB_BUILDS.with(|c| c.replace(0)),
         overlay_builds: OVERLAY_BUILDS.with(|c| c.replace(0)),
         touches: TOUCHES.with(|c| c.replace(0)),
+        rule_builds: RULE_BUILDS.with(|c| c.replace(0)),
     }
 }
 
@@ -89,9 +98,6 @@ pub(crate) fn check_overlay(idb: &IdbState) -> Vec<(String, Vec<usize>)> {
 impl Evaluator {
     /// [`check_edb`] over this context's snapshot and cache.
     pub(crate) fn check_indexes(&self) -> Cached {
-        check_edb(
-            &self.ctx.edb,
-            &self.ctx.indexes.read().expect("index cache"),
-        )
+        check_edb(&self.edb, &self.indexes.read().expect("index cache"))
     }
 }

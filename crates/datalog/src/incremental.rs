@@ -70,16 +70,17 @@
 //! before the batch.
 
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use dynamite_instance::hash::FxHashMap;
 use dynamite_instance::{Database, Relation, Value};
 
 use crate::ast::{Literal, Program, Rule};
 use crate::engine::{
-    CompiledRule, CostModel, EvalRun, IdbState, IndexCache, JoinRoundOutput, PlanOrders, Spec,
+    CompiledRule, CostModel, Evaluator, IdbState, JoinRoundOutput, PlanOrders, RuleCacheHandle,
+    Spec,
 };
-use crate::eval::{check_arities, check_delta, present_rows, stratify, EdbEdit, EvalError};
+use crate::eval::{check_arities, check_delta, present_rows, rule_stratum, stratify, EvalError};
 use crate::fault;
 use crate::governor::Governor;
 use crate::pool::{self, WorkerPool};
@@ -215,41 +216,18 @@ pub struct IncrementalEvaluator {
     /// Re-derivation rules, `H(h) :- H(h), body` per head `H(h)` of every
     /// rule, compiled like `compiled`; empty for programs with negation.
     rederive: Vec<CompiledRule>,
-    edb: Database,
+    /// The EDB side: the extensional snapshot with its join indexes, the
+    /// pool and the planner switch.
+    ev: Evaluator,
     idb: IdbState,
-    indexes: RwLock<IndexCache>,
-    pool: Arc<WorkerPool>,
-    reorder: bool,
     has_negation: bool,
     /// Set while the overlay may be inconsistent (failed governed batch);
     /// cleared by `refresh`.
     poisoned: bool,
 }
 
-/// Assembles a round-driving [`EvalRun`] over the maintainer's persistent
-/// parts. Free function taking the fields individually so callers keep
-/// disjoint borrows of the rest of `self` (notably `&mut self.idb`).
-fn make_run<'e>(
-    edb: &'e Database,
-    indexes: &'e RwLock<IndexCache>,
-    pool: &'e WorkerPool,
-    reorder: bool,
-    gov: Option<&'e Governor>,
-) -> EvalRun<'e> {
-    EvalRun {
-        edb,
-        indexes,
-        rules: None,
-        plans: None,
-        pool,
-        reorder,
-        gov,
-        demand: None,
-    }
-}
-
-/// Compiles `program`'s maintenance rules, planned against `edb`'s
-/// current statistics when `reorder` is on: the rules themselves, and —
+/// Compiles `program`'s maintenance rules, planned against `ev`'s
+/// current statistics when its planner is on: the rules themselves, and —
 /// unless the program negates — the re-derivation rules. Both sets come
 /// from one call, so every replan keeps them in step.
 ///
@@ -260,14 +238,16 @@ fn make_run<'e>(
 fn compile_maintenance(
     program: &Program,
     strata: &HashMap<String, usize>,
-    edb: &Database,
-    reorder: bool,
+    ev: &Evaluator,
     has_negation: bool,
 ) -> (Vec<CompiledRule>, Vec<CompiledRule>) {
-    let model = reorder.then_some(CostModel { edb, demand: None });
+    let model = ev.reorder().then_some(CostModel {
+        edb: ev.database(),
+        demand: None,
+    });
     let compile = |r: &Rule| {
         let orders = PlanOrders::of_maintenance(r, strata, model.as_ref());
-        CompiledRule::compile_maintenance(r, strata, &orders)
+        CompiledRule::compile(r, rule_stratum(r, strata), &orders)
     };
     let compiled = program.rules.iter().map(compile).collect();
     let rederive = if has_negation {
@@ -349,8 +329,8 @@ impl IncrementalEvaluator {
         // Plan against the initial statistics. The snapshot's stats drift
         // as batches land (like any warm context's would); plans stay
         // valid — only their cost estimates age.
-        let (compiled, rederive) =
-            compile_maintenance(&program, &strata, &edb, reorder, has_negation);
+        let ev = Evaluator::with_config(edb, pool, RuleCacheHandle::default(), reorder);
+        let (compiled, rederive) = compile_maintenance(&program, &strata, &ev, has_negation);
 
         let stratum_rels: Vec<Vec<(String, usize)>> = (0..=max_stratum)
             .map(|s| {
@@ -369,11 +349,8 @@ impl IncrementalEvaluator {
             stratum_rels,
             compiled,
             rederive,
-            edb,
+            ev,
             idb: IdbState::from_database(Database::new()),
-            indexes: RwLock::new(FxHashMap::default()),
-            pool,
-            reorder,
             has_negation,
             poisoned: true,
         })
@@ -444,13 +421,8 @@ impl IncrementalEvaluator {
     /// recovery from that checkpoint would compute — the root of the
     /// bit-identical-recovery guarantee under the cost-based planner.
     pub(crate) fn replan(&mut self) {
-        (self.compiled, self.rederive) = compile_maintenance(
-            &self.program,
-            &self.strata,
-            &self.edb,
-            self.reorder,
-            self.has_negation,
-        );
+        (self.compiled, self.rederive) =
+            compile_maintenance(&self.program, &self.strata, &self.ev, self.has_negation);
     }
 
     /// The maintained program (the durability layer serializes its text).
@@ -460,7 +432,7 @@ impl IncrementalEvaluator {
 
     /// The maintained extensional database (post all applied batches).
     pub fn edb(&self) -> &Database {
-        &self.edb
+        self.ev.database()
     }
 
     /// Whether the derived overlay is in the degraded (poisoned) state: a
@@ -615,7 +587,7 @@ impl IncrementalEvaluator {
         if let Some(gov) = gov {
             gov.check()?;
         }
-        check_delta(&self.program, &self.edb, inserts, deletes)?;
+        check_delta(&self.program, self.ev.database(), inserts, deletes)?;
         if self.poisoned {
             // A previous governed batch tripped mid-maintenance: its EDB
             // mutations were rolled back, but the overlay may hold
@@ -657,7 +629,7 @@ impl IncrementalEvaluator {
         gov: Option<&Governor>,
     ) -> Result<OutputDelta, EvalError> {
         // Seed: the deleted extensional facts actually present.
-        let seeds = present_rows(&self.edb, deletes);
+        let seeds = present_rows(self.ev.database(), deletes);
 
         // Phase 1 (read-only): over-delete derived consequences against
         // the pre-deletion database.
@@ -668,8 +640,7 @@ impl IncrementalEvaluator {
         };
 
         // Phase 2 (infallible): physical removal.
-        let indexes = self.indexes.get_mut().expect("index cache poisoned");
-        let mut edit = EdbEdit::apply(&mut self.edb, indexes, &Database::new(), &seeds);
+        let mut edit = self.ev.edit(&Database::new(), &seeds);
         for (name, dels) in &over {
             self.idb
                 .remove_rows(name, dels.iter().map(|row| row.to_vec()));
@@ -678,8 +649,7 @@ impl IncrementalEvaluator {
         // Phases 3–5, with the EDB rolled back on error so a failed
         // governed batch never leaves a half-applied database.
         let tail = self.dred_rederive(&mut over, gov).and_then(|()| {
-            let indexes = self.indexes.get_mut().expect("index cache poisoned");
-            edit.added = EdbEdit::apply(&mut self.edb, indexes, inserts, &Database::new()).added;
+            edit.added = self.ev.edit(inserts, &Database::new()).added;
             self.dred_insert(&edit.added, &mut over, gov)
         });
         match tail {
@@ -691,10 +661,7 @@ impl IncrementalEvaluator {
                 Ok(OutputDelta { inserted, deleted })
             }
             Err(e) => {
-                edit.undo(
-                    &mut self.edb,
-                    self.indexes.get_mut().expect("index cache poisoned"),
-                );
+                self.ev.undo(&edit);
                 Err(e)
             }
         }
@@ -710,7 +677,7 @@ impl IncrementalEvaluator {
         gov: Option<&Governor>,
     ) -> Result<FxHashMap<String, Relation>, EvalError> {
         let mut over: FxHashMap<String, Relation> = FxHashMap::default();
-        let run = make_run(&self.edb, &self.indexes, &self.pool, self.reorder, gov);
+        let run = self.ev.run(gov, None);
         for s in 0..=self.max_stratum {
             // Round 1 of each stratum seeds from every deletion so far
             // (the EDB seeds plus lower strata's over-deletions); later
@@ -767,7 +734,7 @@ impl IncrementalEvaluator {
         if over.is_empty() {
             return Ok(());
         }
-        let run = make_run(&self.edb, &self.indexes, &self.pool, self.reorder, gov);
+        let run = self.ev.run(gov, None);
         for s in 0..=self.max_stratum {
             loop {
                 let specs = delta_specs(&self.rederive, s, |n| over.get(n));
@@ -813,7 +780,7 @@ impl IncrementalEvaluator {
             .iter()
             .map(|(n, r)| (n.to_string(), r.clone()))
             .collect();
-        let run = make_run(&self.edb, &self.indexes, &self.pool, self.reorder, gov);
+        let run = self.ev.run(gov, None);
         for s in 0..=self.max_stratum {
             let mut prev: Option<FxHashMap<String, Relation>> = None;
             loop {
@@ -873,8 +840,7 @@ impl IncrementalEvaluator {
         deletes: &Database,
         gov: Option<&Governor>,
     ) -> Result<OutputDelta, EvalError> {
-        let indexes = self.indexes.get_mut().expect("index cache poisoned");
-        let edit = EdbEdit::apply(&mut self.edb, indexes, inserts, deletes);
+        let edit = self.ev.edit(inserts, deletes);
         let old = self.idb.to_database();
         match self.full_eval_database(gov) {
             Ok(new) => {
@@ -884,18 +850,14 @@ impl IncrementalEvaluator {
             }
             Err(e) => {
                 // Roll the EDB back: the failed batch is atomic.
-                edit.undo(
-                    &mut self.edb,
-                    self.indexes.get_mut().expect("index cache poisoned"),
-                );
+                self.ev.undo(&edit);
                 Err(e)
             }
         }
     }
 
     fn full_eval_database(&mut self, gov: Option<&Governor>) -> Result<Database, EvalError> {
-        let run = make_run(&self.edb, &self.indexes, &self.pool, self.reorder, gov);
-        run.eval(&self.program)
+        self.ev.run(gov, None).eval(&self.program)
     }
 }
 
@@ -1053,7 +1015,7 @@ mod tests {
         upkeep::take();
         let (mut edb_before, mut overlay_before): (Cached, Vec<_>) = (Vec::new(), Vec::new());
         for b in 0..80 {
-            let (ins, dels) = batch(&mut rng, &inc.edb);
+            let (ins, dels) = batch(&mut rng, inc.edb());
             if b == 40 {
                 // A governed trip after the deletions landed: DRed's
                 // insert rounds exceed the fact budget, so the edit is
@@ -1062,15 +1024,19 @@ mod tests {
                 for x in 0..10 {
                     ins.insert("Edge", vec![Value::Int(x), Value::Int(x + 50)]);
                 }
-                let edb_rows = inc.edb.clone();
+                let edb_rows = inc.edb().clone();
                 let gov = Governor::new(ResourceLimits::none().with_fact_budget(1));
                 assert!(inc.apply_delta_governed(&ins, &dels, &gov).is_err());
-                assert_eq!(inc.edb, edb_rows, "a failed batch leaves the EDB as it was");
+                assert_eq!(
+                    inc.edb(),
+                    &edb_rows,
+                    "a failed batch leaves the EDB as it was"
+                );
             } else {
                 inc.apply_delta(&ins, &dels).expect("batch applies");
             }
             let work = upkeep::take();
-            let edb_now = upkeep::check_edb(&inc.edb, &inc.indexes.read().unwrap());
+            let edb_now = inc.ev.check_indexes();
             if b >= 10 {
                 assert_eq!(
                     work.edb_builds,
@@ -1095,7 +1061,7 @@ mod tests {
                 .expect("maintained overlay equals a full evaluation");
             upkeep::take(); // the audit's own evaluation is not upkeep
         }
-        assert!(!inc.edb.relation("Tag").unwrap().is_empty());
+        assert!(!inc.edb().relation("Tag").unwrap().is_empty());
         assert!(!edb_before.is_empty() && !overlay_before.is_empty());
     }
 

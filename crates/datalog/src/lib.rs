@@ -7,14 +7,17 @@
 //!
 //! The [`evaluate`] below is the compatibility entry point for borrowed
 //! inputs (a single-use [`Evaluator`] over a clone); everything else —
-//! the synthesis loop first — uses the reusable [`Evaluator`] context
-//! (cached join indexes, cost-based join planning, a cross-candidate
-//! compiled-rule memo, and a parallel fixpoint on [`WorkerPool`]).
-//! Maintained output lives one layer up: [`IncrementalEvaluator`] in
-//! memory, [`DurableEvaluator`] on disk, [`ServedEvaluator`] for
-//! demand-driven point queries. The engine's invariants — deterministic
-//! output at any thread count, memo-key soundness, delta-first variants
-//! — are documented on [`Evaluator`]'s module source (`engine.rs`); the
+//! the synthesis loop first — uses the reusable [`Evaluator`] context,
+//! the one evaluation context: it owns its fact snapshot, cached join
+//! indexes, cost-based join planner switch and [`WorkerPool`] for the
+//! parallel fixpoint, and shares the one compiled-rule memo
+//! ([`RuleCacheHandle`], keyed by the rule and its planned join orders).
+//! Maintained output lives one layer up, each keeping its facts in an
+//! [`Evaluator`]: [`IncrementalEvaluator`] in memory,
+//! [`DurableEvaluator`] on disk, [`ServedEvaluator`] for demand-driven
+//! point queries. The engine's invariants — deterministic output at any
+//! thread count, memo-key soundness, delta-first variants — are
+//! documented on [`Evaluator`]'s module source (`engine.rs`); the
 //! workspace-level picture lives in `ARCHITECTURE.md` at the repository
 //! root.
 //!

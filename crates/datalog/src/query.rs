@@ -486,7 +486,7 @@ fn query_once(
     });
     match rewrite_for_query(program, relation, bindings, model.as_ref(), ev.database()) {
         Outcome::Rewritten(rw) => {
-            let out = ev.eval_demand(&rw.program, &rw.demand, gov)?;
+            let out = ev.run(gov, Some(&rw.demand)).eval(&rw.program)?;
             Ok((
                 filter_rows(out.relation(&rw.answer), bindings),
                 Route::Magic,
@@ -765,8 +765,7 @@ impl ServedEvaluator {
     /// nothing.
     pub fn apply_delta(&mut self, inserts: &Database, deletes: &Database) -> Result<(), EvalError> {
         check_delta(&self.program, self.ev.database(), inserts, deletes)?;
-        let ev = std::mem::replace(&mut self.ev, Evaluator::new(Database::new()));
-        self.ev = ev.apply_delta(inserts, deletes);
+        self.ev.edit(inserts, deletes);
         self.cache().clear();
         Ok(())
     }

@@ -10,11 +10,18 @@
 //!          | record               // nested record type
 //! prim    := 'Int' | 'String' | 'Bool'
 //! ```
+//!
+//! Records nest at most [`MAX_DEPTH`] levels deep.
 
 use std::collections::HashMap;
 
 use crate::error::SchemaError;
 use crate::types::{DbKind, PrimType, Schema, TypeDef};
+
+/// The deepest record nesting the parser accepts; a top-level record is
+/// level 1. The parser recurses once per level, so the cap bounds its
+/// stack use on hostile input.
+const MAX_DEPTH: usize = 64;
 
 /// Parses the schema DSL. See the module-level documentation for the grammar.
 pub fn parse_schema(input: &str) -> Result<Schema, SchemaError> {
@@ -43,7 +50,7 @@ pub fn parse_schema(input: &str) -> Result<Schema, SchemaError> {
     let mut duplicate = None;
     p.skip_ws();
     while !p.at_end() {
-        let name = p.record(&mut defs, &mut duplicate)?;
+        let name = p.record(&mut defs, &mut duplicate, 1)?;
         top_level.push(name);
         p.skip_ws();
     }
@@ -123,14 +130,18 @@ impl Parser<'_> {
         }
     }
 
-    /// Parses one record definition; installs it (and nested records) into
-    /// `defs` and returns the record's name.
+    /// Parses one record definition at nesting level `depth`; installs it
+    /// (and nested records) into `defs` and returns the record's name.
     fn record(
         &mut self,
         defs: &mut HashMap<String, TypeDef>,
         duplicate: &mut Option<String>,
+        depth: usize,
     ) -> Result<String, SchemaError> {
         self.skip_ws();
+        if depth > MAX_DEPTH {
+            return Err(self.err(format!("records nest deeper than {MAX_DEPTH} levels")));
+        }
         let name = self.ident()?;
         self.expect(b'{')?;
         let mut attrs = Vec::new();
@@ -168,7 +179,7 @@ impl Parser<'_> {
                 Some(b'{') => {
                     // Nested record: re-parse from the name.
                     self.pos = save;
-                    let nested = self.record(defs, duplicate)?;
+                    let nested = self.record(defs, duplicate, depth + 1)?;
                     attrs.push(nested);
                 }
                 _ => return Err(self.err("expected `:` or `{` after field name".into())),
@@ -227,6 +238,41 @@ mod tests {
     fn rejects_duplicate_attribute_names_across_records() {
         let e = parse_schema("T { a: Int } U { a: Int }").unwrap_err();
         assert_eq!(e, SchemaError::DuplicateName("a".into()));
+    }
+
+    #[test]
+    fn rejects_an_empty_record() {
+        let e = parse_schema("T { }").unwrap_err();
+        assert_eq!(e, SchemaError::EmptyRecord("T".into()));
+    }
+
+    /// `r1 { r2 { ... r{levels} { a: Int } ... } }`.
+    fn nested(levels: usize) -> String {
+        let mut s: String = (1..=levels).map(|i| format!("r{i} {{ ")).collect();
+        s.push_str("a: Int");
+        s.push_str(&" }".repeat(levels));
+        s
+    }
+
+    #[test]
+    fn accepts_nesting_up_to_the_cap() {
+        let s = parse_schema(&nested(MAX_DEPTH)).unwrap();
+        let parent = format!("r{}", MAX_DEPTH - 1);
+        assert_eq!(s.parent(&format!("r{MAX_DEPTH}")), Some(parent.as_str()));
+        let e = parse_schema(&nested(MAX_DEPTH + 1)).unwrap_err();
+        let offset = nested(MAX_DEPTH).find("a: Int").unwrap();
+        assert!(matches!(e, SchemaError::Parse { offset: o, .. } if o == offset));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // Level `MAX_DEPTH + 1` starts after `MAX_DEPTH` copies of `a{`.
+        let e = parse_schema(&"a{".repeat(1_000_000)).unwrap_err();
+        let at = 2 * MAX_DEPTH;
+        assert!(
+            matches!(e, SchemaError::Parse { offset, .. } if offset == at),
+            "{e:?}"
+        );
     }
 
     #[test]

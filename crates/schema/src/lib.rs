@@ -24,12 +24,10 @@
 
 #![forbid(unsafe_code)]
 
-mod builder;
 mod dsl;
 mod error;
 mod types;
 
-pub use builder::{RecordBuilder, SchemaBuilder};
 pub use dsl::parse_schema;
 pub use error::SchemaError;
 pub use types::{DbKind, PrimType, Schema, TypeDef};

@@ -81,7 +81,7 @@ impl fmt::Display for DbKind {
 /// A validated schema: a mapping from names to type definitions with
 /// globally unique names, acyclic nesting, and single-parent records.
 ///
-/// Construct via [`Schema::parse`] (DSL) or [`crate::SchemaBuilder`].
+/// Construct via [`Schema::parse`] (DSL).
 #[derive(Debug, Clone)]
 pub struct Schema {
     kind: DbKind,

@@ -1,7 +1,8 @@
 //! Seeded mutation fuzzing of every reader of untrusted text or bytes:
 //! `Program::parse`, `parse_facts`, `binio::read_database`,
-//! `parse_document`, and the durable session's WAL segments as read by
-//! `DurableEvaluator::scrub` and `DurableEvaluator::open`.
+//! `parse_document`, `Schema::parse`, and the durable session's WAL
+//! segments as read by `DurableEvaluator::scrub` and
+//! `DurableEvaluator::open`.
 //!
 //! cargo-fuzz needs the network, so this is a fixed-budget, fixed-seed
 //! loop over the vendored [`rand`] shim: each target mutates a corpus of
@@ -29,6 +30,7 @@ use dynamite::datalog::{pool, DurableEvaluator, DurableOptions, Program};
 use dynamite::instance::binio::{self, read_database, write_database, Reader};
 use dynamite::instance::{parse_document, parse_facts, write_document, Database, Value};
 use dynamite::migrate::writers::render_facts;
+use dynamite::schema::Schema;
 
 const SEED: u64 = 0x00F0_22ED;
 const ITERATIONS: usize = 100_000;
@@ -206,6 +208,24 @@ fn parse_document_never_panics() {
             let again = parse_document(&printed, source.clone())
                 .unwrap_or_else(|e| panic!("reparse of {printed:?} failed: {e}"));
             assert_eq!(write_document(&again), printed);
+        }
+    });
+}
+
+#[test]
+fn schema_parse_never_panics_and_round_trips() {
+    let corpus = text_corpus(&[
+        "@document\nUniv { id: Int, name: String, Admit { uid: Int, count: Int } }",
+        "@relational\nEmp { ename: String, deptId: Int }\nDept { did: Int, dname: Str, }",
+        "@graph // nodes and edges\nActor { aid: Int, aname: String }\n# edge\nACT_IN { src: Int, dst: Int, lead: Bool }",
+        "A { B { C { x: Int, D { y: Bool } }, z: String }, w: Int }",
+    ]);
+    fuzz("Schema::parse", ITERATIONS, corpus, |input| {
+        if let Ok(schema) = Schema::parse(&String::from_utf8_lossy(input)) {
+            let printed = schema.to_dsl();
+            let again = Schema::parse(&printed)
+                .unwrap_or_else(|e| panic!("reparse of {printed:?} failed: {e}"));
+            assert_eq!(again.to_dsl(), printed);
         }
     });
 }
