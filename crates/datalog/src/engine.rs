@@ -81,7 +81,7 @@
 //!   which is why a session recovered from disk (whose indexes are
 //!   freshly built) emits rows in the live session's order.
 
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use dynamite_instance::hash::FxHashMap;
 use dynamite_instance::{ColumnIndex, Database, Relation, RowChange, RowRef, Value};
@@ -268,7 +268,10 @@ impl Evaluator {
     }
 
     fn edb_mut(&mut self) -> (&mut Database, &mut IndexCache) {
-        let indexes = self.indexes.get_mut().expect("index cache poisoned");
+        let indexes = self
+            .indexes
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         (&mut self.edb, indexes)
     }
 
@@ -359,12 +362,7 @@ impl EvalRun<'_> {
             if stratum_rules.is_empty() {
                 continue;
             }
-            let in_stratum: Vec<&str> = idb
-                .iter()
-                .copied()
-                .filter(|r| strata.get(*r) == Some(&s))
-                .collect();
-            self.run_stratum(&stratum_rules, &in_stratum, &mut idb_state, &arities)?;
+            self.run_stratum(&stratum_rules, &mut idb_state, &arities)?;
         }
         // A trip latched on the last round (e.g. an injected budget fault
         // that no later insert observed) still fails the evaluation.
@@ -418,11 +416,17 @@ impl EvalRun<'_> {
         let orders = PlanOrders::of(rule, strata, model);
         let key = RuleKey::new(rule, rule_stratum(rule, strata), orders);
         let memo = &self.ev.rules.inner;
-        if let Some(c) = memo.read().expect("rule cache poisoned").get(&key) {
+        // A panic elsewhere can poison the lock but not tear the map: each
+        // critical section is one read or one insert.
+        if let Some(c) = memo
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             return c.clone();
         }
         let built = Arc::new(CompiledRule::compile(rule, key.stratum, &key.orders));
-        let mut w = memo.write().expect("rule cache poisoned");
+        let mut w = memo.write().unwrap_or_else(PoisonError::into_inner);
         if w.len() >= RULE_CACHE_CAP && !w.contains_key(&key) {
             return built; // full: serve uncached rather than grow
         }
@@ -433,10 +437,15 @@ impl EvalRun<'_> {
     /// every variant of a round runs against the frozen pre-round state,
     /// and the per-job buffers are absorbed in fixed job order, so the
     /// fixpoint is deterministic for any thread count.
+    ///
+    /// Only the relations some delta variant reads keep a delta relation,
+    /// so a non-recursive stratum (no rule has a delta variant, i.e. no
+    /// body literal of the stratum's own relations) is materialised by
+    /// its one naive round: no delta relation is kept and no fixpoint
+    /// round runs.
     fn run_stratum(
         &self,
         rules: &[&CompiledRule],
-        in_stratum: &[&str],
         idb: &mut IdbState,
         arities: &std::collections::HashMap<&str, usize>,
     ) -> Result<(), EvalError> {
@@ -444,9 +453,13 @@ impl EvalRun<'_> {
         // are never consulted, and the absorb path inserts every derived
         // fact of every round.
         let fresh_delta = || -> FxHashMap<String, Relation> {
-            in_stratum
+            rules
                 .iter()
-                .map(|&r| (r.to_string(), Relation::new_untracked(arities[r])))
+                .flat_map(|r| &r.deltas)
+                .map(|dv| {
+                    let arity = arities[dv.relation.as_str()];
+                    (dv.relation.clone(), Relation::new_untracked(arity))
+                })
                 .collect()
         };
 
@@ -655,7 +668,7 @@ impl EvalRun<'_> {
             .ev
             .indexes
             .read()
-            .expect("index cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .get(rel)
             .and_then(|by_cols| by_cols.get(cols))
         {
@@ -664,7 +677,11 @@ impl EvalRun<'_> {
         #[cfg(test)]
         upkeep::count_edb_build();
         let built = Arc::new(ColumnIndex::build(relation, cols));
-        let mut w = self.ev.indexes.write().expect("index cache poisoned");
+        let mut w = self
+            .ev
+            .indexes
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         Some(
             w.entry(rel.to_string())
                 .or_default()
@@ -1574,6 +1591,8 @@ fn absorb(
             append_to_indexes(overlay, indexes.get_mut(rel));
             if let Some(d) = delta.get_mut(rel) {
                 d.insert(&tuple);
+                #[cfg(test)]
+                upkeep::count_delta_insert();
             }
             any = true;
         }
@@ -2377,6 +2396,87 @@ mod tests {
             ordered_rows(&ctx.eval(&p).expect("ungoverned"))
         );
         fault::reset();
+    }
+
+    /// A stratum with no delta variant runs one round and writes no
+    /// delta relation; a recursive one still keeps its deltas and reaches
+    /// the interpreter's fixpoint.
+    #[test]
+    fn only_recursive_strata_keep_delta_relations() {
+        let _g = fault::test_lock();
+        fault::reset();
+        let mut db = cyclic_edges(40);
+        db.extend_rows("Node", 1, (0..45i64).map(|i| vec![i.into()]));
+        // Two non-recursive strata: `Lonely` negates `Hop`.
+        let flat = Program::parse(
+            "Hop(x, z) :- Edge(x, y), Edge(y, z).
+             Lonely(x) :- Node(x), !Hop(x, x).",
+        )
+        .expect("parses");
+        let recursive = Program::parse(TC).expect("parses");
+        for threads in [1usize, 4] {
+            let ctx = ctx_with_threads(&db, threads);
+            upkeep::take();
+            let gov = Governor::unlimited();
+            let out = ctx.eval_governed(&flat, &gov).expect("evaluates");
+            assert_eq!(upkeep::take().delta_inserts, 0, "threads={threads}");
+            assert_eq!(gov.rounds_started(), 2, "one round per stratum");
+            assert_eq!(out.relation("Hop").expect("hop").len(), 40);
+            assert_eq!(out.relation("Lonely").expect("lonely").len(), 45);
+            assert_eq!(out, crate::legacy::evaluate(&flat, &db).expect("evaluates"));
+
+            let gov = Governor::unlimited();
+            let out = ctx.eval_governed(&recursive, &gov).expect("evaluates");
+            assert!(upkeep::take().delta_inserts > 0, "threads={threads}");
+            assert!(gov.rounds_started() > 2);
+            assert_eq!(out.relation("Path").expect("path").len(), 40 * 40);
+            let want = crate::legacy::evaluate(&recursive, &db).expect("evaluates");
+            assert_eq!(out, want, "threads={threads}");
+        }
+    }
+
+    /// A panic while a cache lock is held poisons it but leaves its map
+    /// whole, so evaluation and edits carry on with the same output.
+    #[test]
+    fn poisoned_cache_locks_are_recovered() {
+        let db = skewed_db();
+        let p = adversarial();
+        let mut ctx = fresh_ctx(&db, true);
+        let want = ordered_rows(&ctx.eval(&p).expect("evaluates"));
+        std::thread::scope(|s| {
+            let rules = &ctx.rules.inner;
+            let indexes = &ctx.indexes;
+            let r = s.spawn(move || {
+                let _held = rules.write().unwrap();
+                panic!("poisons the rule memo");
+            });
+            assert!(r.join().is_err());
+            let i = s.spawn(move || {
+                let _held = indexes.write().unwrap();
+                panic!("poisons the index cache");
+            });
+            assert!(i.join().is_err());
+        });
+        assert!(ctx.rules.inner.is_poisoned() && ctx.indexes.is_poisoned());
+        assert_eq!(ordered_rows(&ctx.eval(&p).expect("evaluates")), want);
+        // A fresh rule compiles and caches; a fresh index builds.
+        let other = Program::parse("Out(x) :- Mid(x, y), Sel(y, 3).").expect("parses");
+        let fresh = fresh_ctx(&db, true).eval(&other).expect("evaluates");
+        assert_eq!(
+            ordered_rows(&ctx.eval(&other).expect("evaluates")),
+            ordered_rows(&fresh)
+        );
+        // The edit path takes the index cache through `get_mut`.
+        let mut ins = Database::new();
+        ins.insert("Sel", vec![Value::Int(5000), Value::Int(7)]);
+        ctx.edit(&ins, &Database::new());
+        let mut edited = db.clone();
+        edited.insert("Sel", vec![Value::Int(5000), Value::Int(7)]);
+        assert_eq!(
+            ordered_rows(&ctx.eval(&p).expect("evaluates")),
+            ordered_rows(&fresh_ctx(&edited, true).eval(&p).expect("evaluates"))
+        );
+        ctx.check_indexes();
     }
 
     #[test]

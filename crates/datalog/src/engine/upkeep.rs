@@ -1,6 +1,7 @@
-//! Test-build instrumentation of index upkeep and rule compilation:
-//! per-thread counts of index builds (per side), of index entries
-//! repaired and of compiled-rule builds, and checks that cached indexes
+//! Test-build instrumentation of index upkeep, rule compilation and
+//! delta bookkeeping: per-thread counts of index builds (per side), of
+//! index entries repaired, of compiled-rule builds and of delta-relation
+//! inserts, and checks that cached indexes
 //! equal fresh builds. Every counted site runs on the thread that drives
 //! the evaluation (compilation, round prep, absorb, batch edits).
 
@@ -13,6 +14,7 @@ thread_local! {
     static OVERLAY_BUILDS: Cell<usize> = const { Cell::new(0) };
     static TOUCHES: Cell<usize> = const { Cell::new(0) };
     static RULE_BUILDS: Cell<usize> = const { Cell::new(0) };
+    static DELTA_INSERTS: Cell<usize> = const { Cell::new(0) };
 }
 
 pub(crate) fn count_edb_build() {
@@ -31,6 +33,10 @@ pub(crate) fn count_rule_build() {
     RULE_BUILDS.with(|c| c.set(c.get() + 1));
 }
 
+pub(crate) fn count_delta_insert() {
+    DELTA_INSERTS.with(|c| c.set(c.get() + 1));
+}
+
 /// Upkeep work on this thread since the last call.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Work {
@@ -40,6 +46,8 @@ pub(crate) struct Work {
     pub(crate) touches: usize,
     /// Rules compiled (memo misses and maintenance compiles).
     pub(crate) rule_builds: usize,
+    /// Facts `absorb` wrote into a delta relation.
+    pub(crate) delta_inserts: usize,
 }
 
 /// Returns and resets this thread's counters.
@@ -49,6 +57,7 @@ pub(crate) fn take() -> Work {
         overlay_builds: OVERLAY_BUILDS.with(|c| c.replace(0)),
         touches: TOUCHES.with(|c| c.replace(0)),
         rule_builds: RULE_BUILDS.with(|c| c.replace(0)),
+        delta_inserts: DELTA_INSERTS.with(|c| c.replace(0)),
     }
 }
 
@@ -98,6 +107,7 @@ pub(crate) fn check_overlay(idb: &IdbState) -> Vec<(String, Vec<usize>)> {
 impl Evaluator {
     /// [`check_edb`] over this context's snapshot and cache.
     pub(crate) fn check_indexes(&self) -> Cached {
-        check_edb(&self.edb, &self.indexes.read().expect("index cache"))
+        let indexes = self.indexes.read().unwrap_or_else(PoisonError::into_inner);
+        check_edb(&self.edb, &indexes)
     }
 }

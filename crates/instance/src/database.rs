@@ -126,8 +126,7 @@ impl fmt::Display for Database {
 }
 
 /// A hash index from key columns to tuple positions, used by the Datalog
-/// evaluator for joins and by `BuildRecord` for parent-id lookup (this is
-/// the in-memory substitute for the paper's MongoDB index, §5).
+/// evaluator for joins and by the incremental maintainer.
 ///
 /// Each key's posting holds its row ids ascending, with a single id
 /// stored inline. [`ColumnIndex::update`] keeps an index equal to a fresh

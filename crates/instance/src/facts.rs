@@ -8,16 +8,25 @@
 //!
 //! *From facts to instances*: `BuildRecord` rebuilds records recursively by
 //! chasing identifiers from record-typed columns into the first column of
-//! the nested relation. Child lookup goes through a hash index on the
-//! parent-id column — the in-memory equivalent of the MongoDB index the
-//! paper's implementation uses (§5).
+//! the nested relation (the paper's implementation indexes that column in
+//! MongoDB, §5).
+//!
+//! Both directions resolve the schema once into [`RecordTypes`]: per
+//! record type, its relation's slot and each attribute's primitive type
+//! or child type, so no walk looks a name up per record. [`to_facts`]
+//! builds every fact in one reused row buffer. [`from_facts`] links each
+//! nested relation's rows by parent id once (the first row per id, then
+//! a `next` link per row) and follows the links. That facts walk,
+//! [`walk_facts`], also serves the flat tables of `flatten.rs`; a
+//! [`FactSink`] decides what a fact becomes.
 
 use std::fmt;
 use std::sync::Arc;
 
-use dynamite_schema::Schema;
+use dynamite_schema::{PrimType, Schema, TypeDef};
 
-use crate::database::{ColumnIndex, Database, Relation};
+use crate::database::{Database, Relation};
+use crate::hash::FxHashMap;
 use crate::record::{Field, Instance, InstanceError, Record};
 use crate::tuple_store::RowRef;
 use crate::value::Value;
@@ -251,65 +260,67 @@ pub fn to_facts(instance: &Instance) -> Database {
 
 /// Like [`to_facts`], but drawing identifiers from the supplied generator,
 /// so several instances can share one id space.
+///
+/// Every record takes a fresh id, in depth-first order: top-level types
+/// by name, records in order, each record before its children and the
+/// children attribute by attribute. Every record type of the schema gets
+/// a relation, empty or not.
 pub fn to_facts_with(instance: &Instance, gen: &mut IdGen) -> Database {
-    let schema = instance.schema();
-    let mut db = Database::new();
-    // Pre-create every relation so empty record types are represented.
-    for record in schema.records() {
-        db.relation_mut(record, schema.fact_arity(record));
-    }
+    let types = RecordTypes::new(instance.schema());
+    let mut rels: Vec<Relation> = types
+        .types
+        .iter()
+        .map(|t| Relation::new(t.arity()))
+        .collect();
 
+    /// Inserts the fact of `record` (of type `k`) and then its
+    /// children's, building each in the one `row` buffer.
     fn emit(
-        schema: &Schema,
-        record_type: &str,
-        record: &Record,
-        parent: Option<&Value>,
+        types: &RecordTypes,
+        rels: &mut [Relation],
+        row: &mut Vec<Value>,
         gen: &mut IdGen,
-        db: &mut Database,
+        k: usize,
+        record: &Record,
+        parent: Option<Value>,
     ) {
         let my_id = gen.fresh();
-        let attrs = schema.attrs(record_type);
-        let mut tuple = Vec::with_capacity(attrs.len() + 1);
-        if let Some(p) = parent {
-            tuple.push(*p);
-        }
-        for field in record.fields() {
-            match field {
-                Field::Prim(v) => tuple.push(*v),
-                Field::Children(_) => tuple.push(my_id),
-            }
-        }
-        db.relation_mut(record_type, tuple.len()).insert(&tuple);
-        for (attr, field) in attrs.iter().zip(record.fields()) {
-            if let Field::Children(children) = field {
+        row.clear();
+        row.extend(parent);
+        row.extend(record.fields().iter().map(|field| match field {
+            Field::Prim(v) => *v,
+            Field::Children(_) => my_id,
+        }));
+        rels[k].insert(row);
+        for ((_, attr), field) in types.types[k].attrs.iter().zip(record.fields()) {
+            if let (Attr::Record(j), Field::Children(children)) = (attr, field) {
                 for c in children {
-                    emit(schema, attr, c, Some(&my_id), gen, db);
+                    emit(types, rels, row, gen, *j, c, Some(my_id));
                 }
             }
         }
     }
 
+    let mut row = Vec::new();
     for (record_type, records) in instance.iter() {
+        let k = types.index(record_type).expect("top-level record type");
         for r in records {
-            emit(schema, record_type, r, None, gen, &mut db);
+            emit(&types, &mut rels, &mut row, gen, k, r, None);
         }
     }
-    db
+    let names = types.types.into_iter().map(|t| t.name);
+    Database::from_relations(names.zip(rels))
 }
 
-/// The up-front arity check of [`from_facts`] (and of the flat walk in
-/// `flatten.rs`): every non-empty relation of `records`, given as
-/// `(record type, fact arity)` in schema record order, must have the
-/// arity §3.3 dictates.
-pub(crate) fn check_arities<'a>(
-    facts: &Database,
-    records: impl IntoIterator<Item = (&'a str, usize)>,
-) -> Result<(), FactsError> {
-    for (record, expected) in records {
-        if let Some(rel) = facts.relation(record) {
+/// The up-front arity check of [`walk_facts`]: every non-empty relation
+/// of `types` must have the arity §3.3 dictates.
+fn check_arities(facts: &Database, types: &RecordTypes) -> Result<(), FactsError> {
+    for t in &types.types {
+        let expected = t.arity();
+        if let Some(rel) = facts.relation(&t.name) {
             if !rel.is_empty() && rel.arity() != expected {
                 return Err(FactsError::Arity {
-                    relation: record.to_string(),
+                    relation: t.name.clone(),
                     expected,
                     got: rel.arity(),
                 });
@@ -323,63 +334,236 @@ pub(crate) fn check_arities<'a>(
 /// relations (the `BuildRecord` procedure of §3.3).
 ///
 /// Relations missing from `facts` are treated as empty. Extra relations in
-/// `facts` that are not record types of `schema` are ignored.
+/// `facts` that are not record types of `schema` are ignored, and so are
+/// child facts no parent reaches. A record's children come in fact order.
+/// The error is that of `Instance::insert`'s validation of the first bad
+/// record: after an arity check, the first value of the wrong primitive
+/// type (an `Id` included), top-level types in declaration order, each
+/// record's attributes in schema order and a record-typed attribute's
+/// children before the next attribute.
 pub fn from_facts(facts: &Database, schema: Arc<Schema>) -> Result<Instance, FactsError> {
-    check_arities(facts, schema.records().map(|r| (r, schema.fact_arity(r))))?;
-
-    // Parent-id index for every nested record type (MongoDB substitute).
-    let empty = Relation::new(0);
-    let mut indices = std::collections::HashMap::new();
-    for record in schema.records() {
-        if schema.is_nested(record) {
-            let rel = facts.relation(record).unwrap_or(&empty);
-            if rel.arity() > 0 {
-                indices.insert(record.to_string(), ColumnIndex::build(rel, &[0]));
-            }
-        }
-    }
-
-    fn build(
-        schema: &Schema,
-        facts: &Database,
-        indices: &std::collections::HashMap<String, ColumnIndex>,
-        record_type: &str,
-        tuple: RowRef<'_>,
-        nested: bool,
-    ) -> Record {
-        let mut fields = Vec::new();
-        for (col, attr) in (usize::from(nested)..).zip(schema.attrs(record_type)) {
-            if schema.is_record(attr) {
-                let slot = tuple.at(col);
-                let children: Vec<Record> = match (facts.relation(attr), indices.get(attr)) {
-                    (Some(rel), Some(idx)) => idx
-                        .get(&[slot])
-                        .iter()
-                        .map(|&i| {
-                            let child = rel.get(i as usize).expect("index in range");
-                            build(schema, facts, indices, attr, child, true)
-                        })
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                fields.push(Field::Children(children));
-            } else {
-                fields.push(Field::Prim(tuple.at(col)));
-            }
-        }
-        Record::with_fields(fields)
-    }
-
-    let mut instance = Instance::new(schema.clone());
-    for record_type in schema.top_level_records() {
-        if let Some(rel) = facts.relation(record_type) {
-            for tuple in rel.iter() {
-                let record = build(&schema, facts, &indices, record_type, tuple, false);
-                instance.insert(record_type, record)?;
-            }
-        }
+    let types = RecordTypes::new(&schema);
+    let mut roots: Vec<Vec<Record>> = vec![Vec::new(); types.types.len()];
+    walk_facts(&types, facts, &mut BuildRecords, |k, record| {
+        roots[k].push(record)
+    })?;
+    let mut instance = Instance::new(schema);
+    for &k in &types.roots {
+        instance.extend_valid(&types.types[k].name, std::mem::take(&mut roots[k]));
     }
     Ok(instance)
+}
+
+/// One record type of a schema, resolved once for the walks between
+/// instances and facts.
+#[derive(Debug, Clone)]
+pub(crate) struct RecordType {
+    pub(crate) name: String,
+    /// Nested types' facts hold the parent's id in column 0.
+    pub(crate) nested: bool,
+    /// Each attribute, in schema order, and what its fact column holds.
+    pub(crate) attrs: Vec<(String, Attr)>,
+}
+
+impl RecordType {
+    /// The arity of the type's fact relation.
+    pub(crate) fn arity(&self) -> usize {
+        self.attrs.len() + usize::from(self.nested)
+    }
+}
+
+/// What one attribute's fact column holds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Attr {
+    /// A primitive value of this type; `.1` is the attribute's position
+    /// in [`Schema::prim_attrs`].
+    Prim(PrimType, usize),
+    /// The id the children's facts hold in column 0; the children are of
+    /// record type `types[.0]`.
+    Record(usize),
+}
+
+/// A schema's record types, resolved once per walk.
+#[derive(Debug, Clone)]
+pub(crate) struct RecordTypes {
+    /// In [`Schema::records`] order.
+    pub(crate) types: Vec<RecordType>,
+    /// The top-level record types, in declaration order.
+    pub(crate) roots: Vec<usize>,
+}
+
+impl RecordTypes {
+    pub(crate) fn new(schema: &Schema) -> RecordTypes {
+        let names: Vec<&str> = schema.records().collect();
+        let type_of = |name: &str| names.iter().position(|&n| n == name).expect("record type");
+        let prims = schema.prim_attrs();
+        let types = names
+            .iter()
+            .map(|&name| RecordType {
+                name: name.to_string(),
+                nested: schema.is_nested(name),
+                attrs: schema
+                    .attrs(name)
+                    .iter()
+                    .map(|a| {
+                        let kind = match schema.def(a).expect("schemas define every attribute") {
+                            TypeDef::Record(_) => Attr::Record(type_of(a)),
+                            TypeDef::Prim(t) => {
+                                let p = prims.iter().position(|&p| p == a).expect("prim attr");
+                                Attr::Prim(*t, p)
+                            }
+                        };
+                        (a.clone(), kind)
+                    })
+                    .collect(),
+            })
+            .collect();
+        RecordTypes {
+            types,
+            roots: schema.top_level_records().map(type_of).collect(),
+        }
+    }
+
+    /// The index of record type `name`.
+    pub(crate) fn index(&self, name: &str) -> Option<usize> {
+        self.types.iter().position(|t| t.name == name)
+    }
+}
+
+/// Builds one node per fact of a [`walk_facts`] walk.
+pub(crate) trait FactSink {
+    /// A node under construction.
+    type Open;
+    /// A finished node.
+    type Node;
+    /// Starts the node of `tuple`, a fact of record type `ty`, before any
+    /// of its values is type-checked.
+    fn open(&mut self, ty: &RecordType, tuple: RowRef<'_>) -> Self::Open;
+    /// Adds the value of the next (primitive, well-typed) attribute.
+    fn prim(&mut self, open: &mut Self::Open, v: Value);
+    /// Adds the children of the next (record-typed) attribute.
+    fn children(&mut self, open: &mut Self::Open, children: Vec<Self::Node>);
+    /// Finishes the node of a fact of record type `k`.
+    fn close(&mut self, k: usize, open: Self::Open) -> Self::Node;
+}
+
+/// End of a child list in [`Links::next`].
+const NO_ROW: u32 = u32::MAX;
+
+/// One record type's facts, with the rows of each parent id linked.
+struct Links<'a> {
+    /// The type's fact relation, if `facts` has one.
+    rel: Option<&'a Relation>,
+    /// Nested types: the first row of `rel` with each parent id; `next`
+    /// links each row to the next with the same parent, ascending.
+    first: FxHashMap<Value, u32>,
+    next: Vec<u32>,
+}
+
+impl<'a> Links<'a> {
+    fn new(facts: &'a Database, ty: &RecordType) -> Links<'a> {
+        let rel = facts.relation(&ty.name);
+        let mut first: FxHashMap<Value, u32> = FxHashMap::default();
+        let mut next = Vec::new();
+        if let Some(rel) = rel.filter(|r| ty.nested && !r.is_empty()) {
+            let parents = rel.column(0);
+            next.resize(parents.len(), NO_ROW);
+            for i in (0..parents.len()).rev() {
+                if let Some(later) = first.insert(parents.value(i), i as u32) {
+                    next[i] = later;
+                }
+            }
+        }
+        Links { rel, first, next }
+    }
+}
+
+/// The one facts walk (`BuildRecord`'s order): after the arity check,
+/// builds the node of every fact reachable from a top-level one, depth
+/// first, and hands each top-level node to `root` with its type. Checks
+/// each primitive value's type in [`from_facts`]'s validation order and
+/// stops at the first bad one.
+pub(crate) fn walk_facts<S: FactSink>(
+    types: &RecordTypes,
+    facts: &Database,
+    sink: &mut S,
+    mut root: impl FnMut(usize, S::Node),
+) -> Result<(), FactsError> {
+    check_arities(facts, types)?;
+    let links: Vec<Links<'_>> = types.types.iter().map(|t| Links::new(facts, t)).collect();
+    for &k in &types.roots {
+        if let Some(rel) = links[k].rel {
+            for tuple in rel.iter() {
+                root(k, visit(types, &links, sink, k, tuple)?);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The node of `tuple`, a fact of record type `k`, built depth first.
+fn visit<S: FactSink>(
+    types: &RecordTypes,
+    links: &[Links<'_>],
+    sink: &mut S,
+    k: usize,
+    tuple: RowRef<'_>,
+) -> Result<S::Node, FactsError> {
+    let ty = &types.types[k];
+    let first_col = usize::from(ty.nested);
+    let mut open = sink.open(ty, tuple);
+    for (i, (name, attr)) in ty.attrs.iter().enumerate() {
+        let v = tuple.at(first_col + i);
+        match *attr {
+            Attr::Prim(t, _) => {
+                if v.prim_type() != Some(t) {
+                    return Err(FactsError::Validation(InstanceError::FieldType {
+                        record: ty.name.clone(),
+                        attr: name.clone(),
+                    }));
+                }
+                sink.prim(&mut open, v);
+            }
+            Attr::Record(j) => {
+                let child = &links[j];
+                let mut children = Vec::new();
+                if let Some(rel) = child.rel {
+                    let mut c = child.first.get(&v).copied().unwrap_or(NO_ROW);
+                    while c != NO_ROW {
+                        let fact = rel.get(c as usize).expect("row in range");
+                        children.push(visit(types, links, sink, j, fact)?);
+                        c = child.next[c as usize];
+                    }
+                }
+                sink.children(&mut open, children);
+            }
+        }
+    }
+    Ok(sink.close(k, open))
+}
+
+/// The [`FactSink`] of [`from_facts`]: one [`Record`] per fact.
+struct BuildRecords;
+
+impl FactSink for BuildRecords {
+    type Open = Vec<Field>;
+    type Node = Record;
+
+    fn open(&mut self, ty: &RecordType, _: RowRef<'_>) -> Vec<Field> {
+        Vec::with_capacity(ty.attrs.len())
+    }
+
+    fn prim(&mut self, fields: &mut Vec<Field>, v: Value) {
+        fields.push(Field::Prim(v));
+    }
+
+    fn children(&mut self, fields: &mut Vec<Field>, children: Vec<Record>) {
+        fields.push(Field::Children(children));
+    }
+
+    fn close(&mut self, _: usize, fields: Vec<Field>) -> Record {
+        Record::with_fields(fields)
+    }
 }
 
 #[cfg(test)]

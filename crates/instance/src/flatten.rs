@@ -26,21 +26,24 @@
 //! iff their id rows are. The MDP search (`dynamite_core::analyze`) takes
 //! the ids as given.
 //!
-//! There is one facts → flat walker. [`Flattened::from_facts`] is that
-//! walk, with empty dictionaries, followed by [`FlatCodec::decode`].
-//! [`flatten`] walks an [`Instance`]'s records instead; it is the oracle
-//! the walker is tested against.
+//! One facts walker serves both this module and `from_facts`: the
+//! `walk_facts` of `facts.rs`, which checks every value in `from_facts`'s
+//! validation order. `from_facts` builds a record per fact with it; the
+//! codec emits a flat id row per fact instead, so no record is built.
+//! [`Flattened::from_facts`] is that encoding, with empty dictionaries,
+//! followed by [`FlatCodec::decode`]. [`flatten`] walks an [`Instance`]'s
+//! records instead; it is the oracle the encoding is tested against.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use dynamite_schema::{PrimType, Schema, TypeDef};
+use dynamite_schema::Schema;
 
 use crate::database::{Database, Relation};
-use crate::facts::{check_arities, FactsError};
+use crate::facts::{walk_facts, Attr, FactSink, FactsError, RecordType, RecordTypes};
 use crate::hash::FxHashMap;
-use crate::record::{Field, Instance, InstanceError, Record};
+use crate::record::{Field, Instance, Record};
 use crate::tuple_store::RowRef;
 use crate::value::Value;
 
@@ -248,35 +251,24 @@ impl EncodedFlat {
 /// column name (see the module docs).
 #[derive(Debug, Clone)]
 pub struct FlatCodec {
-    /// One shape per record type, in [`Schema::records`] order.
+    /// The schema's record types, one table each, in
+    /// [`Schema::records`] order.
+    types: RecordTypes,
+    /// Per record type, its table's shape.
     tables: Vec<Shape>,
-    /// The top-level record types, in declaration order.
-    roots: Vec<usize>,
     /// One dictionary per primitive attribute, in
-    /// [`Schema::prim_attrs`] order.
+    /// [`Schema::prim_attrs`] order (a primitive attribute's
+    /// [`Attr::Prim`] position).
     dicts: Vec<Dict>,
 }
 
-/// One record type of a [`FlatCodec`].
+/// The flat table of one record type of a [`FlatCodec`].
 #[derive(Debug, Clone)]
 struct Shape {
-    name: String,
-    nested: bool,
-    attrs: Vec<(String, Attr)>,
     /// The flat table's columns, as in [`FlatTable::columns`].
     columns: Vec<String>,
     /// Each column's dictionary.
     dicts: Vec<usize>,
-}
-
-/// What one attribute's fact column holds.
-#[derive(Debug, Clone, Copy)]
-enum Attr {
-    /// A primitive value of this type, encoded in dictionary `.1`.
-    Prim(PrimType, usize),
-    /// The id the children's facts hold in column 0; the children are of
-    /// record type `tables[.0]`.
-    Record(usize),
 }
 
 /// Values and their dense ids, in first-seen order.
@@ -301,44 +293,30 @@ impl Dict {
 impl FlatCodec {
     /// A codec for `schema`'s flat tables, with empty dictionaries.
     pub fn new(schema: &Schema) -> FlatCodec {
-        let names: Vec<&str> = schema.records().collect();
-        let table_of = |name: &str| names.iter().position(|&n| n == name).expect("record type");
         let prims = schema.prim_attrs();
         let dict_of = |attr: &str| prims.iter().position(|&a| a == attr).expect("prim attr");
-        let tables = names
+        let types = RecordTypes::new(schema);
+        let tables = types
+            .types
             .iter()
-            .map(|&name| {
-                let attrs = schema
-                    .attrs(name)
-                    .iter()
-                    .map(|a| {
-                        let kind = match schema.def(a).expect("schemas define every attribute") {
-                            TypeDef::Record(_) => Attr::Record(table_of(a)),
-                            TypeDef::Prim(t) => Attr::Prim(*t, dict_of(a)),
-                        };
-                        (a.clone(), kind)
-                    })
-                    .collect();
-                let columns = flat_columns(schema, name);
+            .map(|t| {
+                let columns = flat_columns(schema, &t.name);
                 Shape {
-                    name: name.to_string(),
-                    nested: schema.is_nested(name),
-                    attrs,
                     dicts: columns.iter().map(|c| dict_of(c)).collect(),
                     columns,
                 }
             })
             .collect();
         FlatCodec {
+            types,
             tables,
-            roots: schema.top_level_records().map(table_of).collect(),
             dicts: vec![Dict::default(); prims.len()],
         }
     }
 
     /// The index of record type `name`'s table, if the schema has it.
     pub fn table_index(&self, name: &str) -> Option<usize> {
-        self.tables.iter().position(|t| t.name == name)
+        self.types.index(name)
     }
 
     /// Table `k`'s column names, as in [`FlatTable::columns`].
@@ -352,7 +330,7 @@ impl FlatCodec {
     /// values of the failed walk, which leaves ids injective.
     pub fn learn(&mut self, facts: &Database) -> Result<EncodedFlat, FactsError> {
         let dicts = &mut self.dicts;
-        let tables = walk_facts(&self.tables, &self.roots, facts, |d, v| dicts[d].intern(v))?;
+        let tables = encode_facts(&self.types, &self.tables, facts, |d, v| dicts[d].intern(v))?;
         Ok(EncodedFlat {
             tables,
             fresh: vec![Vec::new(); dicts.len()],
@@ -364,7 +342,7 @@ impl FlatCodec {
     /// [`Flattened::from_facts`] does.
     pub fn encode(&self, facts: &Database) -> Result<EncodedFlat, FactsError> {
         let mut fresh = vec![Dict::default(); self.dicts.len()];
-        let tables = walk_facts(&self.tables, &self.roots, facts, |d, v| {
+        let tables = encode_facts(&self.types, &self.tables, facts, |d, v| {
             let dict = &self.dicts[d];
             match dict.ids.get(&v) {
                 Some(&id) => id,
@@ -389,10 +367,12 @@ impl FlatCodec {
             }
         };
         let tables = self
-            .tables
+            .types
+            .types
             .iter()
+            .zip(&self.tables)
             .zip(&flat.tables)
-            .map(|(shape, table)| {
+            .map(|((ty, shape), table)| {
                 let rows = table
                     .rows()
                     .map(|row| row.iter().zip(&shape.dicts).map(|(&id, &d)| value(d, id)))
@@ -402,53 +382,16 @@ impl FlatCodec {
                     columns: shape.columns.clone(),
                     rows,
                 };
-                (shape.name.clone(), table)
+                (ty.name.clone(), table)
             })
             .collect();
         Flattened(tables)
     }
 }
 
-/// End of a child list in [`Plan::next`].
-const NO_ROW: u32 = u32::MAX;
-
-/// One record type of a [`walk_facts`] walk.
-struct Plan<'a> {
-    shape: &'a Shape,
-    /// The type's fact relation, if `facts` has one.
-    rel: Option<&'a Relation>,
-    /// Nested types: the first row of `rel` with each parent id; `next`
-    /// links each row to the next with the same parent, ascending (the
-    /// order `from_facts`'s parent-id index yields them in).
-    first: FxHashMap<Value, u32>,
-    next: Vec<u32>,
-}
-
-impl<'a> Plan<'a> {
-    fn new(facts: &'a Database, shape: &'a Shape) -> Plan<'a> {
-        let rel = facts.relation(&shape.name);
-        let mut first: FxHashMap<Value, u32> = FxHashMap::default();
-        let mut next = Vec::new();
-        if let Some(rel) = rel.filter(|r| shape.nested && !r.is_empty()) {
-            let parents = rel.column(0);
-            next.resize(parents.len(), NO_ROW);
-            for i in (0..parents.len()).rev() {
-                if let Some(later) = first.insert(parents.value(i), i as u32) {
-                    next[i] = later;
-                }
-            }
-        }
-        Plan {
-            shape,
-            rel,
-            first,
-            next,
-        }
-    }
-}
-
-/// The state of one [`walk_facts`] walk.
-struct Walk<F> {
+/// The [`FactSink`] of the flat encoding: each fact's node is its flat
+/// row, the path of ids from its root, emitted when the fact closes.
+struct FlatRows<F> {
     /// Per record type: its rows so far (row-major ids) and their count.
     out: Vec<(Vec<u32>, usize)>,
     /// The ids of the current root-to-record path.
@@ -457,96 +400,64 @@ struct Walk<F> {
     id_of: F,
 }
 
-/// The one facts → flat walk: encodes every root-to-record path of
-/// `facts` through `id_of(dictionary, value)`, after the arity check of
-/// [`from_facts`](crate::from_facts).
-fn walk_facts<F: FnMut(usize, Value) -> u32>(
+impl<F: FnMut(usize, Value) -> u32> FactSink for FlatRows<F> {
+    /// The path length before the fact's own ids.
+    type Open = usize;
+    type Node = ();
+
+    fn open(&mut self, ty: &RecordType, tuple: RowRef<'_>) -> usize {
+        let base = self.path.len();
+        let first_col = usize::from(ty.nested);
+        for (i, (_, attr)) in ty.attrs.iter().enumerate() {
+            if let Attr::Prim(_, d) = *attr {
+                let id = (self.id_of)(d, tuple.at(first_col + i));
+                self.path.push(id);
+            }
+        }
+        base
+    }
+
+    fn prim(&mut self, _: &mut usize, _: Value) {}
+
+    fn children(&mut self, _: &mut usize, _: Vec<()>) {}
+
+    fn close(&mut self, k: usize, base: usize) {
+        let (ids, len) = &mut self.out[k];
+        ids.extend_from_slice(&self.path);
+        *len += 1;
+        self.path.truncate(base);
+    }
+}
+
+/// Encodes every root-to-record path of `facts` through
+/// `id_of(dictionary, value)`, failing as `from_facts` does.
+fn encode_facts<F: FnMut(usize, Value) -> u32>(
+    types: &RecordTypes,
     tables: &[Shape],
-    roots: &[usize],
     facts: &Database,
     id_of: F,
 ) -> Result<Vec<IdTable>, FactsError> {
-    let arities = tables
+    let out = types
+        .types
         .iter()
-        .map(|t| (t.name.as_str(), t.attrs.len() + usize::from(t.nested)));
-    check_arities(facts, arities)?;
-    let plans: Vec<Plan<'_>> = tables.iter().map(|t| Plan::new(facts, t)).collect();
-    let out = plans
-        .iter()
-        .map(|p| {
-            let rows = p.rel.map_or(0, Relation::len);
-            (Vec::with_capacity(rows * p.shape.columns.len()), 0)
+        .zip(tables)
+        .map(|(t, shape)| {
+            let rows = facts.relation(&t.name).map_or(0, Relation::len);
+            (Vec::with_capacity(rows * shape.columns.len()), 0)
         })
         .collect();
-    let mut walk = Walk {
+    let mut sink = FlatRows {
         out,
         path: Vec::new(),
         id_of,
     };
-    for &k in roots {
-        if let Some(rel) = plans[k].rel {
-            for tuple in rel.iter() {
-                visit(&plans, &mut walk, k, tuple)?;
-            }
-        }
-    }
-    Ok(walk
+    walk_facts(types, facts, &mut sink, |_, ()| {})?;
+    Ok(sink
         .out
         .into_iter()
         .zip(tables)
-        .map(|((ids, len), t)| IdTable::from_rows(t.columns.len(), len, ids))
+        .map(|((ids, len), shape)| IdTable::from_rows(shape.columns.len(), len, ids))
         .collect())
-}
-
-/// Emits the flat row of `tuple` (a fact of record type `plans[k]`) and,
-/// depth first, its children's, validating in `from_facts`'s order: the
-/// attributes in schema order, each record-typed one's children before
-/// the next attribute.
-fn visit<F: FnMut(usize, Value) -> u32>(
-    plans: &[Plan<'_>],
-    walk: &mut Walk<F>,
-    k: usize,
-    tuple: RowRef<'_>,
-) -> Result<(), FactsError> {
-    let shape = plans[k].shape;
-    let first_col = usize::from(shape.nested);
-    let base = walk.path.len();
-    for (i, (_, attr)) in shape.attrs.iter().enumerate() {
-        if let Attr::Prim(_, d) = *attr {
-            let id = (walk.id_of)(d, tuple.at(first_col + i));
-            walk.path.push(id);
-        }
-    }
-    for (i, (name, attr)) in shape.attrs.iter().enumerate() {
-        let v = tuple.at(first_col + i);
-        match *attr {
-            Attr::Prim(t, _) => {
-                if v.prim_type() != Some(t) {
-                    return Err(FactsError::Validation(InstanceError::FieldType {
-                        record: shape.name.clone(),
-                        attr: name.clone(),
-                    }));
-                }
-            }
-            Attr::Record(j) => {
-                let child = &plans[j];
-                let Some(rel) = child.rel else {
-                    continue;
-                };
-                let mut c = child.first.get(&v).copied().unwrap_or(NO_ROW);
-                while c != NO_ROW {
-                    let fact = rel.get(c as usize).expect("row in range");
-                    visit(plans, walk, j, fact)?;
-                    c = child.next[c as usize];
-                }
-            }
-        }
-    }
-    let (ids, len) = &mut walk.out[k];
-    ids.extend_from_slice(&walk.path);
-    *len += 1;
-    walk.path.truncate(base);
-    Ok(())
 }
 
 /// The columns of record type `record`'s flat table: the primitive

@@ -16,13 +16,15 @@
 //! - [`Instance`] / [`Record`]: nested record forests covering relational,
 //!   document, and graph databases uniformly;
 //! - [`to_facts`] / [`from_facts`]: the instance ⇄ fact translation of
-//!   §3.3, including the `BuildRecord` parent-chasing procedure;
+//!   §3.3, including the `BuildRecord` parent-chasing procedure, each a
+//!   walk over the schema's record types resolved once;
 //! - [`Instance::flatten`]: a canonical, id-free flattening used to compare
 //!   instances and to drive MDP analysis;
 //! - [`FlatCodec`]: the same flattening read straight off the facts
 //!   `from_facts` would rebuild an instance from, as dictionary-encoded
 //!   [`IdTable`]s (the synthesizer's candidate check compares and analyzes
-//!   these). [`Flattened::from_facts`] is that walk, decoded.
+//!   these), built by `from_facts`'s own facts walk.
+//!   [`Flattened::from_facts`] is that encoding, decoded.
 //!
 //! For how this crate fits the rest of the workspace (crate DAG, data
 //! flow, a diagram of the tag/payload column streams) see

@@ -146,6 +146,16 @@ impl Instance {
         Ok(())
     }
 
+    /// Appends records of top-level type `name` that are valid by
+    /// construction, without validating them again (`from_facts` checks
+    /// every value as it builds).
+    pub(crate) fn extend_valid(&mut self, name: &str, records: Vec<Record>) {
+        self.data
+            .get_mut(name)
+            .expect("top-level record type")
+            .extend(records);
+    }
+
     fn validate(&self, name: &str, record: &Record) -> Result<(), InstanceError> {
         let attrs = self.schema.attrs(name);
         if record.fields().len() != attrs.len() {

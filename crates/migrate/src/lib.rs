@@ -5,9 +5,9 @@
 //!
 //! 1. translate the source instance to extensional facts;
 //! 2. evaluate the Datalog program;
-//! 3. rebuild the target instance from the derived facts (`BuildRecord`,
-//!    accelerated by an in-memory parent-id index — the substitution for
-//!    the paper's MongoDB index, §5).
+//! 3. rebuild the target instance from the derived facts (`BuildRecord`;
+//!    each nested relation's rows are linked by parent id once, where the
+//!    paper's implementation indexes that column in MongoDB, §5).
 //!
 //! [`synthesize_and_migrate`] composes this with the synthesizer, and
 //! [`writers`] renders target instances as JSON documents, CSV tables, or

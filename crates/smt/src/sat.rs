@@ -96,6 +96,10 @@ pub struct SatSolver {
     activity: Vec<f64>,
     act_inc: f64,
     phase: Vec<bool>,
+    /// `analyze`'s marks, one per variable; all `false` between calls.
+    seen: Vec<bool>,
+    /// The variables `analyze` marked, to clear them afterwards.
+    marked: Vec<u32>,
     unsat: bool,
     model: Vec<bool>,
     stats: SatStats,
@@ -118,6 +122,7 @@ impl SatSolver {
         self.level.push(0);
         self.activity.push(0.0);
         self.phase.push(false);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         v
@@ -300,7 +305,6 @@ impl SatSolver {
     /// asserting literal first) and the backjump level.
     fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for UIP
-        let mut seen = vec![false; self.num_vars()];
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = conflict;
@@ -311,8 +315,9 @@ impl SatSolver {
             for k in start..self.clauses[confl as usize].len() {
                 let q = self.clauses[confl as usize][k];
                 let v = q.var().0 as usize;
-                if !seen[v] && self.level[v] > 0 {
-                    seen[v] = true;
+                if !self.seen[v] && self.level[v] > 0 {
+                    self.seen[v] = true;
+                    self.marked.push(v as u32);
                     self.bump(q.var());
                     if self.level[v] == self.decision_level() {
                         counter += 1;
@@ -324,7 +329,7 @@ impl SatSolver {
             // Next literal to expand: most recent seen literal on the trail.
             loop {
                 idx -= 1;
-                if seen[self.trail[idx].var().0 as usize] {
+                if self.seen[self.trail[idx].var().0 as usize] {
                     break;
                 }
             }
@@ -337,6 +342,9 @@ impl SatSolver {
             }
             confl = self.reason[v].expect("non-decision literal has a reason");
             p = Some(pl);
+        }
+        for v in self.marked.drain(..) {
+            self.seen[v as usize] = false;
         }
 
         // Backjump level: highest level among the non-asserting literals.

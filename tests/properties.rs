@@ -374,17 +374,19 @@ fn facts_flat_schema() -> Arc<Schema> {
     )
 }
 
-/// `Flattened::from_facts(db, s)` is `from_facts(db, s).map(flatten)`:
-/// the same `Ok` value, or the same error.
+/// `Flattened::from_facts(db, s)` is `from_facts(db, s).map(flatten)`,
+/// with the reference `from_facts` (the library's shares its walker with
+/// the flat one): the same `Ok` value, or the same error.
 fn assert_facts_flat_agree(db: &Database, schema: &Arc<Schema>, what: &str) {
     use dynamite::instance::Flattened;
     let direct = Flattened::from_facts(db, schema);
-    let via_instance = from_facts(db, schema.clone()).map(|i| i.flatten());
+    let via_instance = reference_from_facts(db, schema.clone()).map(|i| i.flatten());
     assert_eq!(direct, via_instance, "{what}\nfacts:\n{db}");
 }
 
 /// The candidate check's facts→flat path agrees with rebuilding the
-/// instance and flattening it, on random fact databases over a nested
+/// instance (by the reference walk) and flattening it, on random fact
+/// databases over a nested
 /// schema: wrong primitive types, ids in primitive columns, non-id
 /// values in record columns, orphan, shared and duplicate children,
 /// wrong arities (on empty and non-empty relations), missing and extra
@@ -699,12 +701,182 @@ fn random_schema_facts(
     db
 }
 
+/// The §3.3 walks as they were before the schema was resolved into
+/// per-type plans: a recursive `to_facts` that looks each relation and
+/// attribute list up by name per record. A reference for the library's
+/// relations, rows, fresh ids and row order.
+fn reference_to_facts(instance: &Instance) -> Database {
+    use dynamite::instance::Field;
+    fn emit(
+        schema: &Schema,
+        record_type: &str,
+        record: &Record,
+        parent: Option<Value>,
+        next_id: &mut u64,
+        db: &mut Database,
+    ) {
+        let my_id = Value::Id(*next_id);
+        *next_id += 1;
+        let mut tuple: Vec<Value> = parent.into_iter().collect();
+        for field in record.fields() {
+            match field {
+                Field::Prim(v) => tuple.push(*v),
+                Field::Children(_) => tuple.push(my_id),
+            }
+        }
+        db.relation_mut(record_type, tuple.len()).insert(&tuple);
+        for (attr, field) in schema.attrs(record_type).iter().zip(record.fields()) {
+            if let Field::Children(children) = field {
+                for c in children {
+                    emit(schema, attr, c, Some(my_id), next_id, db);
+                }
+            }
+        }
+    }
+    let schema = instance.schema();
+    let mut db = Database::new();
+    for record in schema.records() {
+        db.relation_mut(record, schema.fact_arity(record));
+    }
+    let mut next_id = 0;
+    for (record_type, records) in instance.iter() {
+        for r in records {
+            emit(schema, record_type, r, None, &mut next_id, &mut db);
+        }
+    }
+    db
+}
+
+/// `BuildRecord` through a hash index on each nested relation's
+/// parent-id column, each top-level record validated by
+/// `Instance::insert` once built: the reference for the library's
+/// `from_facts`, its records, child order and errors.
+fn reference_from_facts(
+    facts: &Database,
+    schema: Arc<Schema>,
+) -> Result<Instance, dynamite::instance::FactsError> {
+    use dynamite::instance::{ColumnIndex, FactsError, Field, RowRef};
+    use std::collections::HashMap;
+    for record in schema.records() {
+        let expected = schema.fact_arity(record);
+        if let Some(rel) = facts.relation(record) {
+            if !rel.is_empty() && rel.arity() != expected {
+                return Err(FactsError::Arity {
+                    relation: record.to_string(),
+                    expected,
+                    got: rel.arity(),
+                });
+            }
+        }
+    }
+    let mut indices = HashMap::new();
+    for record in schema.records().filter(|r| schema.is_nested(r)) {
+        if let Some(rel) = facts.relation(record).filter(|r| r.arity() > 0) {
+            indices.insert(record, ColumnIndex::build(rel, &[0]));
+        }
+    }
+    fn build(
+        schema: &Schema,
+        facts: &Database,
+        indices: &HashMap<&str, ColumnIndex>,
+        record_type: &str,
+        tuple: RowRef<'_>,
+    ) -> Record {
+        let first_col = usize::from(schema.is_nested(record_type));
+        let mut fields = Vec::new();
+        for (col, attr) in (first_col..).zip(schema.attrs(record_type)) {
+            if !schema.is_record(attr) {
+                fields.push(Field::Prim(tuple.at(col)));
+                continue;
+            }
+            let children = match (facts.relation(attr), indices.get(attr.as_str())) {
+                (Some(rel), Some(idx)) => idx
+                    .get(&[tuple.at(col)])
+                    .iter()
+                    .map(|&i| build(schema, facts, indices, attr, rel.get(i as usize).unwrap()))
+                    .collect(),
+                _ => Vec::new(),
+            };
+            fields.push(Field::Children(children));
+        }
+        Record::with_fields(fields)
+    }
+    let mut instance = Instance::new(schema.clone());
+    for record_type in schema.top_level_records() {
+        if let Some(rel) = facts.relation(record_type) {
+            for tuple in rel.iter() {
+                let record = build(&schema, facts, &indices, record_type, tuple);
+                instance.insert(record_type, record)?;
+            }
+        }
+    }
+    Ok(instance)
+}
+
+/// Relations in name order, each with its rows in row order.
+fn ordered_facts(db: &Database) -> Vec<(String, Vec<Vec<Value>>)> {
+    db.iter()
+        .map(|(n, r)| (n.to_string(), r.iter().map(|t| t.to_vec()).collect()))
+        .collect()
+}
+
+/// Top-level record types in name order, each with its records in order.
+fn ordered_records(inst: &Instance) -> Vec<(String, Vec<Record>)> {
+    inst.iter()
+        .map(|(n, rs)| (n.to_string(), rs.to_vec()))
+        .collect()
+}
+
+/// The plan-based `to_facts` and `from_facts` against the reference
+/// walks, over random nested schemas:
+/// - on instances rebuilt from well-typed random facts (shared and
+///   duplicate children included), `to_facts` gives the reference's
+///   relations and rows, fresh ids and row order included, and
+///   `from_facts(to_facts(i))` is canonically `i`;
+/// - on random facts, noisy ones included (wrong arities, ill-typed
+///   values at every depth), `from_facts` gives the reference's records,
+///   child order included, or the same error.
+#[test]
+fn facts_conversions_match_reference_walks_on_random_schemas() {
+    use dynamite::instance::{FactsError, InstanceError};
+    let mut deep_errors = 0;
+    for seed in 0..400u64 {
+        let mut rng = StdRng::seed_from_u64(11_000 + seed);
+        let schema = random_nested_schema(&mut rng);
+        let noise = [0.0, 0.0, 0.03, 0.15][(seed % 4) as usize];
+        let facts = random_schema_facts(&mut rng, &schema, 6, noise, 4, &["a", "b", "é"]);
+        let got = from_facts(&facts, schema.clone());
+        let want = reference_from_facts(&facts, schema.clone());
+        assert_eq!(
+            got.as_ref().map(ordered_records).map_err(Clone::clone),
+            want.as_ref().map(ordered_records).map_err(Clone::clone),
+            "seed {seed}\nfacts:\n{facts}"
+        );
+        if let Err(FactsError::Validation(InstanceError::FieldType { record, .. })) = &want {
+            deep_errors += usize::from(schema.chain_to(record).len() >= 3);
+        }
+        let Ok(inst) = want else {
+            continue;
+        };
+        let db = to_facts(&inst);
+        assert_eq!(
+            ordered_facts(&db),
+            ordered_facts(&reference_to_facts(&inst)),
+            "seed {seed}"
+        );
+        let back = from_facts(&db, schema.clone()).expect("facts of an instance");
+        assert!(back.canon_eq(&inst), "seed {seed}");
+    }
+    assert!(deep_errors > 0, "no ill-typed value at depth 2 or more");
+}
+
 /// The candidate check's encoded path over random nested schemas (with
 /// zero-width tables) and random facts (ill-typed values, wrong arities,
 /// orphan and shared children), against a codec whose dictionaries were
 /// learned from other facts, so many values are out of dictionary:
-/// - decoding the encoded walk equals `from_facts(..).flatten()` and
-///   `Flattened::from_facts`, the same error included;
+/// - decoding the encoded walk equals the reference
+///   `from_facts(..).flatten()` and `Flattened::from_facts`, the same
+///   error included;
 /// - a learned encoding's tables equal another encoding's iff their flat
 ///   tables are equal;
 /// - `mdp_set_ids` on the id tables equals `mdp_set` on the flat tables
@@ -720,7 +892,7 @@ fn encoded_walk_and_mdps_match_flat_tables_on_random_schemas() {
         let mut codec = FlatCodec::new(&schema);
         let train = random_schema_facts(&mut rng, &schema, 4, 0.0, 3, &["a", "b"]);
         let learned = codec.learn(&train).expect("well-typed facts flatten");
-        let want = from_facts(&train, schema.clone()).map(|i| i.flatten());
+        let want = reference_from_facts(&train, schema.clone()).map(|i| i.flatten());
         assert_eq!(Ok(codec.decode(&learned)), want, "seed {seed}: learn");
 
         let noise = [0.0, 0.0, 0.03, 0.15][(seed % 4) as usize];
@@ -751,7 +923,7 @@ fn encoded_walk_and_mdps_match_flat_tables_on_random_schemas() {
         // The candidate check's roles: `b` is learned like an expected
         // output, `a` encoded like a candidate's (fresh ids and all).
         for (db, what) in [(&a, "a"), (&b, "b")] {
-            let want = from_facts(db, schema.clone()).map(|i| i.flatten());
+            let want = reference_from_facts(db, schema.clone()).map(|i| i.flatten());
             let got = codec.encode(db).map(|e| codec.decode(&e));
             assert_eq!(got, want, "seed {seed}, {what}\nfacts:\n{db}");
             assert_eq!(
@@ -761,10 +933,10 @@ fn encoded_walk_and_mdps_match_flat_tables_on_random_schemas() {
             );
         }
         let mut codec = codec.clone();
-        let (Ok(eb), Ok(fb)) = (codec.learn(&b), from_facts(&b, schema.clone())) else {
+        let (Ok(eb), Ok(fb)) = (codec.learn(&b), reference_from_facts(&b, schema.clone())) else {
             continue;
         };
-        let (Ok(ea), Ok(fa)) = (codec.encode(&a), from_facts(&a, schema.clone())) else {
+        let (Ok(ea), Ok(fa)) = (codec.encode(&a), reference_from_facts(&a, schema.clone())) else {
             continue;
         };
         let flats = [fa.flatten(), fb.flatten()];
