@@ -22,7 +22,7 @@ use dynamite_datalog::{
 use dynamite_instance::hash::FxHashMap;
 use dynamite_instance::{to_facts, EncodedFlat, FactsError, FlatCodec};
 use dynamite_schema::Schema;
-use dynamite_smt::{ConstId, FdLit, FdSolver, FdVar, SatStats};
+use dynamite_smt::{ConstId, FdLit, FdModel, FdSolver, FdVar, SatStats};
 
 use crate::analyze::{generalize, mdp_set_ids, PatternLit};
 use crate::attr_map::{infer_attr_mapping, AttrMapping};
@@ -586,6 +586,9 @@ pub struct RuleSolver<'a> {
     hole_vars: Vec<FdVar>,
     elem_of: FxHashMap<ConstId, DomainElem>,
     fixed_body_vars: HashSet<String>,
+    /// Per hole, the rigid elements of its domain (in domain order) with
+    /// their constant ids: the element exclusions of a blocking clause.
+    rigid: Vec<Vec<(DomainElem, ConstId)>>,
     /// The flat-table indices of the sketch's record types.
     tables: Vec<usize>,
     iterations: usize,
@@ -611,9 +614,21 @@ impl<'a> RuleSolver<'a> {
         let mut fd = FdSolver::new();
         let mut elem_of: FxHashMap<ConstId, DomainElem> = FxHashMap::default();
         let mut hole_vars = Vec::with_capacity(sketch.holes.len());
+        let mut rigid = Vec::with_capacity(sketch.holes.len());
         let no_program = || SynthesisError::NoProgram {
             rule: sketch.target_record.clone(),
         };
+        // Fixed body variables (source-chain connectors).
+        let fixed_body_vars: HashSet<String> = sketch
+            .body
+            .iter()
+            .flat_map(|b| {
+                b.slots.iter().filter_map(|s| match s {
+                    BodySlot::Var(v) => Some(v.clone()),
+                    _ => None,
+                })
+            })
+            .collect();
         for hole in &sketch.holes {
             let ids: Vec<ConstId> = hole
                 .domain
@@ -626,6 +641,14 @@ impl<'a> RuleSolver<'a> {
                 .collect();
             let v = fd.new_var(&hole.name, &ids).map_err(|_| no_program())?;
             hole_vars.push(v);
+            rigid.push(
+                hole.domain
+                    .iter()
+                    .zip(ids)
+                    .filter(|(e, _)| is_rigid(e, &fixed_body_vars))
+                    .map(|(e, id)| (e.clone(), id))
+                    .collect(),
+            );
         }
 
         // Head coverage: every target attribute variable must be picked by
@@ -647,18 +670,6 @@ impl<'a> RuleSolver<'a> {
             }
             fd.add_clause(&clause).map_err(|_| no_program())?;
         }
-
-        // Fixed body variables (source-chain connectors).
-        let fixed_body_vars: HashSet<String> = sketch
-            .body
-            .iter()
-            .flat_map(|b| {
-                b.slots.iter().filter_map(|s| match s {
-                    BodySlot::Var(v) => Some(v.clone()),
-                    _ => None,
-                })
-            })
-            .collect();
 
         // Connector support: a pool variable chosen by a connector hole
         // must also be chosen by some attribute hole, or the rule would
@@ -692,6 +703,7 @@ impl<'a> RuleSolver<'a> {
             hole_vars,
             elem_of,
             fixed_body_vars,
+            rigid,
             tables: synth.tables_of(sketch.record_types.iter().map(String::as_str)),
             iterations: 0,
             blocking_clauses: 0,
@@ -716,14 +728,6 @@ impl<'a> RuleSolver<'a> {
             ln_space: self.sketch.ln_completions(),
             sat: self.fd.sat_stats(),
             phases: self.phases,
-        }
-    }
-
-    fn is_rigid(&self, e: &DomainElem) -> bool {
-        match e {
-            DomainElem::Const(_) => true,
-            DomainElem::BodyVar(w) => self.fixed_body_vars.contains(w),
-            DomainElem::HeadVar(_) => false,
         }
     }
 
@@ -777,14 +781,14 @@ impl<'a> RuleSolver<'a> {
                         .map(|s| s.to_string())
                         .collect();
                     let t = Instant::now();
-                    let psi = self.pattern_clause(&assignment, &all_attrs);
+                    let psi = self.pattern_clause(&assignment, &model, &all_attrs);
                     let _ = self.fd.add_clause(&psi);
                     self.phases.block += t.elapsed();
                     self.blocking_clauses += 1;
                     return Ok(Some((rule, assignment)));
                 }
                 CheckResult::Failed { actual } => {
-                    self.block_failure(&assignment, actual.as_ref());
+                    self.block_failure(&assignment, &model, actual.as_ref());
                 }
                 CheckResult::Exhausted(trip) => {
                     // Graceful degradation: the candidate repeatedly blew
@@ -795,7 +799,7 @@ impl<'a> RuleSolver<'a> {
                     // still aborts the whole call when it expires.
                     self.resource_skips += 1;
                     self.skip_trips.record(trip);
-                    self.block_exact(&assignment);
+                    self.block_exact(&model);
                 }
             }
         }
@@ -844,6 +848,7 @@ impl<'a> RuleSolver<'a> {
     fn block_failure(
         &mut self,
         assignment: &[DomainElem],
+        model: &FdModel,
         failure: Option<&(EncodedFlat, &EncodedFlat)>,
     ) {
         match (self.synth.config.strategy, failure) {
@@ -864,7 +869,7 @@ impl<'a> RuleSolver<'a> {
                         self.mdps_computed += 1;
                         let pinned: BTreeSet<String> =
                             mdp.iter().map(|&c| columns[c].clone()).collect();
-                        let clause = self.pattern_clause(assignment, &pinned);
+                        let clause = self.pattern_clause(assignment, model, &pinned);
                         let _ = self.fd.add_clause(&clause);
                         self.blocking_clauses += 1;
                         blocked_any = true;
@@ -872,63 +877,68 @@ impl<'a> RuleSolver<'a> {
                     }
                 }
                 if !blocked_any {
-                    self.block_exact(assignment);
+                    self.block_exact(model);
                 }
             }
-            _ => self.block_exact(assignment),
+            _ => self.block_exact(model),
         }
     }
 
     /// Blocks exactly the failing model (Dynamite-Enum behaviour).
-    fn block_exact(&mut self, assignment: &[DomainElem]) {
+    fn block_exact(&mut self, model: &FdModel) {
         let t = Instant::now();
-        let clause: Vec<FdLit> = assignment
+        let clause: Vec<FdLit> = self
+            .hole_vars
             .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let id = self.fd.constant(&e.key());
-                FdLit::Ne(self.hole_vars[i], id)
-            })
+            .map(|&x| FdLit::Ne(x, model.value(x)))
             .collect();
         let _ = self.fd.add_clause(&clause);
         self.blocking_clauses += 1;
         self.phases.block += t.elapsed();
     }
 
-    /// Lowers `¬Generalize(σ, ϕ)` to a solver clause.
+    /// Lowers `¬Generalize(σ, ϕ)` to a solver clause; `assignment` is
+    /// σ as domain elements and `model` the solver model it came from.
     fn pattern_clause(
-        &mut self,
+        &self,
         assignment: &[DomainElem],
+        model: &FdModel,
         pinned_attrs: &BTreeSet<String>,
     ) -> Vec<FdLit> {
         let pattern = generalize(
             assignment,
             pinned_attrs,
-            |e| self.is_rigid(e),
-            |i| {
-                self.sketch.holes[i]
-                    .domain
-                    .iter()
-                    .filter(|e| self.is_rigid(e))
-                    .cloned()
-                    .collect()
-            },
+            |e| is_rigid(e, &self.fixed_body_vars),
+            |i| self.rigid[i].iter().map(|(e, _)| e.clone()).collect(),
         );
         pattern
             .into_iter()
             .map(|lit| match lit {
                 PatternLit::Pin(i) => {
-                    let id = self.fd.constant(&assignment[i].key());
-                    FdLit::Ne(self.hole_vars[i], id)
+                    let x = self.hole_vars[i];
+                    FdLit::Ne(x, model.value(x))
                 }
                 PatternLit::EqPair(i, j) => FdLit::VarNe(self.hole_vars[i], self.hole_vars[j]),
                 PatternLit::NePair(i, j) => FdLit::VarEq(self.hole_vars[i], self.hole_vars[j]),
                 PatternLit::NotElem(i, e) => {
-                    let id = self.fd.constant(&e.key());
-                    FdLit::Eq(self.hole_vars[i], id)
+                    let (_, id) = self.rigid[i]
+                        .iter()
+                        .find(|(r, _)| *r == e)
+                        .expect("element exclusions come from the hole's rigid elements");
+                    FdLit::Eq(self.hole_vars[i], *id)
                 }
             })
             .collect()
+    }
+}
+
+/// `true` for the domain elements a renaming cannot move: constants and
+/// the fixed body variables `fixed`.
+fn is_rigid(e: &DomainElem, fixed: &HashSet<String>) -> bool {
+    match e {
+        DomainElem::Const(_) => true,
+        DomainElem::BodyVar(w) => fixed.contains(w),
+        DomainElem::HeadVar(_) => false,
     }
 }
 

@@ -26,7 +26,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread;
 
 /// A thread budget for batches of borrowed jobs.
@@ -80,7 +80,9 @@ impl WorkerPool {
         }
         // A job's slot is emptied by the one thread whose claim on the
         // counter returned its index; the lock is never held while a job
-        // runs, so it is uncontended. The counter can be `Relaxed`: it
+        // runs, so it is uncontended. Its only critical section is a
+        // `take()`, which leaves the slot valid even if it panicked, so
+        // a poisoned slot is recovered. The counter can be `Relaxed`: it
         // publishes no data (jobs travel through their slot's mutex,
         // results through the scope's joins).
         let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|f| Mutex::new(Some(f))).collect();
@@ -94,7 +96,7 @@ impl WorkerPool {
                 };
                 let job = slot
                     .lock()
-                    .expect("job slot poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .take()
                     .expect("each job is claimed once");
                 done.push((i, catch_unwind(AssertUnwindSafe(job))));

@@ -17,7 +17,7 @@ use std::fmt;
 use std::hash::Hasher;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::hash::{FxHashMap, FxHasher};
 
@@ -79,7 +79,9 @@ impl Symbol {
     /// Interns `s`, returning its symbol. Idempotent: the same string
     /// always yields the same symbol.
     pub fn intern(s: &str) -> Symbol {
-        let mut map = interner().lock().expect("interner poisoned");
+        // A panic under the lock leaves the map valid: it is written last,
+        // after the slot is published, so a poisoned lock is recovered.
+        let mut map = interner().lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&id) = map.get(s) {
             return Symbol(id);
         }
@@ -192,6 +194,23 @@ impl std::ops::Deref for Symbol {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interning_survives_a_poisoned_lock() {
+        let old = Symbol::intern("interned before the poisoning");
+        std::thread::spawn(|| {
+            let _map = interner().lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("poisoning the interner");
+        })
+        .join()
+        .expect_err("the thread panics");
+        assert!(interner().is_poisoned());
+        let new = Symbol::intern("interned after the poisoning");
+        assert_eq!(new.as_str(), "interned after the poisoning");
+        assert_eq!(Symbol::intern("interned after the poisoning"), new);
+        assert_eq!(Symbol::intern("interned before the poisoning"), old);
+        assert_eq!(old.as_str(), "interned before the poisoning");
+    }
 
     #[test]
     fn intern_is_idempotent() {

@@ -13,6 +13,11 @@
 //! exactly-one constraint per variable; variable-variable equality atoms
 //! are created lazily and defined by Tseitin transformation as
 //! `E_xy ↔ ⋁_v (A_{x,v} ∧ A_{y,v})` over the shared domain values.
+//!
+//! Lowering a literal hashes nothing: `x = c` finds `c`'s position in
+//! `x`'s small domain (the position of its atom), and the atom `E_xy`
+//! (`x` < `y`) sits in `x`'s row of equality atoms at index `y`. Constant
+//! names are hashed only when they are interned.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -81,8 +86,9 @@ struct VarInfo {
     domain: Vec<ConstId>,
     /// Atom literal for "this variable takes domain[k]".
     atoms: Vec<Lit>,
-    /// Constant id -> index into `domain`.
-    by_const: HashMap<ConstId, usize>,
+    /// The atom `E_xy` for each later variable `y` it was created for,
+    /// indexed by `y`.
+    eq_row: Vec<Option<Lit>>,
 }
 
 /// A model: the chosen constant for each variable, by variable index.
@@ -137,7 +143,6 @@ pub struct FdSolver {
     consts: Vec<String>,
     const_ids: HashMap<String, ConstId>,
     vars: Vec<VarInfo>,
-    eq_atoms: HashMap<(FdVar, FdVar), Lit>,
     /// A literal fixed to false (for degenerate cases like `x = y` with
     /// disjoint domains).
     false_lit: Option<Lit>,
@@ -157,7 +162,6 @@ impl FdSolver {
             consts: Vec::new(),
             const_ids: HashMap::new(),
             vars: Vec::new(),
-            eq_atoms: HashMap::new(),
             false_lit: None,
         }
     }
@@ -202,12 +206,11 @@ impl FdSolver {
                 self.sat.add_clause(&[!atoms[i], !atoms[j]]);
             }
         }
-        let by_const = dom.iter().enumerate().map(|(i, &c)| (c, i)).collect();
         let v = FdVar(self.vars.len() as u32);
         self.vars.push(VarInfo {
             domain: dom,
             atoms,
-            by_const,
+            eq_row: Vec::new(),
         });
         Ok(v)
     }
@@ -250,8 +253,8 @@ impl FdSolver {
             return Err(FdError::UnknownConst(c));
         }
         let info = &self.vars[x.0 as usize];
-        match info.by_const.get(&c) {
-            Some(&k) => Ok(info.atoms[k]),
+        match info.domain.iter().position(|&d| d == c) {
+            Some(k) => Ok(info.atoms[k]),
             None => Ok(self.the_false_lit()),
         }
     }
@@ -269,14 +272,15 @@ impl FdSolver {
             return Ok(!self.the_false_lit());
         }
         let key = if x.0 < y.0 { (x, y) } else { (y, x) };
-        if let Some(&l) = self.eq_atoms.get(&key) {
+        let (lo, hi) = (key.0 .0 as usize, key.1 .0 as usize);
+        if let Some(&Some(l)) = self.vars[lo].eq_row.get(hi) {
             return Ok(l);
         }
-        let shared: Vec<ConstId> = self.vars[key.0 .0 as usize]
+        let shared: Vec<ConstId> = self.vars[lo]
             .domain
             .iter()
             .copied()
-            .filter(|c| self.vars[key.1 .0 as usize].by_const.contains_key(c))
+            .filter(|c| self.vars[hi].domain.contains(c))
             .collect();
         let e = if shared.is_empty() {
             self.the_false_lit()
@@ -299,7 +303,11 @@ impl FdSolver {
             self.sat.add_clause(&any);
             e
         };
-        self.eq_atoms.insert(key, e);
+        let row = &mut self.vars[lo].eq_row;
+        if row.len() <= hi {
+            row.resize(hi + 1, None);
+        }
+        row[hi] = Some(e);
         Ok(e)
     }
 
@@ -364,6 +372,7 @@ impl FdSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sat::tests::{stats_of, Fnv, Lcg};
 
     fn setup() -> (FdSolver, Vec<ConstId>) {
         let mut s = FdSolver::new();
@@ -489,6 +498,105 @@ mod tests {
         s.new_var("y", &[cs[0], cs[1], cs[2]]).unwrap();
         let expect = (2f64).ln() + (3f64).ln();
         assert!((s.ln_search_space() - expect).abs() < 1e-12);
+    }
+
+    /// A seeded run shaped like sketch completion: holes over random
+    /// subsets of a shared constant pool, random clauses over all four
+    /// literal kinds (so `x = y` atoms are Tseitin-defined on the way),
+    /// then models enumerated with exact blocking clauses and with
+    /// generalized ones (pins, pair (dis)equalities, element
+    /// exclusions). Returns an FNV hash of the model sequence and the
+    /// SAT stats.
+    fn pinned_fd_run(seed: u64) -> (u64, [u64; 5]) {
+        let mut rng = Lcg(seed);
+        let mut s = FdSolver::new();
+        let pool: Vec<ConstId> = (0..12).map(|i| s.constant(&format!("c{i}"))).collect();
+        let n = 6 + rng.below(5);
+        let xs: Vec<FdVar> = (0..n)
+            .map(|i| {
+                let size = 2 + rng.below(6);
+                let dom: Vec<ConstId> = (0..size).map(|_| pool[rng.below(pool.len())]).collect();
+                s.new_var(&format!("x{i}"), &dom).unwrap()
+            })
+            .collect();
+        let mut clauses: Vec<Vec<FdLit>> = Vec::new();
+        for _ in 0..n * 2 {
+            let len = 3 + rng.below(4);
+            let c: Vec<FdLit> = (0..len)
+                .map(|_| {
+                    let (x, y) = (xs[rng.below(n)], xs[rng.below(n)]);
+                    let c = pool[rng.below(pool.len())];
+                    match rng.below(4) {
+                        0 => FdLit::Eq(x, c),
+                        1 => FdLit::Ne(x, c),
+                        2 => FdLit::VarEq(x, y),
+                        _ => FdLit::VarNe(x, y),
+                    }
+                })
+                .collect();
+            s.add_clause(&c).unwrap();
+            clauses.push(c);
+        }
+        let mut h = Fnv::new();
+        for round in 0..80 {
+            let Some(m) = s.solve() else {
+                h.word(u32::MAX);
+                break;
+            };
+            assert!(clauses.iter().all(|c| m.satisfies_clause(c)));
+            for (_, c) in m.iter() {
+                h.word(c.0);
+            }
+            h.word(u32::MAX - 1);
+            let clause: Vec<FdLit> = if round % 3 == 0 {
+                xs.iter().map(|&x| FdLit::Ne(x, m.value(x))).collect()
+            } else {
+                let pinned: Vec<bool> = xs.iter().map(|_| rng.below(3) == 0).collect();
+                let mut c: Vec<FdLit> = (0..n)
+                    .filter(|&i| pinned[i])
+                    .map(|i| FdLit::Ne(xs[i], m.value(xs[i])))
+                    .collect();
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        if pinned[i] && pinned[j] {
+                            continue;
+                        }
+                        c.push(if m.value(xs[i]) == m.value(xs[j]) {
+                            FdLit::VarNe(xs[i], xs[j])
+                        } else {
+                            FdLit::VarEq(xs[i], xs[j])
+                        });
+                    }
+                }
+                for i in (0..n).filter(|&i| !pinned[i]) {
+                    let other = s.domain(xs[i])[0];
+                    if other != m.value(xs[i]) {
+                        c.push(FdLit::Eq(xs[i], other));
+                    }
+                }
+                c
+            };
+            s.add_clause(&clause).unwrap();
+            clauses.push(clause);
+        }
+        (h.0, stats_of(s.sat_stats()))
+    }
+
+    /// The model sequence and SAT statistics of `pinned_fd_run`, recorded
+    /// before finite-domain lowering stopped hashing and the SAT core's
+    /// watched-literal cache went in: the same search, on cheaper data.
+    #[test]
+    fn pinned_fd_search() {
+        let got: Vec<(u64, [u64; 5])> = (1..=6).map(pinned_fd_run).collect();
+        let want: [(u64, [u64; 5]); 6] = [
+            (14786043207267441668, [36, 1679, 12979, 0, 36]),
+            (280269269220331088, [35, 782, 4361, 0, 35]),
+            (10827147325037651237, [44, 1570, 10345, 0, 44]),
+            (14575525357716573153, [29, 574, 2733, 0, 29]),
+            (8821354330020578154, [50, 1101, 6422, 0, 50]),
+            (18318367802892698763, [36, 634, 4466, 0, 36]),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
