@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! crash_child <dir> <profile> <threads> <total-batches>
-//!     [--group-commit N] [--abort-after K] [--skew TAG]
+//!     [--abort-after K] [--skew TAG]
 //! ```
 //!
 //! Exit codes: 0 = stream complete; 2 = bad usage; 3 = open/create
@@ -32,7 +32,7 @@ use dynamite_datalog::{pool, reorder_default};
 fn usage() -> ! {
     eprintln!(
         "usage: crash_child <dir> <profile> <threads> <total-batches> \
-         [--group-commit N] [--abort-after K] [--skew TAG]"
+         [--abort-after K] [--skew TAG]"
     );
     exit(2);
 }
@@ -47,13 +47,11 @@ fn main() {
     let (Ok(threads), Ok(total)) = (threads.parse::<usize>(), total.parse::<usize>()) else {
         usage()
     };
-    let mut group_commit = None;
     let mut abort_after = None;
     let mut skew = None;
     while let Some(flag) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
         match flag.as_str() {
-            "--group-commit" => group_commit = value().parse::<usize>().ok().or_else(|| usage()),
             "--abort-after" => abort_after = value().parse::<usize>().ok().or_else(|| usage()),
             "--skew" => skew = Some(value()),
             _ => usage(),
@@ -66,17 +64,11 @@ fn main() {
         crash_stream::skew_intern(tag);
     }
 
-    let mut opts = crash_stream::options(&profile);
-    if let Some(frames) = group_commit {
-        let (frames, max_delay) = crash_stream::group_commit_window(frames);
-        opts = opts.group_commit(frames, max_delay);
-    }
-
     let mut dur = match DurableEvaluator::open_or_create_with_config(
         &dir,
         crash_stream::program(),
         crash_stream::seed_edb(),
-        opts,
+        crash_stream::options(&profile),
         pool::with_threads(Some(threads)),
         reorder_default(),
     ) {
@@ -97,8 +89,8 @@ fn main() {
         }
         applied_this_run += 1;
         if Some(applied_this_run) == abort_after {
-            // Simulated power cut at a point of our choosing: staged
-            // group-commit frames die with the process.
+            // Simulated power cut after K acknowledged batches: every
+            // one of them is already in the fsync'd WAL.
             std::process::abort();
         }
     }

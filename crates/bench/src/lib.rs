@@ -18,8 +18,6 @@ pub mod crash_stream {
     //! deliberately — interner ids differ across processes (and can be
     //! skewed further with [`skew_intern`]), and recovery must not care.
 
-    use std::time::Duration;
-
     use dynamite_datalog::durable::DurableOptions;
     use dynamite_datalog::Program;
     use dynamite_instance::{Database, Value};
@@ -114,13 +112,6 @@ pub mod crash_stream {
             },
             other => panic!("unknown crash-stream profile {other:?}"),
         }
-    }
-
-    /// Group-commit window used by harness cells that stage frames: big
-    /// enough (and with an unreachable age bound) that only explicit
-    /// thresholds flush, making the lost suffix exactly predictable.
-    pub fn group_commit_window(frames: usize) -> (usize, Duration) {
-        (frames, Duration::from_secs(3600))
     }
 
     /// Bit-identity projection: relation contents *in row order*.

@@ -123,17 +123,23 @@ fn run_child(
 }
 
 /// Recovers a (possibly mauled) child directory in this process,
-/// scrubbing first — exactly what a supervisor restarting the real
-/// service would do.
+/// scrubbing first when the directory exists — exactly what a
+/// supervisor restarting the real service would do.
 fn recover(dir: &Path, profile: &str, threads: usize, cell: &str) -> DurableEvaluator {
-    match DurableEvaluator::open_or_create_with_config(
-        dir,
-        crash_stream::program(),
-        crash_stream::seed_edb(),
-        crash_stream::options(profile).scrub_on_open(true),
-        pool::with_threads(Some(threads)),
-        reorder_default(),
-    ) {
+    let opened = (|| {
+        if dir.is_dir() {
+            DurableEvaluator::scrub(dir)?;
+        }
+        DurableEvaluator::open_or_create_with_config(
+            dir,
+            crash_stream::program(),
+            crash_stream::seed_edb(),
+            crash_stream::options(profile),
+            pool::with_threads(Some(threads)),
+            reorder_default(),
+        )
+    })();
+    match opened {
         Ok(dur) => dur,
         Err(e) => {
             let kept = preserve(dir, cell);
@@ -307,44 +313,38 @@ fn killed_child_rerun_completes_the_stream() {
     }
 }
 
-/// Group commit loses **exactly** the un-fsync'd suffix: a child that
-/// staged frames and died keeps every flushed batch and nothing after
-/// the last flush.
+/// Every acknowledged batch survives process death: a child that
+/// applied `K` batches and then died recovers exactly `K`, bit-identical
+/// to the uninterrupted run, and completes the stream from there.
 #[test]
-fn group_commit_crash_loses_only_the_staged_suffix() {
+fn abort_after_k_batches_recovers_exactly_k() {
     fault::reset();
     let threads = 1usize;
     let snaps = reference("walheavy", threads);
-    // (batches applied before abort, batches that must survive)
-    for &(abort_after, survives) in &[(6usize, 4usize), (3usize, 0usize)] {
-        let cell = format!("group-commit-abort{abort_after}");
-        let tmp = TempDir::new("gc");
+    for abort_after in [3usize, 6] {
+        let cell = format!("abort-after-{abort_after}");
+        let tmp = TempDir::new("abort-after");
         let out = run_child(
             tmp.path(),
             "walheavy",
             threads,
             &[],
-            &[
-                "--group-commit",
-                "4",
-                "--abort-after",
-                &abort_after.to_string(),
-            ],
+            &["--abort-after", &abort_after.to_string()],
         );
         assert!(!out.status.success(), "cell {cell}: child should abort");
 
         let mut dur = recover(tmp.path(), "walheavy", threads, &cell);
         let k = dur.next_seq() as usize;
-        if k != survives {
+        if k != abort_after {
             let kept = preserve(tmp.path(), &cell);
             panic!(
-                "cell {cell}: expected exactly {survives} batches to survive \
-                 (the flushed prefix), recovered {k} ({kept:?})"
+                "cell {cell}: expected every one of the {abort_after} acknowledged \
+                 batches to survive, recovered {k} ({kept:?})"
             );
         }
         if snap(&mut dur) != snaps[k] {
             let kept = preserve(tmp.path(), &cell);
-            panic!("cell {cell}: surviving prefix is not bit-identical ({kept:?})");
+            panic!("cell {cell}: recovered state is not bit-identical ({kept:?})");
         }
         for (ins, dels) in crash_stream::batches(STREAM_LEN, SEED).into_iter().skip(k) {
             dur.apply_delta(&ins, &dels).expect("post-recovery apply");

@@ -42,17 +42,22 @@
 //!
 //! # Write path
 //!
-//! [`apply_delta`](DurableEvaluator::apply_delta) is **write-ahead**: the
-//! frame is appended and fsync'd (configurable via
-//! [`DurableOptions::fsync`]) *before* the in-memory apply. If the apply
-//! then fails (a governed resource trip), the WAL is truncated back to
-//! the pre-append offset, so the log always equals exactly the applied
-//! batches. A failed *append* self-heals once — truncate back, retry —
-//! which keeps a single injected I/O fault (`DYNAMITE_FAULT=
-//! wal-torn-write`) survivable by the whole test suite; a second
-//! consecutive failure leaves the damaged tail on disk and marks the
-//! evaluator [dead](DurableError::Dead), the in-process stand-in for a
-//! crash.
+//! [`apply_delta`](DurableEvaluator::apply_delta) is **write-ahead**:
+//! every acknowledged batch is in the WAL, fsync'd (configurable via
+//! [`DurableOptions::fsync`]), before the in-memory apply. A batch the
+//! maintainer rejects up front (an arity mismatch, a derived relation)
+//! is refused before its frame is encoded, so it costs no write and no
+//! fsync. If the apply then fails (a governed resource trip), the WAL is
+//! truncated back to the pre-append offset, so the log always equals
+//! exactly the applied batches. A failed *append* self-heals once —
+//! truncate back, retry — which keeps a single injected I/O fault
+//! (`DYNAMITE_FAULT=wal-torn-write`) survivable by the whole test suite;
+//! a second consecutive failure leaves the damaged tail on disk and
+//! marks the evaluator [dead](DurableError::Dead), the in-process
+//! stand-in for a crash. A failed truncate retires the evaluator too:
+//! the frame it could not cut stays on disk, and a later frame must not
+//! reuse its sequence number, so only a re-[`open`](DurableEvaluator::open)
+//! (which replays the frame) may continue.
 //!
 //! Checkpoints are written to a temp file, fsync'd, renamed into place,
 //! and the directory fsync'd — then **read back and verified** before
@@ -81,21 +86,6 @@
 //! only when *no* checkpoint in the directory is valid
 //! ([`DurableError::NoUsableCheckpoint`]).
 //!
-//! # Group commit
-//!
-//! [`DurableOptions::group_commit`] trades the per-batch fsync for a
-//! bounded window: frames are staged in **user memory** (deliberately
-//! not in the OS page cache — a staged frame is indistinguishable from
-//! one lost to power failure) and written + fsync'd together when the
-//! frame count or age threshold is reached, at [`flush`], at
-//! [`checkpoint`], or on drop. Recovery after a crash sees exactly the
-//! flushed prefix — at most the un-fsync'd suffix of acknowledged
-//! batches is lost, and the WAL still equals an exact prefix of the
-//! applied batches (never a torn or reordered subset).
-//!
-//! [`flush`]: DurableEvaluator::flush
-//! [`checkpoint`]: DurableEvaluator::checkpoint
-//!
 //! # Scrubbing
 //!
 //! [`DurableEvaluator::scrub`] walks a **closed** state directory and
@@ -106,10 +96,12 @@
 //! it; a human or a debugger can still inspect it), a damaged WAL tail
 //! is pre-truncated at the last valid frame boundary, and a WAL segment
 //! that cannot be stitched to the surviving checkpoint chain is
-//! quarantined whole. After a scrub, `open` performs no corruption
-//! handling of its own — [`DurableOptions::scrub_on_open`] runs one
-//! automatically. Scrubbing an in-use directory is not supported (the
-//! scrubber takes the directory by path, the evaluator owns its files).
+//! quarantined whole. Scrubbing is one explicit call: a supervisor that
+//! wants it runs `scrub(dir)` and then `open` (or `open_or_create`,
+//! which re-creates a directory whose only checkpoint was quarantined),
+//! and after a scrub `open` performs no corruption handling of its own.
+//! Scrubbing an in-use directory is not supported (the scrubber takes
+//! the directory by path, the evaluator owns its files).
 //!
 //! # Determinism
 //!
@@ -141,21 +133,23 @@
 //! `crash-after-wal-rotate`) always kill the process at a clean seam
 //! between two I/O operations. Every one of them leaves the directory in
 //! a state [`open`](DurableEvaluator::open) (or scrub-then-open)
-//! recovers from with the bit-identical guarantee above.
+//! recovers from with the bit-identical guarantee above. One more point,
+//! `wal-truncate`, is a test hook: it fails the truncate that cuts an
+//! appended frame back out (after a failed apply or a failed append
+//! attempt), leaving the frame on disk and the evaluator dead.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use dynamite_instance::binio::{self, BinError, Reader};
 use dynamite_instance::{Database, Relation, Value};
 
 use crate::ast::Program;
 use crate::engine::reorder_default;
-use crate::eval::EvalError;
+use crate::eval::{check_delta, EvalError};
 use crate::fault;
 use crate::governor::Governor;
 use crate::incremental::{DriftError, IncrementalEvaluator, OutputDelta};
@@ -165,16 +159,6 @@ const CKPT_MAGIC: &[u8; 8] = b"DYNCKPT1";
 const WAL_MAGIC: &[u8; 8] = b"DYNWAL01";
 /// WAL segment header: magic + generation.
 const WAL_HEADER_LEN: u64 = 16;
-
-/// Group-commit window: see [`DurableOptions::group_commit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupCommit {
-    /// Flush once this many frames are staged.
-    pub frames: usize,
-    /// Flush a non-empty stage once its oldest frame is this old,
-    /// checked at the next apply (there is no background timer).
-    pub max_delay: Duration,
-}
 
 /// Tuning knobs for a [`DurableEvaluator`].
 #[derive(Debug, Clone, Copy)]
@@ -190,15 +174,6 @@ pub struct DurableOptions {
     /// that for append speed (an OS crash can lose the tail, a clean
     /// process exit cannot). Checkpoint writes always fsync.
     pub fsync: bool,
-    /// When set, WAL frames are staged in memory and written + fsync'd
-    /// together (see the [group commit](self#group-commit) section);
-    /// `None` (the default) writes and fsyncs every frame immediately.
-    pub group_commit: Option<GroupCommit>,
-    /// Run [`DurableEvaluator::scrub`] on the directory before every
-    /// [`open`](DurableEvaluator::open), quarantining corruption up
-    /// front; the scrub's findings land in [`RecoveryReport::scrub`].
-    /// Default `false`.
-    pub scrub_on_open: bool,
 }
 
 impl Default for DurableOptions {
@@ -207,27 +182,7 @@ impl Default for DurableOptions {
             compact_wal_ratio: 4.0,
             compact_min_wal_bytes: 64 * 1024,
             fsync: true,
-            group_commit: None,
-            scrub_on_open: false,
         }
-    }
-}
-
-impl DurableOptions {
-    /// Stage up to `frames` WAL frames (or `max_delay` of wall-clock age)
-    /// per fsync. Builder-style.
-    pub fn group_commit(mut self, frames: usize, max_delay: Duration) -> DurableOptions {
-        self.group_commit = Some(GroupCommit {
-            frames: frames.max(1),
-            max_delay,
-        });
-        self
-    }
-
-    /// Scrub the directory before opening it. Builder-style.
-    pub fn scrub_on_open(mut self, yes: bool) -> DurableOptions {
-        self.scrub_on_open = yes;
-        self
     }
 }
 
@@ -242,9 +197,6 @@ pub struct RecoveryReport {
     pub frames_replayed: u64,
     /// Bytes of torn/corrupt WAL tail truncated during replay.
     pub torn_tail_bytes: u64,
-    /// What the pre-open scrub found and contained, when
-    /// [`DurableOptions::scrub_on_open`] was set.
-    pub scrub: Option<ScrubReport>,
 }
 
 /// What [`DurableEvaluator::scrub`] found — and contained — in a state
@@ -289,11 +241,13 @@ pub enum DurableError {
     },
     /// No checkpoint in the directory passed validation.
     NoUsableCheckpoint,
-    /// The in-memory apply failed (validation or a governed resource
-    /// trip). The WAL was truncated back; the batch left no trace.
+    /// The batch failed validation (before its frame was written) or
+    /// the in-memory apply failed (a governed resource trip, after which
+    /// the WAL was truncated back); either way the batch left no trace.
     Eval(EvalError),
-    /// A previous append failed twice and left a damaged tail on disk;
-    /// this evaluator no longer accepts work. Re-[`open`] to recover.
+    /// A previous append failed twice, or a truncate failed, and left
+    /// frames on disk that memory does not hold; this evaluator no
+    /// longer accepts work. Re-[`open`] to recover.
     ///
     /// [`open`]: DurableEvaluator::open
     Dead,
@@ -393,19 +347,11 @@ pub struct DurableEvaluator {
     /// Sequence number the next appended frame will carry.
     next_seq: u64,
     wal: File,
-    /// Valid length of the current WAL segment (compaction numerator;
-    /// flushed bytes only — staged group-commit frames don't count).
+    /// Valid length of the current WAL segment (compaction numerator).
     wal_len: u64,
     ckpt_len: u64,
     dead: bool,
     report: Option<RecoveryReport>,
-    /// Group-commit stage: encoded frames applied in memory but not yet
-    /// written to the WAL file. Always empty when group commit is off.
-    gc_buf: Vec<u8>,
-    /// Number of frames in `gc_buf`.
-    gc_frames: usize,
-    /// When the oldest staged frame was acknowledged.
-    gc_since: Option<Instant>,
 }
 
 impl DurableEvaluator {
@@ -467,9 +413,6 @@ impl DurableEvaluator {
             ckpt_len,
             dead: false,
             report: None,
-            gc_buf: Vec::new(),
-            gc_frames: 0,
-            gc_since: None,
         })
     }
 
@@ -497,9 +440,6 @@ impl DurableEvaluator {
     ) -> Result<DurableEvaluator, DurableError> {
         let dir = dir.as_ref().to_path_buf();
         let mut report = RecoveryReport::default();
-        if opts.scrub_on_open {
-            report.scrub = Some(DurableEvaluator::scrub(&dir)?);
-        }
 
         // Newest checkpoint that validates *and* reconstructs wins.
         let mut gens = list_generations(&dir, "ckpt-")?;
@@ -597,9 +537,6 @@ impl DurableEvaluator {
             ckpt_len: ckpt.file_len,
             dead: false,
             report: Some(report),
-            gc_buf: Vec::new(),
-            gc_frames: 0,
-            gc_since: None,
         })
     }
 
@@ -622,11 +559,11 @@ impl DurableEvaluator {
     }
 
     /// [`open_or_create`](DurableEvaluator::open_or_create) with explicit
-    /// options, worker pool, and planner mode. With
-    /// [`DurableOptions::scrub_on_open`] set, the scrub runs *before* the
-    /// open-vs-create decision — a directory whose only checkpoint is
-    /// corrupt (a crash during `create`) is quarantined and re-created
-    /// instead of failing with [`DurableError::NoUsableCheckpoint`].
+    /// options, worker pool, and planner mode. Run
+    /// [`scrub`](DurableEvaluator::scrub) first to have a directory whose
+    /// only checkpoint is corrupt (a crash during `create`) quarantined
+    /// and re-created instead of failing with
+    /// [`DurableError::NoUsableCheckpoint`].
     pub fn open_or_create_with_config(
         dir: impl AsRef<Path>,
         program: Program,
@@ -636,28 +573,16 @@ impl DurableEvaluator {
         reorder: bool,
     ) -> Result<DurableEvaluator, DurableError> {
         let d = dir.as_ref();
-        let mut opts = opts;
-        let mut scrub = None;
-        if opts.scrub_on_open && d.is_dir() {
-            scrub = Some(DurableEvaluator::scrub(d)?);
-            opts.scrub_on_open = false; // don't scrub a second time
-        }
-        let mut dur = if d.is_dir() && !list_generations(d, "ckpt-")?.is_empty() {
-            DurableEvaluator::open_with_config(d, opts, pool, reorder)?
+        if d.is_dir() && !list_generations(d, "ckpt-")?.is_empty() {
+            DurableEvaluator::open_with_config(d, opts, pool, reorder)
         } else {
-            DurableEvaluator::create_with_config(d, program, edb, opts, pool, reorder)?
-        };
-        if scrub.is_some() {
-            if let Some(report) = &mut dur.report {
-                report.scrub = scrub;
-            }
+            DurableEvaluator::create_with_config(d, program, edb, opts, pool, reorder)
         }
-        Ok(dur)
     }
 
-    /// Applies one batch durably: WAL append (fsync'd) first, in-memory
-    /// apply second, automatic compaction third. See the [module
-    /// docs](self) for the failure contract.
+    /// Applies one batch durably: validation first, WAL append (fsync'd)
+    /// second, in-memory apply third, automatic compaction last. See the
+    /// [module docs](self) for the failure contract.
     pub fn apply_delta(
         &mut self,
         inserts: &Database,
@@ -689,17 +614,11 @@ impl DurableEvaluator {
         if self.dead {
             return Err(DurableError::Dead);
         }
-        let frame = encode_frame(self.next_seq, inserts, deletes);
-        let staged = self.opts.group_commit.is_some();
-        let gc_pre = self.gc_buf.len();
+        // A batch the maintainer would reject never reaches the WAL: a
+        // frame that cannot replay must not be written, even briefly.
+        check_delta(self.inner.program(), self.inner.edb(), inserts, deletes)?;
         let pre_offset = self.wal_len;
-        if staged {
-            // Group commit: stage the frame in memory; the write + fsync
-            // happen together with its window-mates at the next flush.
-            self.gc_buf.extend_from_slice(&frame);
-        } else {
-            self.append_frame(&frame)?;
-        }
+        self.append_frame(&encode_frame(self.next_seq, inserts, deletes))?;
 
         // In-memory apply. A panic unwinding out of the engine (e.g. the
         // worker-panic fault) must not leave the WAL ahead of memory:
@@ -711,11 +630,7 @@ impl DurableEvaluator {
         let applied = match applied {
             Ok(result) => result,
             Err(unwind) => {
-                if staged {
-                    self.gc_buf.truncate(gc_pre);
-                } else {
-                    let _ = self.truncate_wal(pre_offset);
-                }
+                let _ = self.truncate_wal(pre_offset);
                 self.dead = true;
                 panic::resume_unwind(unwind);
             }
@@ -723,52 +638,16 @@ impl DurableEvaluator {
         match applied {
             Ok(delta) => {
                 self.next_seq += 1;
-                if staged {
-                    self.gc_frames += 1;
-                    self.gc_since.get_or_insert_with(Instant::now);
-                    let win = self.opts.group_commit.expect("staged implies window");
-                    let due = self.gc_frames >= win.frames
-                        || self.gc_since.is_some_and(|t| t.elapsed() >= win.max_delay);
-                    if due {
-                        self.flush()?;
-                    }
-                }
                 self.maybe_compact();
                 Ok(delta)
             }
             Err(e) => {
-                if staged {
-                    self.gc_buf.truncate(gc_pre);
-                } else {
-                    self.truncate_wal(pre_offset)?;
-                }
+                // A failed truncate retires the evaluator (see
+                // `truncate_wal`) and surfaces as the I/O error.
+                self.truncate_wal(pre_offset)?;
                 Err(DurableError::Eval(e))
             }
         }
-    }
-
-    /// Writes and fsyncs every staged group-commit frame. A no-op when
-    /// nothing is staged (in particular, whenever group commit is off).
-    /// On an unrecovered I/O failure the staged frames are lost and the
-    /// evaluator retires — the bounded-loss contract group commit is
-    /// explicit about.
-    pub fn flush(&mut self) -> Result<(), DurableError> {
-        if self.dead {
-            return Err(DurableError::Dead);
-        }
-        if self.gc_buf.is_empty() {
-            return Ok(());
-        }
-        let buf = std::mem::take(&mut self.gc_buf);
-        self.gc_frames = 0;
-        self.gc_since = None;
-        self.append_frame(&buf)
-    }
-
-    /// Frames acknowledged but still staged in memory (zero when group
-    /// commit is off) — the maximum loss a crash right now could cause.
-    pub fn staged_frames(&self) -> usize {
-        self.gc_frames
     }
 
     /// A materialized copy of the maintained derived relations.
@@ -829,8 +708,7 @@ impl DurableEvaluator {
         self.report.as_ref()
     }
 
-    /// Bytes currently in the active WAL segment (header included;
-    /// staged group-commit frames not included).
+    /// Bytes currently in the active WAL segment (header included).
     pub fn wal_bytes(&self) -> u64 {
         self.wal_len
     }
@@ -879,9 +757,6 @@ impl DurableEvaluator {
         if self.dead {
             return Err(DurableError::Dead);
         }
-        // Staged frames must be in the WAL before the checkpoint claims
-        // their sequence numbers.
-        self.flush()?;
         let prev_gen = self.ckpt_gen;
         let new_gen = self.wal_gen + 1;
         self.ckpt_len = write_checkpoint_retry(&self.dir, new_gen, &mut self.inner, self.next_seq)?;
@@ -1054,9 +929,9 @@ impl DurableEvaluator {
                     return Ok(());
                 }
                 Err(e) if attempt == 0 => {
-                    // Self-heal: drop the partial tail and go again.
+                    // Self-heal: drop the partial tail and go again (a
+                    // failed truncate has already retired the evaluator).
                     if self.truncate_wal(pre_offset).is_err() {
-                        self.dead = true;
                         return Err(e);
                     }
                 }
@@ -1112,13 +987,31 @@ impl DurableEvaluator {
         Ok(())
     }
 
+    /// Cuts the active WAL segment back to `offset`. Any failure retires
+    /// the evaluator: the bytes past `offset` may still be on disk, and a
+    /// frame appended after them would reuse their sequence number, so
+    /// recovery would replay the cut frame and skip the real one.
     fn truncate_wal(&mut self, offset: u64) -> Result<(), DurableError> {
+        let cut = self.try_truncate(offset);
+        match cut {
+            Ok(()) => self.wal_len = offset,
+            Err(_) => self.dead = true,
+        }
+        cut
+    }
+
+    /// One truncate attempt, with the injected-fault hook.
+    fn try_truncate(&mut self, offset: u64) -> Result<(), DurableError> {
+        if fault::fire(fault::WAL_TRUNCATE) {
+            return Err(DurableError::Io(std::io::Error::other(
+                "injected truncate failure",
+            )));
+        }
         self.wal.set_len(offset)?;
         self.wal.seek(SeekFrom::End(0))?;
         if self.opts.fsync {
             self.wal.sync_data()?;
         }
-        self.wal_len = offset;
         Ok(())
     }
 }
@@ -1212,17 +1105,6 @@ fn write_checkpoint(
     // disk decode to exactly what recovery needs.
     load_checkpoint(&path, gen)?;
     Ok(bytes.len() as u64)
-}
-
-/// Best-effort flush of staged group-commit frames on drop: a *clean*
-/// shutdown should not exercise the bounded-loss window. (A crash — the
-/// case the window is priced for — never runs this.)
-impl Drop for DurableEvaluator {
-    fn drop(&mut self) {
-        if !self.dead && !self.gc_buf.is_empty() {
-            let _ = self.flush();
-        }
-    }
 }
 
 /// fsyncs a directory so renames/creations within it are durable.

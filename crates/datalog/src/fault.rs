@@ -46,6 +46,8 @@
 //! | `wal-torn-write`         | truncates a WAL frame mid-write (no fsync)      |
 //! | `wal-bit-flip`           | flips one payload bit in a written WAL frame    |
 //! | `checkpoint-partial`     | truncates a checkpoint file mid-write           |
+//! | `wal-truncate`           | fails the truncate that cuts a rejected WAL     |
+//! |                          | frame back out (test hook; no CI leg arms it)   |
 //! | `crash-after-wal-append` | aborts after a WAL frame is durable, before the |
 //! |                          | in-memory apply                                 |
 //! | `crash-wal-partial`      | writes a prefix of a WAL frame (length from     |
@@ -79,6 +81,10 @@ pub const WAL_TORN_WRITE: &str = "wal-torn-write";
 pub const WAL_BIT_FLIP: &str = "wal-bit-flip";
 /// Truncates a checkpoint file mid-write (partial checkpoint).
 pub const CHECKPOINT_PARTIAL: &str = "checkpoint-partial";
+/// Fails the truncate that cuts an appended WAL frame back out (after a
+/// failed apply or a failed append attempt); the frame stays on disk and
+/// the durable evaluator retires.
+pub const WAL_TRUNCATE: &str = "wal-truncate";
 /// Aborts after a WAL frame is durably appended, before the in-memory
 /// apply — recovery must replay the frame.
 pub const CRASH_AFTER_WAL_APPEND: &str = "crash-after-wal-append";

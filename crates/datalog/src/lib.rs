@@ -54,9 +54,7 @@ pub mod query;
 pub use ast::{
     alpha_equivalent, normalize_singletons, Atom, Literal, Program, Rule, Term, WellFormedError,
 };
-pub use durable::{
-    DurableError, DurableEvaluator, DurableOptions, GroupCommit, RecoveryReport, ScrubReport,
-};
+pub use durable::{DurableError, DurableEvaluator, DurableOptions, RecoveryReport, ScrubReport};
 pub use engine::{reorder_default, resolve_reorder, Evaluator, RuleCacheHandle};
 pub use eval::{evaluate, EvalError, ResourceTrip};
 pub use governor::{resolve_fact_budget, Governor, ResourceLimits};

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use dynamite_datalog::durable::{DurableError, DurableEvaluator, DurableOptions};
 use dynamite_datalog::fault;
 use dynamite_datalog::pool::WorkerPool;
-use dynamite_datalog::{Governor, IncrementalEvaluator, Program, ResourceLimits};
+use dynamite_datalog::{EvalError, Governor, IncrementalEvaluator, Program, ResourceLimits};
 use dynamite_instance::{Database, Value};
 
 mod common;
@@ -424,6 +424,81 @@ fn governed_trip_truncates_the_appended_frame() {
     let mut rec = DurableEvaluator::open_with_config(dir.path(), opts, pool, true).unwrap();
     assert_eq!(rec.recovery_report().unwrap().frames_replayed, 1);
     assert_bit_identical(&rec.output(), &live_output, "post-trip output");
+}
+
+/// A batch the maintainer rejects is refused before its frame is
+/// written: no WAL bytes, no sequence number, and no I/O at all — an
+/// armed `wal-torn-write` is still armed afterwards.
+#[test]
+fn rejected_batch_never_reaches_the_wal() {
+    let _g = fault::test_lock();
+    fault::reset();
+    let dir = TempDir::new("rejected-batch");
+    let mut dur = DurableEvaluator::create(dir.path(), program(), seed_edb()).unwrap();
+    let (ins, dels) = &batches(1, 0xBAD)[0];
+    dur.apply_delta(ins, dels).unwrap();
+    let (wal_before, seq_before) = (dur.wal_bytes(), dur.next_seq());
+
+    let mut wrong_arity = Database::new();
+    wrong_arity.insert("Edge", vec![Value::Int(1)]);
+    fault::arm(fault::WAL_TORN_WRITE, 1);
+    let err = dur.apply_delta(&wrong_arity, &Database::new()).unwrap_err();
+    assert!(
+        matches!(err, DurableError::Eval(EvalError::InputArity { .. })),
+        "{err}"
+    );
+    assert_eq!(dur.wal_bytes(), wal_before, "no frame written");
+    assert_eq!(dur.next_seq(), seq_before, "no sequence number taken");
+    assert!(
+        fault::fire(fault::WAL_TORN_WRITE),
+        "the rejected batch must not reach the append"
+    );
+    assert!(!dur.is_dead());
+    fault::reset();
+}
+
+/// A failed truncate after a governed trip retires the evaluator: the
+/// tripped batch's frame stays on disk, so no later frame may take its
+/// sequence number. Recovery then replays that frame, exactly as after
+/// `crash-after-wal-append`.
+#[test]
+fn failed_truncate_retires_the_evaluator() {
+    let _g = fault::test_lock();
+    fault::reset();
+    let dir = TempDir::new("failed-truncate");
+    let reference = TempDir::new("failed-truncate-ref");
+    let pool = Arc::new(WorkerPool::new(1));
+    let opts = DurableOptions::default();
+    let create = |path| {
+        DurableEvaluator::create_with_config(path, program(), seed_edb(), opts, pool.clone(), true)
+            .unwrap()
+    };
+    let mut dur = create(dir.path());
+    let mut want = create(reference.path());
+    let stream = batches(2, 0x7A1C);
+    dur.apply_delta(&stream[0].0, &stream[0].1).unwrap();
+    want.apply_delta(&stream[0].0, &stream[0].1).unwrap();
+    want.apply_delta(&stream[1].0, &stream[1].1).unwrap();
+
+    fault::arm(fault::BUDGET, 1);
+    fault::arm(fault::WAL_TRUNCATE, 1);
+    let gov = Governor::new(ResourceLimits::none());
+    let err = dur
+        .apply_delta_governed(&stream[1].0, &stream[1].1, &gov)
+        .unwrap_err();
+    fault::reset();
+    assert!(matches!(err, DurableError::Io(_)), "{err}");
+    assert!(dur.is_dead(), "a failed truncate must retire the evaluator");
+    assert!(matches!(
+        dur.apply_delta(&stream[0].0, &stream[0].1),
+        Err(DurableError::Dead)
+    ));
+    drop(dur);
+
+    let mut rec = DurableEvaluator::open_with_config(dir.path(), opts, pool, true).unwrap();
+    assert_eq!(rec.next_seq(), 2, "the stuck frame replays");
+    assert_bit_identical(rec.edb(), want.edb(), "recovered edb");
+    assert_bit_identical(&rec.output(), &want.output(), "recovered output");
 }
 
 /// Compaction keeps exactly one fallback generation and recovery still

@@ -1,12 +1,12 @@
-//! Pins for the integrity scrubber, group commit, and the drift
-//! auditor (ISSUE 9).
+//! Pins for the integrity scrubber, the write contract, and the drift
+//! auditor.
 //!
 //! The scrubber's contract: damage is *contained, never destroyed* —
 //! corrupt checkpoints are renamed `*.quarantine`, damaged WAL tails
 //! are truncated at the last valid frame boundary — and a scrubbed
-//! directory opens cleanly. Group commit's contract: the WAL is always
-//! an exact prefix of the acknowledged batches, and a crash loses at
-//! most the staged (un-fsync'd) suffix. The auditor's contract: silent
+//! directory opens cleanly. The write contract: every acknowledged
+//! batch is in the WAL before `apply_delta` returns, so a process that
+//! dies without running any destructor loses none. The auditor's contract: silent
 //! overlay corruption (the one fault the WAL cannot see) is caught by
 //! comparing against a from-scratch re-evaluation, and repaired by
 //! rebuilding.
@@ -317,95 +317,34 @@ fn empty_batches_and_checkpoint_on_segment_boundary_stitch() {
     let report = DurableEvaluator::scrub(tmp.path()).unwrap();
     assert!(report.is_clean(), "{report:?}");
 
-    let mut back = open(tmp.path(), manual().scrub_on_open(true));
+    let mut back = open(tmp.path(), manual());
     assert_eq!(back.next_seq(), 3);
     let rec = back.recovery_report().unwrap();
     assert_eq!(rec.frames_replayed, 1);
-    assert!(rec.scrub.as_ref().unwrap().is_clean());
     assert_eq!(ordered_rows(&back.output()), want);
 }
 
 #[test]
-fn group_commit_stages_frames_and_flushes_on_window() {
+fn abandoned_process_keeps_every_acknowledged_batch() {
     let _guard = fault::test_lock();
     fault::reset();
-    let tmp = TempDir::new("gc-window");
-    let opts = manual().group_commit(3, std::time::Duration::from_secs(3600));
-    let mut dur = create(tmp.path(), opts);
-    let header = dur.wal_bytes();
-    let stream = batches(8, 23);
-
-    dur.apply_delta(&stream[0].0, &stream[0].1).unwrap();
-    dur.apply_delta(&stream[1].0, &stream[1].1).unwrap();
-    assert_eq!(dur.staged_frames(), 2, "below the window: staged");
-    assert_eq!(dur.wal_bytes(), header, "below the window: no WAL I/O");
-
-    dur.apply_delta(&stream[2].0, &stream[2].1).unwrap();
-    assert_eq!(dur.staged_frames(), 0, "window full: flushed");
-    assert!(dur.wal_bytes() > header, "window full: frames on disk");
-
-    // An explicit flush empties a partial stage; a second is a no-op.
-    dur.apply_delta(&stream[3].0, &stream[3].1).unwrap();
-    assert_eq!(dur.staged_frames(), 1);
-    dur.flush().unwrap();
-    assert_eq!(dur.staged_frames(), 0);
-    dur.flush().unwrap();
-
-    // Checkpoint flushes the stage before claiming sequence numbers.
-    dur.apply_delta(&stream[4].0, &stream[4].1).unwrap();
-    assert_eq!(dur.staged_frames(), 1);
-    dur.checkpoint().unwrap();
-    assert_eq!(dur.staged_frames(), 0);
-
-    // Drop flushes what remains: a clean exit loses nothing.
-    dur.apply_delta(&stream[5].0, &stream[5].1).unwrap();
-    let want = ordered_rows(&dur.output());
-    drop(dur);
-    let mut back = open(tmp.path(), manual());
-    assert_eq!(back.next_seq(), 6);
-    assert_eq!(ordered_rows(&back.output()), want);
-}
-
-#[test]
-fn group_commit_zero_delay_flushes_every_batch() {
-    let _guard = fault::test_lock();
-    fault::reset();
-    let tmp = TempDir::new("gc-zero");
-    let opts = manual().group_commit(100, std::time::Duration::ZERO);
-    let mut dur = create(tmp.path(), opts);
-    let mut last = dur.wal_bytes();
-    for (ins, dels) in batches(3, 31) {
-        dur.apply_delta(&ins, &dels).unwrap();
-        assert_eq!(dur.staged_frames(), 0, "age bound hit instantly");
-        assert!(dur.wal_bytes() > last);
-        last = dur.wal_bytes();
-    }
-}
-
-#[test]
-fn abandoned_process_loses_exactly_the_staged_suffix() {
-    let _guard = fault::test_lock();
-    fault::reset();
-    let tmp = TempDir::new("gc-forget");
-    let reference = TempDir::new("gc-forget-ref");
-    let opts = manual().group_commit(3, std::time::Duration::from_secs(3600));
-    let mut dur = create(tmp.path(), opts);
+    let tmp = TempDir::new("forget");
+    let reference = TempDir::new("forget-ref");
+    let mut dur = create(tmp.path(), DurableOptions::default());
     let stream = batches(5, 41);
     for (ins, dels) in &stream {
         dur.apply_delta(ins, dels).unwrap();
     }
-    // 5 acked batches: 3 flushed by the window, 2 staged in user memory.
-    assert_eq!(dur.staged_frames(), 2);
-    // Die without Drop: staged frames never reach the kernel, let alone
-    // the disk — this is the loss bound, not an fsync-timing accident.
+    // Die without Drop: nothing buffered in this process may be needed
+    // for the acknowledged batches to survive.
     std::mem::forget(dur);
 
-    let mut back = open(tmp.path(), manual());
-    assert_eq!(back.next_seq(), 3, "exactly the flushed prefix survives");
+    let mut back = open(tmp.path(), DurableOptions::default());
+    assert_eq!(back.next_seq(), 5, "every acknowledged batch survives");
 
-    // Bit-identical to an uninterrupted run of just those 3 batches.
-    let mut want = create(reference.path(), manual());
-    for (ins, dels) in &stream[..3] {
+    // Bit-identical to an uninterrupted run of the same 5 batches.
+    let mut want = create(reference.path(), DurableOptions::default());
+    for (ins, dels) in &stream {
         want.apply_delta(ins, dels).unwrap();
     }
     assert_eq!(ordered_rows(back.edb()), ordered_rows(want.edb()));

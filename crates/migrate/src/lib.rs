@@ -39,9 +39,8 @@ use std::path::Path;
 
 use dynamite_core::{synthesize, Example, Synthesis, SynthesisConfig, SynthesisError};
 use dynamite_datalog::{
-    pool, reorder_default, DriftError, DurableError, DurableEvaluator, DurableOptions, EvalError,
-    Evaluator, Governor, OutputDelta, Program, QueryStats, RecoveryReport, ScrubReport,
-    ServedEvaluator,
+    DriftError, DurableError, DurableEvaluator, EvalError, Evaluator, Governor, OutputDelta,
+    Program, QueryStats, RecoveryReport, ServedEvaluator,
 };
 use dynamite_instance::{from_facts, to_facts, Database, FactsError, Instance, Relation, Value};
 use dynamite_schema::Schema;
@@ -127,20 +126,6 @@ impl MigrationReport {
     pub fn total_time(&self) -> Duration {
         self.to_facts_time + self.eval_time + self.build_time
     }
-}
-
-/// Counters for the periodic overlay audit
-/// ([`DurableMigration::set_audit_every`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AuditStats {
-    /// Audits run (each is a full re-evaluation compared set-wise
-    /// against the maintained overlay).
-    pub audits: u64,
-    /// Audits that found drift.
-    pub drifts_detected: u64,
-    /// Automatic repairs performed (overlay rebuilt; for durable
-    /// migrations, also a fresh verified checkpoint).
-    pub repairs: u64,
 }
 
 /// Migrates `source` to the target schema by executing `program`.
@@ -241,22 +226,9 @@ fn migrate_inner(
 pub struct DurableMigration {
     dur: DurableEvaluator,
     target_schema: Arc<Schema>,
-    audit_every: Option<u64>,
-    batches_since_audit: u64,
-    audit_stats: AuditStats,
 }
 
 impl DurableMigration {
-    fn wrap(dur: DurableEvaluator, target_schema: Arc<Schema>) -> DurableMigration {
-        DurableMigration {
-            dur,
-            target_schema,
-            audit_every: None,
-            batches_since_audit: 0,
-            audit_stats: AuditStats::default(),
-        }
-    }
-
     /// Translates `source` to facts, evaluates `program`, and starts a
     /// durable state directory at `dir` (checkpoint generation 0).
     pub fn create(
@@ -265,35 +237,8 @@ impl DurableMigration {
         source: &Instance,
         target_schema: Arc<Schema>,
     ) -> Result<DurableMigration, MigrateError> {
-        DurableMigration::create_with_options(
-            dir,
-            program,
-            source,
-            target_schema,
-            DurableOptions::default(),
-        )
-    }
-
-    /// [`create`](DurableMigration::create) with explicit
-    /// [`DurableOptions`] — checkpointing thresholds, group commit,
-    /// scrub-on-open.
-    pub fn create_with_options(
-        dir: impl AsRef<Path>,
-        program: &Program,
-        source: &Instance,
-        target_schema: Arc<Schema>,
-        opts: DurableOptions,
-    ) -> Result<DurableMigration, MigrateError> {
-        let facts = to_facts(source);
-        let dur = DurableEvaluator::create_with_config(
-            dir,
-            program.clone(),
-            facts,
-            opts,
-            pool::with_threads(None),
-            reorder_default(),
-        )?;
-        Ok(DurableMigration::wrap(dur, target_schema))
+        let dur = DurableEvaluator::create(dir, program.clone(), to_facts(source))?;
+        Ok(DurableMigration { dur, target_schema })
     }
 
     /// Recovers a durable migration from `dir` (newest valid checkpoint
@@ -304,33 +249,8 @@ impl DurableMigration {
         dir: impl AsRef<Path>,
         target_schema: Arc<Schema>,
     ) -> Result<DurableMigration, MigrateError> {
-        DurableMigration::open_with_options(dir, target_schema, DurableOptions::default())
-    }
-
-    /// [`open`](DurableMigration::open) with explicit [`DurableOptions`].
-    /// With [`DurableOptions::scrub_on_open`], the state directory is
-    /// scrubbed (corrupt checkpoints quarantined, damaged WAL tails
-    /// truncated) before recovery, and the [`ScrubReport`] rides along on
-    /// [`recovery_report`](DurableMigration::recovery_report).
-    pub fn open_with_options(
-        dir: impl AsRef<Path>,
-        target_schema: Arc<Schema>,
-        opts: DurableOptions,
-    ) -> Result<DurableMigration, MigrateError> {
-        let dur = DurableEvaluator::open_with_config(
-            dir,
-            opts,
-            pool::with_threads(None),
-            reorder_default(),
-        )?;
-        Ok(DurableMigration::wrap(dur, target_schema))
-    }
-
-    /// Verifies every checkpoint and WAL frame under `dir` without
-    /// opening or modifying live state, quarantining what fails
-    /// verification — see [`DurableEvaluator::scrub`].
-    pub fn scrub(dir: impl AsRef<Path>) -> Result<ScrubReport, MigrateError> {
-        Ok(DurableEvaluator::scrub(dir)?)
+        let dur = DurableEvaluator::open(dir)?;
+        Ok(DurableMigration { dur, target_schema })
     }
 
     /// Applies one batch durably (WAL append before in-memory apply) and
@@ -340,9 +260,7 @@ impl DurableMigration {
         inserts: &Database,
         deletes: &Database,
     ) -> Result<OutputDelta, MigrateError> {
-        let delta = self.dur.apply_delta(inserts, deletes)?;
-        self.maybe_audit()?;
-        Ok(delta)
+        Ok(self.dur.apply_delta(inserts, deletes)?)
     }
 
     /// [`apply_delta`](DurableMigration::apply_delta) under resource
@@ -354,24 +272,7 @@ impl DurableMigration {
         deletes: &Database,
         gov: &Governor,
     ) -> Result<OutputDelta, MigrateError> {
-        let delta = self.dur.apply_delta_governed(inserts, deletes, gov)?;
-        self.maybe_audit()?;
-        Ok(delta)
-    }
-
-    /// Audit the maintained overlay every `n` successfully applied
-    /// batches, repairing automatically on drift (the repair also writes
-    /// a fresh verified checkpoint). `None` (and `Some(0)`) disables
-    /// periodic auditing.
-    pub fn set_audit_every(&mut self, every: Option<u64>) {
-        self.audit_every = every.filter(|&n| n > 0);
-        self.batches_since_audit = 0;
-    }
-
-    /// Counters for the periodic audit (see
-    /// [`set_audit_every`](DurableMigration::set_audit_every)).
-    pub fn audit_stats(&self) -> AuditStats {
-        self.audit_stats
+        Ok(self.dur.apply_delta_governed(inserts, deletes, gov)?)
     }
 
     /// Verifies the maintained overlay against a from-scratch
@@ -390,33 +291,10 @@ impl DurableMigration {
     }
 
     /// What recovery did at [`open`](DurableMigration::open) — replayed
-    /// frames, skipped checkpoints, truncated tails, and the scrub
-    /// report when scrub-on-open was requested. `None` for a freshly
+    /// frames, skipped checkpoints, truncated tails. `None` for a freshly
     /// created directory.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
         self.dur.recovery_report()
-    }
-
-    fn maybe_audit(&mut self) -> Result<(), MigrateError> {
-        let Some(n) = self.audit_every else {
-            return Ok(());
-        };
-        self.batches_since_audit += 1;
-        if self.batches_since_audit < n {
-            return Ok(());
-        }
-        self.batches_since_audit = 0;
-        self.audit_stats.audits += 1;
-        match self.dur.audit() {
-            Ok(()) => Ok(()),
-            Err(DurableError::Eval(EvalError::Drift(_))) => {
-                self.audit_stats.drifts_detected += 1;
-                self.dur.repair()?;
-                self.audit_stats.repairs += 1;
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        }
     }
 
     /// The maintained extensional facts (post all applied batches).
@@ -880,7 +758,7 @@ mod tests {
         let mut live = DurableMigration::create(&dir, &admission(), &ex.input, target).unwrap();
         let (ins, dels) = admit_churn(live.facts());
 
-        // No periodic audit armed: the injected drift goes unnoticed…
+        // The injected drift goes unnoticed by the apply…
         fault::arm(fault::DRIFT, 1);
         live.apply_delta(&Database::new(), &dels).unwrap();
         // …until a manual audit reports it, typed.
@@ -891,101 +769,7 @@ mod tests {
         live.audit().unwrap();
         live.apply_delta(&ins, &Database::new()).unwrap();
         assert!(live.target().unwrap().canon_eq(&ex.output));
-        assert_eq!(live.audit_stats(), AuditStats::default());
         drop(live);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn durable_repair_checkpoints_and_survives_reopen() {
-        let _guard = fault::test_lock();
-        fault::reset();
-        let dir = state_dir("durable-repair");
-        let (_, target, ex) = motivating();
-        let mut live =
-            DurableMigration::create(&dir, &admission(), &ex.input, target.clone()).unwrap();
-        live.set_audit_every(Some(1));
-        let (ins, dels) = admit_churn(live.facts());
-
-        // A clean batch audits without incident.
-        live.apply_delta(&Database::new(), &dels).unwrap();
-        assert_eq!(
-            live.audit_stats(),
-            AuditStats {
-                audits: 1,
-                drifts_detected: 0,
-                repairs: 0
-            }
-        );
-        let gen_before = live.evaluator().generation();
-
-        // Injected drift: the periodic audit repairs it AND rolls a
-        // fresh verified checkpoint, so the corruption can never be
-        // replayed from disk.
-        fault::arm(fault::DRIFT, 1);
-        live.apply_delta(&ins, &Database::new()).unwrap();
-        assert_eq!(
-            live.audit_stats(),
-            AuditStats {
-                audits: 2,
-                drifts_detected: 1,
-                repairs: 1
-            }
-        );
-        assert!(
-            live.evaluator().generation() > gen_before,
-            "auto-repair writes a checkpoint"
-        );
-        let expected = live.target().unwrap();
-        assert!(expected.canon_eq(&ex.output));
-        drop(live);
-
-        let mut back = DurableMigration::open(&dir, target).unwrap();
-        back.audit().unwrap();
-        assert!(back.target().unwrap().canon_eq(&expected));
-
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn durable_options_and_scrub_surface_through_migrate() {
-        use std::time::Duration;
-        let _guard = fault::test_lock();
-        fault::reset();
-        let dir = state_dir("migrate-scrub");
-        let (_, target, ex) = motivating();
-        let opts = DurableOptions::default().group_commit(8, Duration::from_secs(3600));
-        let mut live = DurableMigration::create_with_options(
-            &dir,
-            &admission(),
-            &ex.input,
-            target.clone(),
-            opts,
-        )
-        .unwrap();
-        let (_ins, dels) = admit_churn(live.facts());
-        live.apply_delta(&Database::new(), &dels).unwrap();
-        let expected = live.target().unwrap();
-        // Drop flushes the staged group-commit frame before the file
-        // handle closes.
-        drop(live);
-
-        let report = DurableMigration::scrub(&dir).unwrap();
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(report.wal_frames_ok, 1);
-
-        let mut back = DurableMigration::open_with_options(
-            &dir,
-            target,
-            DurableOptions::default().scrub_on_open(true),
-        )
-        .unwrap();
-        let rec = back.recovery_report().expect("reopen produces a report");
-        assert_eq!(rec.frames_replayed, 1);
-        let scrub = rec.scrub.as_ref().expect("scrub-on-open rides along");
-        assert!(scrub.is_clean(), "{scrub:?}");
-        assert!(back.target().unwrap().canon_eq(&expected));
-
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
