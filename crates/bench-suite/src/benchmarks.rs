@@ -30,6 +30,8 @@ pub struct Benchmark {
     source: Arc<Schema>,
     target: Arc<Schema>,
     golden: Program,
+    /// The dataset's full-instance generator.
+    generate: fn(scale: u64, seed: u64) -> Instance,
 }
 
 impl Benchmark {
@@ -50,6 +52,7 @@ impl Benchmark {
             source: dataset.source.clone(),
             target,
             golden,
+            generate: dataset.generate,
         }
     }
 
@@ -114,11 +117,7 @@ impl Benchmark {
 
     /// Generates the full source instance at `scale` (Table 1 datasets).
     pub fn generate_source(&self, scale: u64, seed: u64) -> Instance {
-        let ds = datasets::all()
-            .into_iter()
-            .find(|d| d.name == self.dataset)
-            .expect("benchmark dataset exists");
-        (ds.generate)(scale, seed)
+        (self.generate)(scale, seed)
     }
 }
 

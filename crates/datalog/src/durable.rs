@@ -45,8 +45,9 @@
 //! [`apply_delta`](DurableEvaluator::apply_delta) is **write-ahead**:
 //! every acknowledged batch is in the WAL, fsync'd (configurable via
 //! [`DurableOptions::fsync`]), before the in-memory apply. A batch the
-//! maintainer rejects up front (an arity mismatch, a derived relation)
-//! is refused before its frame is encoded, so it costs no write and no
+//! maintainer rejects up front (an arity mismatch, a derived relation),
+//! or that arrives under an already tripped or cancelled governor, is
+//! refused before its frame is encoded, so it costs no write and no
 //! fsync. If the apply then fails (a governed resource trip), the WAL is
 //! truncated back to the pre-append offset, so the log always equals
 //! exactly the applied batches. A failed *append* self-heals once —
@@ -592,9 +593,11 @@ impl DurableEvaluator {
     }
 
     /// [`apply_delta`](DurableEvaluator::apply_delta) under cooperative
-    /// resource limits. A governed trip truncates the appended frame back
-    /// out of the WAL (the log always equals the applied batches) and
-    /// poisons the in-memory maintainer exactly as
+    /// resource limits. A governor that has already tripped (or been
+    /// cancelled) refuses the batch before its frame is written. A trip
+    /// during maintenance truncates the appended frame back out of the
+    /// WAL (the log always equals the applied batches) and poisons the
+    /// in-memory maintainer exactly as
     /// [`IncrementalEvaluator::apply_delta_governed`] would.
     pub fn apply_delta_governed(
         &mut self,
@@ -615,8 +618,13 @@ impl DurableEvaluator {
             return Err(DurableError::Dead);
         }
         // A batch the maintainer would reject never reaches the WAL: a
-        // frame that cannot replay must not be written, even briefly.
+        // frame that cannot replay must not be written, even briefly. Nor
+        // does one under an already tripped or cancelled governor, which
+        // would pay a write, an fsync and a truncate only to be refused.
         check_delta(self.inner.program(), self.inner.edb(), inserts, deletes)?;
+        if let Some(gov) = gov {
+            gov.check()?;
+        }
         let pre_offset = self.wal_len;
         self.append_frame(&encode_frame(self.next_seq, inserts, deletes))?;
 

@@ -38,7 +38,13 @@
 //!   with a constant or an earlier-bound variable probes a cached index
 //!   on those columns;
 //! - negated literals probe an index on their bound columns instead of
-//!   scanning the whole relation per emitted tuple.
+//!   scanning the whole relation per emitted tuple;
+//! - bindings nothing can tell apart are walked once: a join order's
+//!   trailing literals that bind no variable a head or negation reads
+//!   are an **existence suffix** (walked until the first full match),
+//!   and a per-job **projection memo** skips a subtree whose key — the
+//!   bound variables something later reads — it has walked before (see
+//!   [`Variant::compile`]).
 //!
 //! # Parallel fixpoint
 //!
@@ -71,6 +77,15 @@
 //!   wrong plans.
 //! - **Delta-first**: every semi-naive delta variant keeps its delta
 //!   occurrence outermost; the planner may permute only the rest.
+//! - **Cuts skip only repeats**: the existence suffix and the projection
+//!   memo skip only subtrees that would emit copies of tuples the same
+//!   job emitted earlier, so each job's buffer keeps every tuple's first
+//!   occurrence in place and `absorb` builds the same rows in the same
+//!   order. The memo gate changes only which repeats are skipped.
+//!   `descend`'s "found a match" answer must never be a false `true`
+//!   (a suffix walk would stop short); a skipped repeat answers `false`,
+//!   which no walk outside the suffix reads, and memoized depths end
+//!   where the suffix starts.
 //! - **Indexes equal a fresh build**: every cached EDB index and every
 //!   overlay index equals `ColumnIndex::build` over its relation's
 //!   current rows, postings ascending. Inserts append the new row id
@@ -83,7 +98,7 @@
 
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
-use dynamite_instance::hash::FxHashMap;
+use dynamite_instance::hash::{FxHashMap, FxHashSet};
 use dynamite_instance::{ColumnIndex, Database, Relation, RowChange, RowRef, Value};
 
 use crate::ast::{Literal, Program, Rule, Term};
@@ -578,6 +593,8 @@ impl EvalRun<'_> {
         if let Some(gov) = self.gov {
             gov.check()?;
         }
+        #[cfg(test)]
+        upkeep::count_emitted(results.iter().map(Vec::len).sum());
         Ok(jobs.iter().zip(results).map(|(j, r)| (j.rule, r)).collect())
     }
 
@@ -758,6 +775,8 @@ fn join_job(
             };
             LitExec {
                 slots: &lit.slots,
+                walk: lit.walk,
+                memo: lit.memo.as_deref(),
                 src,
             }
         })
@@ -788,6 +807,11 @@ fn join_job(
         newly: vec![Vec::new(); depths],
         keys: vec![Vec::new(); depths],
         negkey: Vec::new(),
+        memos: execs
+            .iter()
+            .map(|exec| exec.memo.map(|_| Memo::default()))
+            .collect(),
+        memokey: Vec::new(),
         results: Vec::new(),
         gov,
         ticks: 0,
@@ -1093,6 +1117,25 @@ struct LitPlan {
     /// variables, in column order) — the index key. Empty means scan,
     /// as it always is at depth 0.
     key_cols: Vec<usize>,
+    walk: Walk,
+    /// The projection-memo key checked before this literal joins, as
+    /// variable indices, where it leaves out a bound variable.
+    memo: Option<Box<[usize]>>,
+}
+
+/// Which of a literal's matching rows the join walks. Both cuts skip
+/// only subtrees that emit copies of tuples the job has already emitted,
+/// so the first occurrence of every tuple keeps its place.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Walk {
+    /// Every matching row.
+    All,
+    /// The first matching row: nothing after this literal reads what it
+    /// binds, so every row leads into the same subtree.
+    First,
+    /// Rows until one completes the join: the literal is in the existence
+    /// suffix, whose bindings no head or negation reads.
+    UntilMatch,
 }
 
 enum Slot {
@@ -1269,20 +1312,25 @@ impl CompiledRule {
             })
             .collect();
 
-        let positives: Vec<(usize, &Literal)> = rule
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.negated)
-            .collect();
+        let positives: Vec<&Literal> = rule.body.iter().filter(|l| !l.negated).collect();
 
-        let naive = Variant::compile(&positives, &var_index, nvars, &orders.naive);
+        // The variables a join's output depends on besides its own
+        // literals: those the heads emit and the negations probe.
+        let mut live = vec![false; nvars];
+        let negated = rule.body.iter().filter(|l| l.negated).map(|l| &l.atom);
+        for atom in rule.heads.iter().chain(negated) {
+            for v in atom.vars() {
+                live[var_index[v]] = true;
+            }
+        }
+
+        let naive = Variant::compile(&positives, &var_index, &live, &orders.naive);
         let deltas = orders
             .deltas
             .iter()
             .map(|order| DeltaVariant {
-                relation: positives[order[0]].1.atom.relation.clone(),
-                variant: Variant::compile(&positives, &var_index, nvars, order),
+                relation: positives[order[0]].atom.relation.clone(),
+                variant: Variant::compile(&positives, &var_index, &live, order),
             })
             .collect();
 
@@ -1303,6 +1351,10 @@ impl CompiledRule {
 
     /// One-line plan rendering: heads, then the naive variant's literals
     /// in execution order with their access paths, then negation probes.
+    /// A literal that stops at its first match (an existence check) is
+    /// marked `; exists`, and `memo(v0, ..)` stands before each memoized
+    /// depth with its key variables, numbered by first occurrence, heads
+    /// first.
     fn describe(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
@@ -1313,16 +1365,24 @@ impl CompiledRule {
             s.push_str(rel);
         }
         s.push_str(" :- ");
-        for (i, lit) in self.naive.lits.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
+        let mut items: Vec<String> = Vec::new();
+        for lit in &self.naive.lits {
+            if let Some(key) = &lit.memo {
+                let vars: Vec<String> = key.iter().map(|v| format!("v{v}")).collect();
+                items.push(format!("memo({})", vars.join(", ")));
             }
-            let _ = if lit.key_cols.is_empty() {
-                write!(s, "{}[scan]", lit.rel)
+            let mut item = if lit.key_cols.is_empty() {
+                format!("{}[scan", lit.rel)
             } else {
-                write!(s, "{}[index {:?}]", lit.rel, lit.key_cols)
+                format!("{}[index {:?}", lit.rel, lit.key_cols)
             };
+            if lit.walk != Walk::All {
+                item.push_str("; exists");
+            }
+            item.push(']');
+            items.push(item);
         }
+        s.push_str(&items.join(", "));
         for neg in &self.negs {
             let _ = write!(s, ", !{}[probe {:?}]", neg.rel, neg.key_cols);
         }
@@ -1333,21 +1393,34 @@ impl CompiledRule {
 impl Variant {
     /// Compiles one join order — the planner-chosen (or body-order)
     /// permutation `order` of `positives` (a delta variant's order
-    /// starts with its delta occurrence) — into slot layouts and
-    /// per-literal index key columns.
+    /// starts with its delta occurrence) — into slot layouts, per-literal
+    /// index key columns, and the two cuts for variables nothing reads.
+    /// `live` marks the variables the heads and negations read.
+    ///
+    /// - **Existence suffix.** The trailing literals that bind no live
+    ///   variable (they may read each other's) only decide whether the
+    ///   prefix binding emits: they walk rows until one completes the
+    ///   join. A literal anywhere whose bindings nothing after it reads
+    ///   walks its first matching row only.
+    /// - **Projection memo.** At a depth up to the suffix, the variables
+    ///   bound so far that a later literal, a negation or a head reads
+    ///   determine everything the subtree emits, so a repeated key can
+    ///   only re-emit what the job already emitted. The depth is memoized
+    ///   on them where they can repeat: where they leave out a bound
+    ///   variable, or after a literal with wildcard columns.
     fn compile(
-        positives: &[(usize, &Literal)],
+        positives: &[&Literal],
         var_index: &FxHashMap<&str, usize>,
-        nvars: usize,
+        live: &[bool],
         order: &[usize],
     ) -> Variant {
-        let mut bound = vec![false; nvars];
         debug_assert_eq!(order.len(), positives.len(), "order must be a permutation");
-        let ordered: Vec<(usize, &Literal)> = order.iter().map(|&i| positives[i]).collect();
-        let lits = ordered
+        let mut bound = vec![false; live.len()];
+        let mut lits: Vec<LitPlan> = order
             .iter()
             .enumerate()
-            .map(|(join_i, &(_pos, lit))| {
+            .map(|(join_i, &i)| {
+                let lit = positives[i];
                 let before = bound.clone();
                 let slots: Vec<Slot> = lit
                     .atom
@@ -1386,10 +1459,67 @@ impl Variant {
                     rel: lit.atom.relation.clone(),
                     slots,
                     key_cols,
+                    walk: Walk::All,
+                    memo: None,
                 }
             })
             .collect();
+
+        let suffix = lits
+            .iter()
+            .rposition(|lit| lit.frees().any(|v| live[v]))
+            .map_or(0, |last_live| last_live + 1);
+
+        // Backwards from the last literal: `needed` holds the variables
+        // read after this depth (by a literal, a negation or a head), then
+        // at it; `bound` those bound before it.
+        let mut needed = live.to_vec();
+        for depth in (0..lits.len()).rev() {
+            for v in lits[depth].frees() {
+                bound[v] = false;
+            }
+            let lit = &mut lits[depth];
+            lit.walk = if lit.frees().all(|v| !needed[v]) {
+                Walk::First
+            } else if depth >= suffix {
+                Walk::UntilMatch
+            } else {
+                Walk::All
+            };
+            for s in &lit.slots {
+                if let Slot::Bound(v) = s {
+                    needed[*v] = true;
+                }
+            }
+            // Inside the suffix a walk stops on its subtree's result,
+            // which a skipped repeat does not know; up to the suffix's
+            // start no walk reads it.
+            if depth == 0 || depth > suffix {
+                continue;
+            }
+            // A key repeats when the bindings so far include a variable
+            // it leaves out, or when the literal before matches several
+            // rows that differ only in its wildcard columns (and walks
+            // them all).
+            let prev = &lits[depth - 1];
+            let wild = prev.slots.iter().any(|s| matches!(s, Slot::Wild))
+                && prev.frees().any(|v| needed[v]);
+            let key: Vec<usize> = (0..live.len()).filter(|&v| bound[v] && needed[v]).collect();
+            if wild || key.len() < bound.iter().filter(|&&b| b).count() {
+                lits[depth].memo = Some(key.into_boxed_slice());
+            }
+        }
         Variant { lits }
+    }
+}
+
+impl LitPlan {
+    /// The variables this literal binds.
+    fn frees(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots.iter().filter_map(|s| match s {
+            Slot::Free(v) => Some(*v),
+            _ => None,
+        })
     }
 }
 
@@ -1606,6 +1736,8 @@ fn absorb(
 /// sources (EDB part, overlay part, or the delta relation).
 struct LitExec<'a> {
     slots: &'a [Slot],
+    walk: Walk,
+    memo: Option<&'a [usize]>,
     src: ScanSrc<'a>,
 }
 
@@ -1673,6 +1805,11 @@ struct JoinRun<'a> {
     keys: Vec<Vec<Value>>,
     /// Negation-probe key buffer.
     negkey: Vec<Value>,
+    /// Per depth, this job's projection memo; `None` where the depth is
+    /// not memoized or its gate turned the memo off.
+    memos: Vec<Option<Memo>>,
+    /// Memo-key buffer.
+    memokey: Vec<Value>,
     results: Vec<(usize, Vec<Value>)>,
     /// Governance handle for this job; ungoverned runs pay one `None`
     /// branch per considered tuple and nothing else.
@@ -1689,6 +1826,25 @@ struct JoinRun<'a> {
 /// enough that the `Instant::now()` syscall is amortized into noise, fine
 /// enough that a cross-product blow-up is noticed within microseconds.
 const GOV_STRIDE: u32 = 1024;
+
+/// Probes per gate window of a depth's projection memo: at the end of
+/// every window, a memo whose keys repeated on fewer than one probe in
+/// [`MEMO_MIN_HIT_SHARE`] so far turns itself off for the rest of the job.
+/// Where keys are nearly all distinct (most golden-program joins) a depth
+/// thus pays for one window of hashing, not for the whole scan.
+const MEMO_WINDOW: usize = 1024;
+
+/// See [`MEMO_WINDOW`].
+const MEMO_MIN_HIT_SHARE: usize = 8;
+
+/// One depth's projection memo within a join job: the keys already
+/// walked, and the gate's counts.
+#[derive(Default)]
+struct Memo {
+    seen: FxHashSet<Box<[Value]>>,
+    probes: usize,
+    hits: usize,
+}
 
 /// Binds row `t` against `slots`, extending `env`; records newly bound
 /// variables in `newly`, restoring `env` on mismatch.
@@ -1774,9 +1930,37 @@ impl JoinRun<'_> {
         self.stopped
     }
 
-    fn descend(&mut self, depth: usize) {
+    /// Whether the projection memo at `depth` has already walked the
+    /// current binding's key; records the key when it has not. The gate
+    /// turns the depth's memo off once its keys prove nearly distinct.
+    fn memo_repeats(&mut self, depth: usize) -> bool {
+        let Some(memo) = self.memos[depth].as_mut() else {
+            return false;
+        };
+        let cols = self.execs[depth].memo.expect("memoized depth");
+        self.memokey.clear();
+        self.memokey
+            .extend(cols.iter().map(|&v| self.env[v].expect("memo keys bound")));
+        memo.probes += 1;
+        let repeat = memo.seen.contains(self.memokey.as_slice());
+        if repeat {
+            memo.hits += 1;
+        } else {
+            memo.seen.insert(self.memokey.as_slice().into());
+        }
+        if memo.probes.is_multiple_of(MEMO_WINDOW) && memo.hits * MEMO_MIN_HIT_SHARE < memo.probes {
+            self.memos[depth] = None;
+        }
+        repeat
+    }
+
+    /// Walks the join from `depth` under the current bindings, emitting
+    /// every full match; returns whether one exists. Only walks inside the
+    /// existence suffix read the result: a skipped repeat (memoized depths
+    /// end where the suffix starts) returns `false` unread.
+    fn descend(&mut self, depth: usize) -> bool {
         if self.stopped {
-            return;
+            return false;
         }
         if depth == self.execs.len() {
             let mut negkey = std::mem::take(&mut self.negkey);
@@ -1785,28 +1969,46 @@ impl JoinRun<'_> {
             if ok {
                 self.emit();
             }
-            return;
+            return true;
+        }
+        if self.memo_repeats(depth) {
+            return false;
         }
         // Copy the shared slice reference out of `self` so borrows of the
         // exec plan do not pin `self` across the recursive calls.
         let execs = self.execs;
         let exec = &execs[depth];
         let mut newly = std::mem::take(&mut self.newly[depth]);
+        let mut found = false;
+        // Binds row `t`, walks the subtree under it, and says whether the
+        // walk at this depth is done.
+        let mut step = |run: &mut Self, newly: &mut Vec<usize>, t: RowRef<'_>| {
+            if !try_tuple(&mut run.env, newly, exec.slots, t) {
+                return false;
+            }
+            let matched = run.descend(depth + 1);
+            for &n in newly.iter() {
+                run.env[n] = None;
+            }
+            found |= matched;
+            match exec.walk {
+                Walk::All => false,
+                Walk::First => true,
+                Walk::UntilMatch => matched,
+            }
+        };
         match &exec.src {
             ScanSrc::Scan { parts, range } => {
                 let (mut start, mut end) = *range;
-                for part in parts.iter().flatten() {
+                'rows: for part in parts.iter().flatten() {
                     let n = part.len();
                     for i in start.min(n)..end.min(n) {
                         if self.should_stop() {
-                            break;
+                            break 'rows;
                         }
                         let t = part.get(i).expect("scan in range");
-                        if try_tuple(&mut self.env, &mut newly, exec.slots, t) {
-                            self.descend(depth + 1);
-                            for &n in &newly {
-                                self.env[n] = None;
-                            }
+                        if step(self, &mut newly, t) {
+                            break 'rows;
                         }
                     }
                     start = start.saturating_sub(n);
@@ -1821,21 +2023,18 @@ impl JoinRun<'_> {
                     Slot::Bound(v) => Some(self.env[*v].expect("bound")),
                     _ => None,
                 }));
-                for (rel, positions) in edb
+                'rows: for (rel, positions) in edb
                     .iter()
                     .map(|(rel, ix)| (*rel, ix.get(&key)))
                     .chain(idb.iter().map(|(rel, ix)| (*rel, ix.get(&key))))
                 {
                     for &ti in positions {
                         if self.should_stop() {
-                            break;
+                            break 'rows;
                         }
                         let t = rel.get(ti as usize).expect("index in range");
-                        if try_tuple(&mut self.env, &mut newly, exec.slots, t) {
-                            self.descend(depth + 1);
-                            for &n in &newly {
-                                self.env[n] = None;
-                            }
+                        if step(self, &mut newly, t) {
+                            break 'rows;
                         }
                     }
                 }
@@ -1843,6 +2042,7 @@ impl JoinRun<'_> {
             }
         }
         self.newly[depth] = newly;
+        found
     }
 }
 
@@ -1900,14 +2100,19 @@ mod tests {
         // Sel(z, 7) is by far the cheapest entry point (100 / 20 = 5
         // estimated rows); as the outermost literal it is scanned with
         // its constant checked per row. Mid then joins on the bound z,
-        // Big last on the bound y.
-        assert_eq!(plans[0], "Out :- Sel[scan], Mid[index [1]], Big[index [1]]");
-        // Body order, for contrast, scans Big first.
+        // Big last on the bound y — memoized on y (v1), since nothing
+        // after Mid reads z.
+        assert_eq!(
+            plans[0],
+            "Out :- Sel[scan], Mid[index [1]], memo(v1), Big[index [1]]"
+        );
+        // Body order, for contrast, scans Big first; Mid and Sel bind
+        // nothing the head reads, so they only check that a match exists.
         let blind = fresh_ctx(&db, false);
         let plans = blind.explain(&adversarial()).expect("explains");
         assert_eq!(
             plans[0],
-            "Out :- Big[scan], Mid[index [0]], Sel[index [0, 1]]"
+            "Out :- Big[scan], Mid[index [0]; exists], Sel[index [0, 1]; exists]"
         );
     }
 
@@ -2097,7 +2302,11 @@ mod tests {
         let p = Program::parse("Out(x) :- Big(x, y), Mid(y, z), Guard(1, 2).").expect("parses");
         let planned = fresh_ctx(&db, true);
         let plans = planned.explain(&p).expect("explains");
-        assert!(plans[0].starts_with("Out :- Guard[scan]"), "{}", plans[0]);
+        assert!(
+            plans[0].starts_with("Out :- Guard[scan; exists]"),
+            "{}",
+            plans[0]
+        );
         // Present guard: same result as body order; absent guard: empty.
         let blind = fresh_ctx(&db, false);
         assert_eq!(
@@ -2118,7 +2327,11 @@ mod tests {
         // Big's (4000).
         let wild = Program::parse("Out(x) :- Mid(_, _), Big(x, y), Mid(y, z).").expect("parses");
         let plans = planned.explain(&wild).expect("explains");
-        assert_eq!(plans[0], "Out :- Mid[scan], Big[index [1]], Mid[scan]");
+        // Binding nothing, it ends the join as an existence check.
+        assert_eq!(
+            plans[0],
+            "Out :- Mid[scan], memo(v1), Big[index [1]], memo(v0), Mid[scan; exists]"
+        );
     }
 
     #[test]
@@ -2171,10 +2384,12 @@ mod tests {
         )
     }
 
+    type OrderedRows = Vec<(String, Vec<Vec<Value>>)>;
+
     /// Rows per relation in insertion order — `Database` equality is
     /// set-based, so bit-identity (the governance differential contract)
     /// must compare the ordered row sequences explicitly.
-    fn ordered_rows(db: &Database) -> Vec<(String, Vec<Vec<Value>>)> {
+    fn ordered_rows(db: &Database) -> OrderedRows {
         db.iter()
             .map(|(n, r)| {
                 (
@@ -2492,5 +2707,139 @@ mod tests {
         let p = Program::parse("Out(x) :- Big(x, _).").expect("parses");
         assert!(ctx.eval(&p).is_ok());
         fault::reset();
+    }
+
+    // ------------------------------------------------- dead variables --
+
+    /// Emitted tuples (duplicates included) and the ordered output of one
+    /// evaluation.
+    fn emitted_by(ctx: &Evaluator, p: &Program) -> (usize, OrderedRows) {
+        upkeep::take();
+        let out = ordered_rows(&ctx.eval(p).expect("evaluates"));
+        (upkeep::take().emitted, out)
+    }
+
+    #[test]
+    fn a_dead_suffix_emits_once_per_live_prefix_binding() {
+        // 50 x's, each with 6 y's, each with 7 z's: the uncut join walks
+        // 2,100 bindings of (y, z), which only decide whether x emits.
+        let mut db = Database::new();
+        db.extend_rows("A", 1, (0..50i64).map(|x| vec![x.into()]));
+        db.extend_rows(
+            "B",
+            2,
+            (0..50i64).flat_map(|x| (0..6i64).map(move |y| vec![x.into(), (100 * x + y).into()])),
+        );
+        db.extend_rows(
+            "C",
+            2,
+            (0..5000i64).flat_map(|y| (0..7i64).map(move |z| vec![y.into(), z.into()])),
+        );
+        let p = Program::parse("Q(x) :- A(x), B(x, y), C(y, z).").expect("parses");
+        let ctx = fresh_ctx(&db, false);
+        assert_eq!(
+            ctx.explain(&p).expect("explains")[0],
+            "Q :- A[scan], B[index [0]; exists], C[index [0]; exists]"
+        );
+        let (emitted, out) = emitted_by(&ctx, &p);
+        assert_eq!(emitted, 50, "one tuple per x");
+        assert_eq!(
+            out,
+            ordered_rows(&crate::legacy::evaluate(&p, &db).expect("legacy"))
+        );
+        // A negation reading y keeps y live: the walk over B is a full
+        // one again, and only C (binding z) is an existence check.
+        let q = Program::parse("Q(x) :- A(x), B(x, y), C(y, z), !D(y).").expect("parses");
+        db.extend_rows("D", 1, (0..50i64).map(|x| vec![(100 * x).into()]));
+        let ctx = fresh_ctx(&db, false);
+        assert_eq!(
+            ctx.explain(&q).expect("explains")[0],
+            "Q :- A[scan], B[index [0]], C[index [0]; exists], !D[probe [0]]"
+        );
+        let (emitted, out) = emitted_by(&ctx, &q);
+        assert_eq!(emitted, 50 * 5, "one tuple per (x, y) that D does not hold");
+        assert_eq!(
+            out,
+            ordered_rows(&crate::legacy::evaluate(&q, &db).expect("legacy"))
+        );
+    }
+
+    /// The `RevN` rule Table 3's synthesizer proposes for Yelp-2, with
+    /// four variables nothing outside the body reads.
+    const REV_N: &str = "RevN(gr_id, gr_stars) :- Business(_, _, _, gr_stars, _, _), \
+        Business(_, _, _, bstars1, v1, _), Review(v1, gr_id, gr_stars, _), \
+        Business(_, _, _, _, v2, _), Review(v2, _, bstars1, _).";
+
+    /// A Yelp-shaped fact database: `n` businesses with 1–5 stars, each
+    /// with up to four reviews of 1–5 stars.
+    fn yelp_facts(n: i64) -> Database {
+        let mut db = Database::new();
+        db.extend_rows(
+            "Business",
+            6,
+            (0..n).map(|b| {
+                vec![
+                    b.into(),
+                    Value::str(format!("biz_{b}")),
+                    Value::str(format!("city_{}", b % 15)),
+                    (b % 5 + 1).into(),
+                    Value::Id(b as u64),
+                    Value::Id((n + b) as u64),
+                ]
+            }),
+        );
+        db.extend_rows(
+            "Review",
+            4,
+            (0..n).flat_map(|b| {
+                (0..b % 5).map(move |k| {
+                    vec![
+                        Value::Id(b as u64),
+                        (10_000 + 4 * b + k).into(),
+                        ((b * 7 + k * 3) % 5 + 1).into(),
+                        Value::str(format!("user_{}", (b + k) % 30)),
+                    ]
+                })
+            }),
+        );
+        db
+    }
+
+    #[test]
+    fn explain_marks_the_cuts_of_the_synthesized_yelp_rule() {
+        let p = Program::parse(REV_N).expect("parses");
+        let plans = fresh_ctx(&yelp_facts(200), true)
+            .explain(&p)
+            .expect("explains");
+        // v0 = gr_id, v1 = gr_stars, v3 = v1. The outer scan binds
+        // gr_stars from rows that differ in wildcard columns, so the
+        // Review probe is memoized on it; everything after the probe that
+        // binds gr_id only checks that some match exists.
+        assert_eq!(
+            plans[0],
+            "RevN :- Business[scan], memo(v1), Review[index [2]], memo(v0, v1, v3), \
+             Business[index [4]; exists], Review[index [2]; exists], \
+             Business[index [4]; exists]"
+        );
+    }
+
+    #[test]
+    fn the_synthesized_yelp_rule_emits_linearly_in_its_input() {
+        let p = Program::parse(REV_N).expect("parses");
+        let mut emitted = Vec::new();
+        for n in [100i64, 300] {
+            let db = yelp_facts(n);
+            let (count, want) = emitted_by(&fresh_ctx(&db, true), &p);
+            emitted.push(count);
+            if n == 100 {
+                let legacy = crate::legacy::evaluate(&p, &db).expect("legacy");
+                assert_eq!(fresh_ctx(&db, true).eval(&p).expect("evaluates"), legacy);
+            }
+            let parallel = ctx_with_threads(&db, 4).eval(&p).expect("evaluates");
+            assert_eq!(ordered_rows(&parallel), want, "n={n}");
+        }
+        // One tuple per review — each is a distinct output fact — where
+        // the uncut join emits a number quadratic in the businesses.
+        assert_eq!(emitted, [200, 600]);
     }
 }

@@ -1,9 +1,10 @@
-//! Test-build instrumentation of index upkeep, rule compilation and
-//! delta bookkeeping: per-thread counts of index builds (per side), of
-//! index entries repaired, of compiled-rule builds and of delta-relation
-//! inserts, and checks that cached indexes
-//! equal fresh builds. Every counted site runs on the thread that drives
-//! the evaluation (compilation, round prep, absorb, batch edits).
+//! Test-build instrumentation of index upkeep, rule compilation, join
+//! output and delta bookkeeping: per-thread counts of index builds (per
+//! side), of index entries repaired, of compiled-rule builds, of tuples
+//! the joins emit and of delta-relation inserts, and checks that cached
+//! indexes equal fresh builds. Every counted site runs on the thread
+//! that drives the evaluation (compilation, round prep, the end of a
+//! round's join phase, absorb, batch edits).
 
 use std::cell::Cell;
 
@@ -15,6 +16,7 @@ thread_local! {
     static TOUCHES: Cell<usize> = const { Cell::new(0) };
     static RULE_BUILDS: Cell<usize> = const { Cell::new(0) };
     static DELTA_INSERTS: Cell<usize> = const { Cell::new(0) };
+    static EMITTED: Cell<usize> = const { Cell::new(0) };
 }
 
 pub(crate) fn count_edb_build() {
@@ -33,6 +35,10 @@ pub(crate) fn count_rule_build() {
     RULE_BUILDS.with(|c| c.set(c.get() + 1));
 }
 
+pub(crate) fn count_emitted(n: usize) {
+    EMITTED.with(|c| c.set(c.get() + n));
+}
+
 pub(crate) fn count_delta_insert() {
     DELTA_INSERTS.with(|c| c.set(c.get() + 1));
 }
@@ -48,6 +54,8 @@ pub(crate) struct Work {
     pub(crate) rule_builds: usize,
     /// Facts `absorb` wrote into a delta relation.
     pub(crate) delta_inserts: usize,
+    /// Head tuples the join jobs emitted, duplicates included.
+    pub(crate) emitted: usize,
 }
 
 /// Returns and resets this thread's counters.
@@ -58,6 +66,7 @@ pub(crate) fn take() -> Work {
         touches: TOUCHES.with(|c| c.replace(0)),
         rule_builds: RULE_BUILDS.with(|c| c.replace(0)),
         delta_inserts: DELTA_INSERTS.with(|c| c.replace(0)),
+        emitted: EMITTED.with(|c| c.replace(0)),
     }
 }
 

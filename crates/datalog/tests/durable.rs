@@ -457,6 +457,40 @@ fn rejected_batch_never_reaches_the_wal() {
     fault::reset();
 }
 
+/// A batch under a cancelled governor is refused before its frame is
+/// written, like a rejected one: no WAL bytes, no sequence number, and an
+/// armed `wal-torn-write` is still armed afterwards.
+#[test]
+fn cancelled_governor_refuses_before_the_wal() {
+    let _g = fault::test_lock();
+    fault::reset();
+    let dir = TempDir::new("cancelled-batch");
+    let mut dur = DurableEvaluator::create(dir.path(), program(), seed_edb()).unwrap();
+    let stream = batches(2, 0xCA7C);
+    dur.apply_delta(&stream[0].0, &stream[0].1).unwrap();
+    let (wal_before, seq_before) = (dur.wal_bytes(), dur.next_seq());
+
+    let gov = Governor::unlimited();
+    gov.cancel();
+    fault::arm(fault::WAL_TORN_WRITE, 1);
+    let err = dur
+        .apply_delta_governed(&stream[1].0, &stream[1].1, &gov)
+        .unwrap_err();
+    assert!(
+        matches!(err, DurableError::Eval(EvalError::Cancelled)),
+        "{err}"
+    );
+    assert_eq!(dur.wal_bytes(), wal_before, "no frame written");
+    assert_eq!(dur.next_seq(), seq_before, "no sequence number taken");
+    assert!(
+        fault::fire(fault::WAL_TORN_WRITE),
+        "the refused batch must not reach the append"
+    );
+    assert!(!dur.is_dead());
+    assert!(!dur.is_poisoned(), "a refused batch does no maintenance");
+    fault::reset();
+}
+
 /// A failed truncate after a governed trip retires the evaluator: the
 /// tripped batch's frame stays on disk, so no later frame may take its
 /// sequence number. Recovery then replays that frame, exactly as after

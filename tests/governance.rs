@@ -15,7 +15,9 @@ use dynamite::datalog::{
     fault, EvalError, Evaluator, Governor, IncrementalEvaluator, Program, ResourceLimits,
     RuleCacheHandle, ServedEvaluator, WorkerPool,
 };
-use dynamite::instance::{Database, Value};
+use dynamite::instance::{to_facts, Database, Value};
+use dynamite::migrate::{migrate_governed, MigrateError};
+use dynamite_bench_suite::benchmarks::by_name;
 
 fn ctx_with_threads(db: Database, threads: usize) -> Evaluator {
     Evaluator::with_config(
@@ -282,5 +284,53 @@ fn governed_synthesis_matches_ungoverned_at_both_thread_counts() {
             governed.stats.total_iterations(),
             "threads={threads}"
         );
+    }
+}
+
+/// The Yelp-2 program Table 3's synthesizer finds: its `RevN` rule binds
+/// four variables that no head reads, and a join that walked every
+/// combination of them filled its buffer super-linearly in the source
+/// before `absorb` could charge a single fact.
+const YELP_2_SYNTHESIZED: &str = "
+    BizN(gb_id, gb_name) :- Business(gb_id, gb_name, _, _, _, _).
+    RevN(gr_id, gr_stars) :- Business(_, _, _, gr_stars, _, _), \
+        Business(_, _, _, bstars1, v1, _), Review(v1, gr_id, gr_stars, _), \
+        Business(_, _, _, _, v2, _), Review(v2, _, bstars1, _).
+    HasRev(hr_biz, hr_rev) :- Business(hr_biz, _, _, _, v1, _), Review(v1, hr_rev, _, _).";
+
+#[test]
+fn a_fact_budget_stops_a_migration_with_dead_variables() {
+    let _guard = fault::test_lock();
+    fault::reset();
+    let bench = by_name("Yelp-2").expect("Yelp-2 exists");
+    let program = Program::parse(YELP_2_SYNTHESIZED).unwrap();
+    let source = bench.generate_source(40, 11);
+    let budget = 1_000;
+    let limits = ResourceLimits::none().with_fact_budget(budget);
+    let err = migrate_governed(
+        &program,
+        &source,
+        bench.target().clone(),
+        &Governor::new(limits),
+    )
+    .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            MigrateError::Eval(EvalError::FactBudgetExceeded { budget: 1_000 })
+        ),
+        "{err}"
+    );
+    // The trip point is the same at every worker count.
+    let facts = to_facts(&source);
+    for threads in [1, 4] {
+        let ctx = ctx_with_threads(facts.clone(), threads);
+        let gov = Governor::new(limits);
+        assert_eq!(
+            ctx.eval_governed(&program, &gov).unwrap_err(),
+            EvalError::FactBudgetExceeded { budget },
+            "threads={threads}"
+        );
+        assert_eq!(gov.facts_counted(), budget + 1, "threads={threads}");
     }
 }
